@@ -25,7 +25,7 @@ from importlib import resources
 
 from .cocycle import LieAlgebraSpec
 from .errors import AlgebraFileError
-from .exactscalar import ONE, Scalar, parse_scalar
+from .exactscalar import ONE, Scalar, accumulate, parse_scalar
 
 _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _BRACKET = re.compile(r"^\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*=\s*(.+)$")
@@ -132,12 +132,7 @@ def loads(text: str) -> LieAlgebraSpec:
                     raise AlgebraFileError(
                         f"unknown generator {name!r}", line=line_no
                     )
-                k = index[name]
-                total = acc.get(k, Scalar()) + (-coeff if flip else coeff)
-                if total.is_zero:
-                    acc.pop(k, None)
-                else:
-                    acc[k] = total
+                accumulate(acc, index[name], -coeff if flip else coeff)
         if acc:
             brackets[pair] = acc
 
@@ -148,7 +143,11 @@ def loads(text: str) -> LieAlgebraSpec:
 
 def load(path) -> LieAlgebraSpec:
     """Parse an algebra file from disk."""
-    return loads(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise AlgebraFileError(f"cannot read {path}: {exc.strerror or exc}") from None
+    return loads(text)
 
 
 def bundled_names() -> List[str]:

@@ -31,6 +31,7 @@ from .fieldcheck import (
     multispinor_equations,
 )
 from .galrealize import (
+    MODELS,
     default_table,
     extend_lambda,
     kappa_shift,
@@ -45,8 +46,6 @@ from .numtrunc import run_numeric_check
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-MODELS = ("schrodinger", "levyleblond", "multispinor")
 
 
 def build_parser() -> argparse.ArgumentParser:

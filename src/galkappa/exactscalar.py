@@ -1,4 +1,5 @@
-"""Exact arithmetic foundation: Gaussian rationals and Laurent polynomials.
+"""Exact arithmetic foundation: Gaussian rationals, Laurent polynomials, and
+the shared sparse-map and square-matrix containers.
 
 Every coefficient in this package is a complex number with rational real and
 imaginary parts (a Gaussian rational), so all verification is equality of
@@ -8,6 +9,11 @@ Polynomials are multivariate over a fixed registry of named symbols.  A
 symbol registered as invertible may carry negative exponents (Laurent terms);
 anything else is restricted to ordinary polynomial exponents so that
 construction bugs surface as errors instead of silently growing 1/x terms.
+
+`TermMap` is the canonical sparse map (key -> nonzero coefficient) behind
+polynomials, scalar differential operators and field bilinears;
+`SquareMatrix` is the square matrix over such a ring behind spin matrices
+and matrix differential operators.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from .errors import NotInvertible, RegistryMismatch
+from .errors import NotInvertible, RegistryMismatch, ShapeError
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,8 @@ class Scalar:
 ZERO = Scalar()
 ONE = Scalar(Fraction(1))
 I = Scalar(Fraction(0), Fraction(1))
+HALF = Scalar(Fraction(1, 2))
+NEG_I = Scalar(Fraction(0), Fraction(-1))
 
 _SCALAR_TOKEN = re.compile(
     r"""^\s*(?P<sign>[+-])?\s*
@@ -214,15 +222,81 @@ class SymbolRegistry:
         return PolyExpr(self, {key: ONE})
 
 
-class PolyExpr:
-    """Multivariate Laurent-capable polynomial with Scalar coefficients.
+def accumulate(terms: dict, key, coeff) -> None:
+    """Add coeff into terms[key] in place, keeping the map free of zeros.
 
-    Terms map exponent tuples (aligned with the registry's sorted names) to
-    nonzero Scalars.  The term map is canonical: equal polynomials have equal
-    maps, so equality and zero tests are exact dictionary comparisons.
+    A new key stores coeff itself; a sum (or a new coefficient) that is zero
+    removes the key.
+    """
+    old = terms.get(key)
+    if old is not None:
+        coeff = old + coeff
+    if coeff.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = coeff
+
+
+class TermMap:
+    """Canonical sparse map from keys to nonzero coefficients over one registry.
+
+    The map never stores a zero, so equal objects have equal maps and
+    equality and zero tests are exact dictionary comparisons.  Subclasses
+    validate keys and coefficients in their constructor (which every result
+    passes through), check or coerce the other operand in `_coerce`, and
+    supply their own calculus and printing.
     """
 
     __slots__ = ("registry", "_terms")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def items(self):
+        """Terms in canonical order: graded, then lexicographic on keys."""
+        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            accumulate(terms, key, coeff)
+        return type(self)(self.registry, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.registry, {k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.registry == other.registry
+            and self._terms == other._terms
+        )
+
+    def __hash__(self):
+        return hash((self.registry, frozenset(self._terms.items())))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class PolyExpr(TermMap):
+    """Multivariate Laurent-capable polynomial with Scalar coefficients.
+
+    Terms map exponent tuples (aligned with the registry's sorted names) to
+    nonzero Scalars.
+    """
+
+    __slots__ = ()
 
     def __init__(self, registry: SymbolRegistry, terms: Mapping[Tuple[int, ...], Scalar]):
         self.registry = registry
@@ -244,23 +318,11 @@ class PolyExpr:
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in key) for key in self._terms)
-
     def constant_term(self) -> Scalar:
         return self._terms.get((0,) * len(self.registry.names), ZERO)
 
     def coefficient(self, key: Tuple[int, ...]) -> Scalar:
         return self._terms.get(tuple(key), ZERO)
-
-    def items(self):
-        """Terms in canonical order: graded, then lexicographic on exponents."""
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def uses_symbols(self, names: Iterable[str]) -> bool:
         idxs = [self.registry.index(n) for n in names]
@@ -286,39 +348,12 @@ class PolyExpr:
             return other
         return self.registry.const(Scalar.of(other))
 
-    def __add__(self, other) -> "PolyExpr":
-        other = self._coerce(other)
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = terms.get(key, ZERO) + coeff
-            if acc.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return PolyExpr(self.registry, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PolyExpr":
-        return PolyExpr(self.registry, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other) -> "PolyExpr":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "PolyExpr":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "PolyExpr":
         other = self._coerce(other)
         terms: Dict[Tuple[int, ...], Scalar] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                acc = terms.get(key, ZERO) + c1 * c2
-                if acc.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
+                accumulate(terms, tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
         return PolyExpr(self.registry, terms)
 
     __rmul__ = __mul__
@@ -380,11 +415,7 @@ class PolyExpr:
             if e == 0:
                 continue
             new_key = tuple(v - 1 if j == idx else v for j, v in enumerate(key))
-            acc = terms.get(new_key, ZERO) + coeff * Scalar.of(e)
-            if not acc.is_zero:
-                terms[new_key] = acc
-            else:
-                terms.pop(new_key, None)
+            accumulate(terms, new_key, coeff * Scalar.of(e))
         return PolyExpr(self.registry, terms)
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
@@ -406,14 +437,9 @@ class PolyExpr:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Scalar)):
             other = self.registry.const(Scalar.of(other))
-        return (
-            isinstance(other, PolyExpr)
-            and self.registry == other.registry
-            and self._terms == other._terms
-        )
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash((self.registry, frozenset(self._terms.items())))
+    __hash__ = TermMap.__hash__  # defining __eq__ clears the inherited hash
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -438,5 +464,108 @@ class PolyExpr:
         text = " + ".join(chunks)
         return text.replace("+ -", "- ")
 
+
+class SquareMatrix:
+    """Square matrix over a ring of registry-bound entries.
+
+    Subclasses fix the entry ring through two hooks: `_entry` checks (and may
+    coerce) one entry, and `_times` multiplies two entries for the matrix
+    product.  `identity` and `zeros` pass PolyExpr constants through `_entry`.
+    """
+
+    __slots__ = ("registry", "rows")
+
+    def __init__(self, registry: SymbolRegistry, rows: Sequence[Sequence]):
+        self.registry = registry
+        dim = len(rows)
+        coerced = []
+        for row in rows:
+            if len(row) != dim:
+                raise ShapeError("matrix must be square")
+            coerced.append(tuple(self._entry(e) for e in row))
+        self.rows: Tuple[tuple, ...] = tuple(coerced)
+
+    def _entry(self, e):
+        if e.registry != self.registry:
+            raise ShapeError("entry built over a different registry")
+        return e
+
+    @staticmethod
+    def _times(a, b):
+        return a * b
+
+    @classmethod
+    def identity(cls, registry: SymbolRegistry, dim: int, factor=None):
+        one = factor if factor is not None else registry.const(ONE)
+        zero = registry.zero()
+        return cls(
+            registry, [[one if r == c else zero for c in range(dim)] for r in range(dim)]
+        )
+
+    @classmethod
+    def zeros(cls, registry: SymbolRegistry, dim: int):
+        return cls(registry, [[registry.zero()] * dim for _ in range(dim)])
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def entry(self, r: int, c: int):
+        return self.rows[r][c]
+
+    @property
+    def is_zero(self) -> bool:
+        return all(e.is_zero for row in self.rows for e in row)
+
+    def _check(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if self.dim != other.dim or self.registry != other.registry:
+            raise ShapeError("matrix dimensions or registries do not match")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(
+            self.registry,
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+        )
+
+    def __neg__(self):
+        return type(self)(self.registry, [[-e for e in row] for row in self.rows])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __matmul__(self, other):
+        self._check(other)
+        n = self.dim
+        zero = self._entry(self.registry.zero())
+        out = []
+        for r in range(n):
+            row = []
+            for c in range(n):
+                acc = zero
+                for k in range(n):
+                    acc = acc + self._times(self.rows[r][k], other.rows[k][c])
+                row.append(acc)
+            out.append(row)
+        return type(self)(self.registry, out)
+
+    def commutator(self, other):
+        return self @ other - other @ self
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.registry == other.registry
+            and self.rows == other.rows
+        )
+
+    def __hash__(self):
+        return hash((self.registry, self.rows))
+
+    def __str__(self) -> str:
+        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
+
     def __repr__(self):
-        return f"PolyExpr({self})"
+        return f"{type(self).__name__}({self})"

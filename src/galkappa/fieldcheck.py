@@ -13,20 +13,23 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (
-    BadRank,
-    BadSpin,
-    CovarianceFailure,
-    GalkappaError,
-    RedundancyClaimFailure,
+from .errors import CovarianceFailure, GalkappaError, RedundancyClaimFailure
+from .exactscalar import (
+    HALF,
+    I,
+    NEG_I,
+    ONE,
+    ZERO,
+    PolyExpr,
+    Scalar,
+    SymbolRegistry,
+    TermMap,
+    accumulate,
+    parse_scalar,
 )
-from .exactscalar import I, ONE, ZERO, PolyExpr, Scalar, SymbolRegistry, parse_scalar
-from .galrealize import make_registry
+from .galrealize import check_rank, check_spin, make_registry
 from .matspin import MatExpr, SymBasis, embed_factor, gamma_projector, restrict_symmetric
 from .weylop import DiffOp, ScalarDiffOp, bracket, compose, conjugate_phase, conjugate_shift
-
-_HALF = Scalar(Fraction(1, 2))
-_NEG_I = Scalar(0, -1)
 
 PHI = "phi"
 CHI = "chi"
@@ -35,16 +38,10 @@ CHI = "chi"
 TermKey = Tuple[str, Tuple[int, int, int], str, Tuple[int, int, int]]
 
 
-def _check_spin(s: int) -> int:
-    if s not in (1, -1):
-        raise BadSpin(f"spin label must be +1 or -1, got {s!r}")
-    return s
-
-
-class FieldPoly:
+class FieldPoly(TermMap):
     """Bilinear expression: sum of coeff * (d^a comp)^dagger * (d^b comp)."""
 
-    __slots__ = ("registry", "_terms")
+    __slots__ = ()
 
     def __init__(self, registry: SymbolRegistry, terms: Dict[TermKey, PolyExpr]):
         self.registry = registry
@@ -66,30 +63,13 @@ class FieldPoly:
     def term(registry, coeff: PolyExpr, dag_comp, dag_midx, ket_comp, ket_midx) -> "FieldPoly":
         return FieldPoly(registry, {(dag_comp, tuple(dag_midx), ket_comp, tuple(ket_midx)): coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def items(self):
         return sorted(self._terms.items())
 
-    def __add__(self, other: "FieldPoly") -> "FieldPoly":
+    def _coerce(self, other: "FieldPoly") -> "FieldPoly":
         if self.registry != other.registry:
             raise GalkappaError("field expressions over different registries")
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = terms.get(key, self.registry.zero()) + coeff
-            if acc.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
-        return FieldPoly(self.registry, terms)
-
-    def __neg__(self) -> "FieldPoly":
-        return FieldPoly(self.registry, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "FieldPoly") -> "FieldPoly":
-        return self + (-other)
+        return other
 
     def scale(self, factor) -> "FieldPoly":
         if not isinstance(factor, PolyExpr):
@@ -100,30 +80,13 @@ class FieldPoly:
         """Total coordinate derivative via the Leibniz rule (axis 0,1 space, 2 time)."""
         coord = ("x1", "x2", "t")[axis]
         out: Dict[TermKey, PolyExpr] = {}
-
-        def bump(key, coeff):
-            acc = out.get(key, self.registry.zero()) + coeff
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-
         for (dc, dm, kc, km), coeff in self._terms.items():
-            dcoeff = coeff.diff(coord)
-            if not dcoeff.is_zero:
-                bump((dc, dm, kc, km), dcoeff)
+            accumulate(out, (dc, dm, kc, km), coeff.diff(coord))
             dm_up = tuple(a + (1 if i == axis else 0) for i, a in enumerate(dm))
-            bump((dc, dm_up, kc, km), coeff)
+            accumulate(out, (dc, dm_up, kc, km), coeff)
             km_up = tuple(a + (1 if i == axis else 0) for i, a in enumerate(km))
-            bump((dc, dm, kc, km_up), coeff)
+            accumulate(out, (dc, dm, kc, km_up), coeff)
         return FieldPoly(self.registry, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldPoly)
-            and self.registry == other.registry
-            and self._terms == other._terms
-        )
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -136,17 +99,14 @@ class FieldPoly:
             chunks.append(f"{ctext}*{dc}_dag{list(dm)}*{kc}{list(km)}")
         return " + ".join(chunks)
 
-    def __repr__(self):
-        return f"FieldPoly({self})"
-
 
 class EomRules:
     """On-shell rewrite rules for the two-component field at spin label s."""
 
     def __init__(self, registry: SymbolRegistry, s: int):
         self.registry = registry
-        self.s = _check_spin(s)
-        half_i_over_m = (registry.const(I) * _HALF).div_symbol("m")
+        self.s = check_spin(s)
+        half_i_over_m = (registry.const(I) * HALF).div_symbol("m")
         half_s_over_m = (registry.const(Scalar(Fraction(s, 2)))).div_symbol("m")
         self.chi_d1 = half_i_over_m          # chi -> (i/2m) d1 phi ...
         self.chi_d2 = -half_s_over_m         # ... + (-s/2m) d2 phi
@@ -189,12 +149,7 @@ def reduce_on_shell(f: FieldPoly, rules: EomRules) -> FieldPoly:
             work.append((((PHI), (down[0] + 2, down[1], down[2]), kc, km), coeff * rules.dtdag))
             work.append((((PHI), (down[0], down[1] + 2, down[2]), kc, km), coeff * rules.dtdag))
             continue
-        key = (dc, dm, kc, km)
-        acc = out.get(key, reg.zero()) + coeff
-        if acc.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        accumulate(out, (dc, dm, kc, km), coeff)
     return FieldPoly(reg, out)
 
 
@@ -276,7 +231,7 @@ def check_conservation(
     """
     if i not in (1, 2):
         raise ValueError("free index must be 1 or 2")
-    s = _check_spin(s)
+    s = check_spin(s)
     reg = registry or make_registry()
     data = load_current_terms(variant)
     flux_terms = list(data["terms"]["flux"])
@@ -306,59 +261,42 @@ def check_conservation(
 def build_wave_operator(registry: Optional[SymbolRegistry] = None, s: int = 1) -> DiffOp:
     """Two-component first-order wave operator for spin label s."""
     reg = registry or make_registry()
-    s = _check_spin(s)
+    s = check_spin(s)
     E = ScalarDiffOp.deriv(reg, (0, 0, 1), reg.const(I))
     p_minus = ScalarDiffOp(
-        reg, {(1, 0, 0): reg.const(_NEG_I), (0, 1, 0): reg.const(Scalar.of(-s))}
+        reg, {(1, 0, 0): reg.const(NEG_I), (0, 1, 0): reg.const(Scalar.of(-s))}
     )
     p_plus = ScalarDiffOp(
-        reg, {(1, 0, 0): reg.const(_NEG_I), (0, 1, 0): reg.const(Scalar.of(s))}
+        reg, {(1, 0, 0): reg.const(NEG_I), (0, 1, 0): reg.const(Scalar.of(s))}
     )
     two_m = ScalarDiffOp.coeff(reg.symbol("m") * Scalar.of(2))
     return DiffOp(reg, [[E, p_minus], [p_plus, two_m]])
 
 
-def _boost_pieces(reg, s: int, v, vplus_sign: int):
+def _boost_pieces(reg, s: int, v):
     vx, vy = v
-    i = reg.const(I)
-    vplus = vx + i * reg.const(Scalar.of(s * vplus_sign)) * vy
-    half_vp = vplus * _HALF
-    S = DiffOp(
-        reg,
-        [
-            [ScalarDiffOp.coeff(reg.const(ONE)), ScalarDiffOp.zero(reg)],
-            [ScalarDiffOp.coeff(-half_vp), ScalarDiffOp.coeff(reg.const(ONE))],
-        ],
-    )
-    S_inv = DiffOp(
-        reg,
-        [
-            [ScalarDiffOp.coeff(reg.const(ONE)), ScalarDiffOp.zero(reg)],
-            [ScalarDiffOp.coeff(half_vp), ScalarDiffOp.coeff(reg.const(ONE))],
-        ],
-    )
+    half_vp = (vx + reg.const(I * Scalar.of(s)) * vy) * HALF
+    one, zero = reg.const(ONE), reg.zero()
+    S = DiffOp(reg, [[one, zero], [-half_vp, one]])
+    S_inv = DiffOp(reg, [[one, zero], [half_vp, one]])
     return S, S_inv
 
 
-def boost_transform(
-    G: DiffOp,
-    s: int,
-    v: Tuple[PolyExpr, PolyExpr],
-    shift_sign: int = -1,
-    vplus_sign: int = 1,
-) -> DiffOp:
-    """Finite boost action on the wave operator under one convention choice."""
+def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
+    """Finite boost action on the wave operator.
+
+    Convention: the frame shift is x -> x - v t (shift sign -1) and the
+    matrix factor carries v1 + i*s*v2 (v+ sign +1).  Of the four sign
+    choices this is the only one with a constant intertwining matrix, for
+    either spin.
+    """
     reg = G.registry
     vx, vy = v
     theta = reg.symbol("m") * (vx * reg.symbol("x1") + vy * reg.symbol("x2")) + (
-        reg.symbol("m") * (vx * vx + vy * vy) * _HALF * reg.symbol("t")
+        reg.symbol("m") * (vx * vx + vy * vy) * HALF * reg.symbol("t")
     )
-    if shift_sign == -1:
-        shifted = conjugate_shift(G, (-vx, -vy))
-    else:
-        shifted = conjugate_shift(G, (vx, vy))
-    core = conjugate_phase(shifted, theta)
-    S, S_inv = _boost_pieces(reg, s, (vx, vy), vplus_sign)
+    core = conjugate_phase(conjugate_shift(G, (-vx, -vy)), theta)
+    S, S_inv = _boost_pieces(reg, s, (vx, vy))
     return compose(S_inv, compose(core, S))
 
 
@@ -373,9 +311,6 @@ def solve_constant_matrix(lhs: DiffOp, G: DiffOp, s: int) -> List[List[PolyExpr]
     inconsistent or the solution is not coordinate-free.
     """
     reg = lhs.registry
-    neg_i = reg.const(_NEG_I)
-    i_const = reg.const(I)
-    s_inv = Scalar(Fraction(1, s))  # s in {1,-1} so 1/s == s
     lam: List[List[PolyExpr]] = [[None, None], [None, None]]
     for r in range(2):
         T0, T1 = lhs.entry(r, 0), lhs.entry(r, 1)
@@ -386,7 +321,7 @@ def solve_constant_matrix(lhs: DiffOp, G: DiffOp, s: int) -> List[List[PolyExpr]
                         f"transformed operator has an order-{sum(midx)} term"
                     )
         # column 0: Lambda_r0 * E + Lambda_r1 * p_plus
-        l_r0 = T0.coefficient((0, 0, 1)) * _NEG_I
+        l_r0 = T0.coefficient((0, 0, 1)) * NEG_I
         l_r1 = T0.coefficient((1, 0, 0)) * I
         if not (T0.coefficient((0, 1, 0)) - l_r1 * Scalar.of(s)).is_zero:
             raise CovarianceFailure("inconsistent spatial coefficients in column 0")
@@ -400,7 +335,7 @@ def solve_constant_matrix(lhs: DiffOp, G: DiffOp, s: int) -> List[List[PolyExpr]
             raise CovarianceFailure("row solution differs between columns")
         if not (T1.coefficient((0, 1, 0)) + l_r0 * Scalar.of(s)).is_zero:
             raise CovarianceFailure("inconsistent spatial coefficients in column 1")
-        alt_r1 = (T1.coefficient((0, 0, 0)) * _HALF).div_symbol("m")
+        alt_r1 = (T1.coefficient((0, 0, 0)) * HALF).div_symbol("m")
         if not (alt_r1 - l_r1).is_zero:
             raise CovarianceFailure("row solution differs between columns")
         for entry in (l_r0, l_r1):
@@ -408,8 +343,7 @@ def solve_constant_matrix(lhs: DiffOp, G: DiffOp, s: int) -> List[List[PolyExpr]
                 raise CovarianceFailure("solution is not coordinate-free")
         lam[r][0], lam[r][1] = l_r0, l_r1
     # exact verification of the full matrix identity
-    lam_op = DiffOp(reg, [[ScalarDiffOp.coeff(e) for e in row] for row in lam])
-    if not (lhs - compose(lam_op, G)).is_zero:
+    if not (lhs - compose(DiffOp(reg, lam), G)).is_zero:
         raise CovarianceFailure("residual after solving is nonzero")
     return lam
 
@@ -418,8 +352,6 @@ def solve_constant_matrix(lhs: DiffOp, G: DiffOp, s: int) -> List[List[PolyExpr]
 class BoostCovariance:
     s: int
     lam: List[List[PolyExpr]]
-    shift_sign: int
-    vplus_sign: int
 
     def lam_at_zero(self) -> List[List[Scalar]]:
         reg = self.lam[0][0].registry
@@ -435,36 +367,23 @@ class BoostCovariance:
         return {
             "spin": self.s,
             "matrix": [[str(e) for e in row] for row in self.lam],
-            "convention": {
-                "shift_sign": self.shift_sign,
-                "vplus_sign": self.vplus_sign,
-            },
+            "convention": {"shift_sign": -1, "vplus_sign": 1},
         }
 
 
 def check_boost_covariance(s: int, registry: Optional[SymbolRegistry] = None) -> BoostCovariance:
-    """Find a constant matrix intertwining the boosted and original operators.
-
-    The finite-transformation conventions (shift direction, imaginary-part
-    sign in the matrix factor) are fixed by solvability: each candidate is
-    tried in a deterministic order and the first consistent one is returned.
-    """
-    s = _check_spin(s)
+    """Find a constant matrix intertwining the boosted and original operators."""
+    s = check_spin(s)
     reg = registry or make_registry()
     G = build_wave_operator(reg, s)
     v = (reg.symbol("v1"), reg.symbol("v2"))
-    failures = []
-    for shift_sign, vplus_sign in ((-1, 1), (-1, -1), (1, 1), (1, -1)):
-        try:
-            moved = boost_transform(G, s, v, shift_sign, vplus_sign)
-            lam = solve_constant_matrix(moved, G, s)
-            return BoostCovariance(s, lam, shift_sign, vplus_sign)
-        except CovarianceFailure as exc:
-            failures.append(f"(shift {shift_sign:+d}, vplus {vplus_sign:+d}): {exc}")
-    raise CovarianceFailure(
-        "no convention admits a constant intertwining matrix; tried "
-        + "; ".join(failures)
-    )
+    try:
+        lam = solve_constant_matrix(boost_transform(G, s, v), G, s)
+    except CovarianceFailure as exc:
+        raise CovarianceFailure(
+            f"no constant intertwining matrix (convention shift -1, vplus +1): {exc}"
+        ) from None
+    return BoostCovariance(s, lam)
 
 
 @dataclass
@@ -483,7 +402,7 @@ def rotation_generator(registry: SymbolRegistry, s: int, spin_sign: int = 1) -> 
     """Two-component rotation generator: orbital part plus (s/2) sigma_3."""
     reg = registry
     x1, x2 = reg.symbol("x1"), reg.symbol("x2")
-    orbital = ScalarDiffOp(reg, {(0, 1, 0): x1 * _NEG_I, (1, 0, 0): x2 * I})
+    orbital = ScalarDiffOp(reg, {(0, 1, 0): x1 * NEG_I, (1, 0, 0): x2 * I})
     half_s = reg.const(Scalar(Fraction(spin_sign * s, 2)))
     upper = orbital + ScalarDiffOp.coeff(half_s)
     lower = orbital - ScalarDiffOp.coeff(half_s)
@@ -495,7 +414,7 @@ def check_rotation_covariance(
     s: int, registry: Optional[SymbolRegistry] = None, spin_sign: int = 1
 ) -> RotationCovariance:
     """Infinitesimal rotation covariance: [G, J] must equal Lambda_J * G."""
-    s = _check_spin(s)
+    s = check_spin(s)
     reg = registry or make_registry()
     G = build_wave_operator(reg, s)
     J = rotation_generator(reg, s, spin_sign)
@@ -552,9 +471,8 @@ def multispinor_equations(N: int, s: int = 1) -> MultispinorReduction:
     with every remaining row zero, so N-1 symmetric components are
     unconstrained.
     """
-    if not isinstance(N, int) or not 1 <= N <= 4:
-        raise BadRank(f"rank must be an integer in 1..4, got {N!r}")
-    s = _check_spin(s)
+    N = check_rank(N)
+    s = check_spin(s)
     reg = momentum_registry()
     E, m = reg.symbol("E"), reg.symbol("m")
     p_minus, p_plus = reg.symbol("p_minus"), reg.symbol("p_plus")

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .cocycle import LieAlgebraSpec, jacobi_check
 from .errors import BadMass, BadRank, BadSpin, GalkappaError, NotCentral
-from .exactscalar import I, ONE, PolyExpr, Scalar, SymbolRegistry
+from .exactscalar import HALF, I, NEG_I, PolyExpr, Scalar, SymbolRegistry
 from .weylop import DiffOp, ScalarDiffOp, bracket
 
+MODELS = ("schrodinger", "levyleblond", "multispinor")
 GENERATOR_NAMES = ("P1", "P2", "H", "J", "K1", "K2", "M")
 CENTRAL_NAME = "kappa"
 
@@ -25,8 +26,17 @@ REALIZE_SYMBOLS = ("c", "lam", "m", "t", "v1", "v2", "x1", "x2")
 TABLE_CORRECTED = "corrected"
 TABLE_LITERAL = "literal"
 
-_HALF = Scalar(Fraction(1, 2))
-_NEG_I = Scalar(0, Fraction(-1))
+
+def check_spin(s: int) -> int:
+    if s not in (1, -1):
+        raise BadSpin(f"spin label must be +1 or -1, got {s!r}")
+    return s
+
+
+def check_rank(N: int) -> int:
+    if not isinstance(N, int) or not 1 <= N <= 4:
+        raise BadRank(f"rank must be an integer in 1..4, got {N!r}")
+    return N
 
 
 def make_registry() -> SymbolRegistry:
@@ -73,15 +83,15 @@ def _coerce_param(registry: SymbolRegistry, value) -> PolyExpr:
 
 def _base_generators(reg: SymbolRegistry) -> Dict[str, DiffOp]:
     x1, x2, t, m = (reg.symbol(n) for n in ("x1", "x2", "t", "m"))
-    neg_i = reg.const(_NEG_I)
+    neg_i = reg.const(NEG_I)
     P1 = DiffOp.scalar(ScalarDiffOp.deriv(reg, (1, 0, 0), neg_i))
     P2 = DiffOp.scalar(ScalarDiffOp.deriv(reg, (0, 1, 0), neg_i))
-    half_inv_m = (reg.const(_HALF)).div_symbol("m")
+    half_inv_m = (reg.const(HALF)).div_symbol("m")
     H = DiffOp.scalar(
         ScalarDiffOp(reg, {(2, 0, 0): -half_inv_m, (0, 2, 0): -half_inv_m})
     )
     J = DiffOp.scalar(
-        ScalarDiffOp(reg, {(0, 1, 0): _NEG_I * x1, (1, 0, 0): I * x2})
+        ScalarDiffOp(reg, {(0, 1, 0): NEG_I * x1, (1, 0, 0): I * x2})
     )
     it = reg.const(I) * t
     K1 = DiffOp.scalar(ScalarDiffOp(reg, {(0, 0, 0): m * x1, (1, 0, 0): it}))
@@ -97,12 +107,6 @@ def _with_spin_constant(gens: Dict[str, DiffOp], reg, constant: Scalar) -> None:
     gens["J"] = gens["J"] + shift
 
 
-def _check_spin(s: int) -> int:
-    if s not in (1, -1):
-        raise BadSpin(f"spin label must be +1 or -1, got {s!r}")
-    return s
-
-
 def realize_schrodinger(registry: Optional[SymbolRegistry] = None) -> GeneratorSet:
     """Spinless one-component realization."""
     reg = registry or make_registry()
@@ -114,7 +118,7 @@ def realize_schrodinger(registry: Optional[SymbolRegistry] = None) -> GeneratorS
 def realize_levyleblond(registry: Optional[SymbolRegistry] = None, s: int = 1) -> GeneratorSet:
     """Spin-1/2 realization on the independent component: J gains s/2."""
     reg = registry or make_registry()
-    s = _check_spin(s)
+    s = check_spin(s)
     gens = _base_generators(reg)
     _with_spin_constant(gens, reg, Scalar(Fraction(s, 2)))
     return GeneratorSet(gens, {"model": "levyleblond", "s": s, "rank": None,
@@ -125,9 +129,8 @@ def realize_multispinor(registry: Optional[SymbolRegistry] = None, s: int = 1,
                         N: int = 1) -> GeneratorSet:
     """Rank-N symmetric multispinor reduction: J gains N*s/2."""
     reg = registry or make_registry()
-    s = _check_spin(s)
-    if not isinstance(N, int) or not 1 <= N <= 4:
-        raise BadRank(f"rank must be an integer in 1..4, got {N!r}")
+    s = check_spin(s)
+    N = check_rank(N)
     gens = _base_generators(reg)
     _with_spin_constant(gens, reg, Scalar(Fraction(N * s, 2)))
     return GeneratorSet(gens, {"model": "multispinor", "s": s, "rank": N,
@@ -161,7 +164,7 @@ def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
     c = _coerce_param(reg, c)
     if c.uses_symbols(("x1", "x2", "t")):
         raise GalkappaError("shift parameter must be coordinate-free")
-    factor = (c * _HALF).div_symbol("m")
+    factor = (c * HALF).div_symbol("m")
     K1 = g["K1"] + g["P2"].scale(factor)
     K2 = g["K2"] - g["P1"].scale(factor)
     prev = g.meta.get("shift")
@@ -201,7 +204,7 @@ def extract_kappa(g: GeneratorSet) -> PolyExpr:
     q = central_scalar(b)
     if q is None:
         raise NotCentral("[K1, K2] is not a constant multiple of the identity")
-    return q * _NEG_I
+    return q * NEG_I
 
 
 @dataclass(frozen=True)
@@ -360,7 +363,7 @@ def verify_structure(g: GeneratorSet, table: Optional[StructureTable] = None) ->
         report.kappa = None
 
     mass_q = central_scalar(bracket(g["K1"], g["P1"]))
-    report.mass = None if mass_q is None else mass_q * _NEG_I
+    report.mass = None if mass_q is None else mass_q * NEG_I
 
     for row in table.rows:
         computed = bracket(g[row.lhs], g[row.rhs])

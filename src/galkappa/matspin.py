@@ -11,89 +11,24 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .errors import NotSymmetricInvariant, ShapeError
-from .exactscalar import ONE, ZERO, PolyExpr, Scalar, SymbolRegistry
+from .exactscalar import ONE, ZERO, PolyExpr, Scalar, SquareMatrix, SymbolRegistry
 
 
-class MatExpr:
+class MatExpr(SquareMatrix):
     """Square matrix with PolyExpr entries over one shared registry."""
 
-    __slots__ = ("registry", "rows")
-
-    def __init__(self, registry: SymbolRegistry, rows: Sequence[Sequence]):
-        self.registry = registry
-        dim = len(rows)
-        coerced = []
-        for row in rows:
-            if len(row) != dim:
-                raise ShapeError("matrix must be square")
-            coerced.append(tuple(self._entry(e) for e in row))
-        self.rows: Tuple[Tuple[PolyExpr, ...], ...] = tuple(coerced)
+    __slots__ = ()
 
     def _entry(self, e) -> PolyExpr:
-        if isinstance(e, PolyExpr):
-            if e.registry != self.registry:
-                raise ShapeError("entry built over a different registry")
-            return e
-        return self.registry.const(Scalar.of(e))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @staticmethod
-    def identity(registry: SymbolRegistry, dim: int) -> "MatExpr":
-        return MatExpr(
-            registry, [[1 if r == c else 0 for c in range(dim)] for r in range(dim)]
-        )
-
-    @staticmethod
-    def zeros(registry: SymbolRegistry, dim: int) -> "MatExpr":
-        return MatExpr(registry, [[0] * dim for _ in range(dim)])
-
-    def _check(self, other: "MatExpr"):
-        if not isinstance(other, MatExpr):
-            raise TypeError("expected a MatExpr")
-        if self.dim != other.dim or self.registry != other.registry:
-            raise ShapeError("matrix dimensions or registries do not match")
-
-    def __add__(self, other) -> "MatExpr":
-        self._check(other)
-        return MatExpr(
-            self.registry,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
-
-    def __neg__(self) -> "MatExpr":
-        return MatExpr(self.registry, [[-a for a in row] for row in self.rows])
-
-    def __sub__(self, other) -> "MatExpr":
-        return self + (-other)
+        if not isinstance(e, PolyExpr):
+            return self.registry.const(Scalar.of(e))
+        return super()._entry(e)
 
     def __mul__(self, factor) -> "MatExpr":
         # scalar or polynomial scaling
         return MatExpr(self.registry, [[a * factor for a in row] for row in self.rows])
 
     __rmul__ = __mul__
-
-    def __matmul__(self, other) -> "MatExpr":
-        self._check(other)
-        n = self.dim
-        out = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = self.registry.zero()
-                for k in range(n):
-                    acc = acc + self.rows[r][k] * other.rows[k][c]
-                row.append(acc)
-            out.append(row)
-        return MatExpr(self.registry, out)
-
-    def commutator(self, other: "MatExpr") -> "MatExpr":
-        return self @ other - other @ self
 
     def kron(self, other: "MatExpr") -> "MatExpr":
         if self.registry != other.registry:
@@ -116,10 +51,6 @@ class MatExpr:
             [[self.rows[c][r].conj() for c in range(n)] for r in range(n)],
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.rows for e in row)
-
     def apply(self, vector: Sequence[PolyExpr]) -> List[PolyExpr]:
         if len(vector) != self.dim:
             raise ShapeError("vector length does not match matrix dimension")
@@ -129,24 +60,6 @@ class MatExpr:
                 self.registry.zero())
             for r in range(self.dim)
         ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatExpr)
-            and self.registry == other.registry
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.registry, self.rows))
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(
-            ", ".join(str(e) for e in row) for row in self.rows
-        ) + "]"
-
-    def __repr__(self):
-        return f"MatExpr({self})"
 
 
 def pauli(registry: SymbolRegistry, k: int) -> MatExpr:

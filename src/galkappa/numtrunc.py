@@ -13,15 +13,14 @@ of matrix entries, so the difference is bitwise zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .errors import BadParameter, BadRank, BadSpin
-from .galrealize import StructureTable, default_table
-
-MODELS = ("schrodinger", "levyleblond", "multispinor")
+from .errors import BadParameter
+from .galrealize import MODELS, StructureTable, check_rank, check_spin, default_table
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -56,14 +55,14 @@ def build_numeric(
     """Generators as complex matrices on the two-axis truncated mode space."""
     if model not in MODELS:
         raise BadParameter(f"unknown model {model!r}; choose from {MODELS}")
-    if not (isinstance(m, (int, float)) and m > 0):
-        raise BadParameter(f"mass must be a positive number, got {m!r}")
+    if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 0):
+        raise BadParameter(f"mass must be a positive finite number, got {m!r}")
+    if not (isinstance(t, (int, float)) and math.isfinite(t)):
+        raise BadParameter(f"time must be a finite number, got {t!r}")
     if not isinstance(n_max, int) or n_max < 4:
         raise BadParameter(f"n_max must be an integer >= 4, got {n_max!r}")
-    if spin_s not in (1, -1):
-        raise BadSpin(f"spin label must be +1 or -1, got {spin_s!r}")
-    if not isinstance(rank, int) or not 1 <= rank <= 4:
-        raise BadRank(f"rank must be an integer in 1..4, got {rank!r}")
+    check_spin(spin_s)
+    check_rank(rank)
 
     dim = n_max + 1
     a = _ladder(dim)
@@ -201,6 +200,8 @@ def run_numeric_check(
     table: Optional[StructureTable] = None,
 ) -> NumericReport:
     """Build the matrices and score every table row in one call."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise BadParameter(f"tolerance must be a finite number >= 0, got {tol!r}")
     ops = build_numeric(model, m=m, t=t, n_max=n_max, spin_s=spin_s, rank=rank)
     return residual_report(
         ops, table=table, low_cutoff=low, tol=tol, model=model, m=m, t=t

@@ -18,7 +18,16 @@ import math
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import BadParameter, DegreeOverflow, MalformedPhase, ShapeError
-from .exactscalar import ONE, I, PolyExpr, Scalar, SymbolRegistry
+from .exactscalar import (
+    ONE,
+    I,
+    PolyExpr,
+    Scalar,
+    SquareMatrix,
+    SymbolRegistry,
+    TermMap,
+    accumulate,
+)
 
 COORDS = ("x1", "x2", "t")
 MAX_COEFF_DEGREE = 8
@@ -28,10 +37,10 @@ MultiIndex = Tuple[int, int, int]
 ZERO_IDX: MultiIndex = (0, 0, 0)
 
 
-class ScalarDiffOp:
+class ScalarDiffOp(TermMap):
     """One scalar operator: sum of coefficient * d1^a1 d2^a2 dt^at terms."""
 
-    __slots__ = ("registry", "_terms")
+    __slots__ = ()
 
     def __init__(self, registry: SymbolRegistry, terms: Mapping[MultiIndex, PolyExpr]):
         for c in COORDS:
@@ -69,38 +78,15 @@ class ScalarDiffOp:
 
     # -- inspection ------------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self):
-        return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
     def coefficient(self, midx: MultiIndex) -> PolyExpr:
         return self._terms.get(tuple(midx), self.registry.zero())
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _check(self, other: "ScalarDiffOp"):
+    def _coerce(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
         if self.registry != other.registry:
             raise ShapeError("operators over different registries")
-
-    def __add__(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
-        self._check(other)
-        terms = dict(self._terms)
-        for midx, coeff in other._terms.items():
-            acc = terms.get(midx, self.registry.zero()) + coeff
-            if acc.is_zero:
-                terms.pop(midx, None)
-            else:
-                terms[midx] = acc
-        return ScalarDiffOp(self.registry, terms)
-
-    def __neg__(self) -> "ScalarDiffOp":
-        return ScalarDiffOp(self.registry, {m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
-        return self + (-other)
+        return other
 
     def scale(self, factor) -> "ScalarDiffOp":
         """Left-multiply by a polynomial or scalar (commutes as a coefficient)."""
@@ -112,8 +98,7 @@ class ScalarDiffOp:
 
     def compose(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
         """Normal-form product: derivatives act through coefficients (Leibniz)."""
-        self._check(other)
-        reg = self.registry
+        self._coerce(other)
         terms: Dict[MultiIndex, PolyExpr] = {}
         for alpha, f in self._terms.items():
             for beta, g in other._terms.items():
@@ -139,26 +124,11 @@ class ScalarDiffOp:
                                 alpha[1] - g2 + beta[1],
                                 alpha[2] - gt + beta[2],
                             )
-                            piece = f * dg * Scalar.of(w)
-                            acc = terms.get(midx, reg.zero()) + piece
-                            if acc.is_zero:
-                                terms.pop(midx, None)
-                            else:
-                                terms[midx] = acc
-        return ScalarDiffOp(reg, terms)
+                            accumulate(terms, midx, f * dg * Scalar.of(w))
+        return ScalarDiffOp(self.registry, terms)
 
     def bracket(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
         return self.compose(other) - other.compose(self)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ScalarDiffOp)
-            and self.registry == other.registry
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.registry, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -183,124 +153,43 @@ class ScalarDiffOp:
             chunks.append(body)
         return " + ".join(chunks).replace("+ -", "- ")
 
-    def __repr__(self):
-        return f"ScalarDiffOp({self})"
 
+class DiffOp(SquareMatrix):
+    """Square matrix of scalar operators; the home of every generator.
 
-class DiffOp:
-    """Square matrix of scalar operators; the home of every generator."""
+    PolyExpr entries are lifted to multiplication operators.
+    """
 
-    __slots__ = ("registry", "rows")
+    __slots__ = ()
 
-    def __init__(self, registry: SymbolRegistry, rows: Sequence[Sequence[ScalarDiffOp]]):
-        self.registry = registry
-        dim = len(rows)
-        for row in rows:
-            if len(row) != dim:
-                raise ShapeError("operator matrix must be square")
-            for e in row:
-                if e.registry != registry:
-                    raise ShapeError("entry registry mismatch")
-        self.rows: Tuple[Tuple[ScalarDiffOp, ...], ...] = tuple(
-            tuple(row) for row in rows
-        )
+    def _entry(self, e) -> ScalarDiffOp:
+        if isinstance(e, PolyExpr):
+            e = ScalarDiffOp.coeff(e)
+        return super()._entry(e)
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    @staticmethod
+    def _times(a: ScalarDiffOp, b: ScalarDiffOp) -> ScalarDiffOp:
+        return a.compose(b)
 
     @staticmethod
     def scalar(op: ScalarDiffOp) -> "DiffOp":
         return DiffOp(op.registry, [[op]])
 
     @staticmethod
-    def identity(registry: SymbolRegistry, dim: int, factor=None) -> "DiffOp":
-        one = factor if factor is not None else registry.const(ONE)
-        z = ScalarDiffOp.zero(registry)
-        return DiffOp(
-            registry,
-            [
-                [ScalarDiffOp.coeff(one) if r == c else z for c in range(dim)]
-                for r in range(dim)
-            ],
-        )
-
-    @staticmethod
-    def zeros(registry: SymbolRegistry, dim: int) -> "DiffOp":
-        z = ScalarDiffOp.zero(registry)
-        return DiffOp(registry, [[z] * dim for _ in range(dim)])
-
-    @staticmethod
     def from_matrix(mat) -> "DiffOp":
         """Lift a constant MatExpr to a multiplication operator."""
-        return DiffOp(
-            mat.registry,
-            [[ScalarDiffOp.coeff(e) for e in row] for row in mat.rows],
-        )
-
-    def _check(self, other: "DiffOp"):
-        if self.dim != other.dim or self.registry != other.registry:
-            raise ShapeError("operator dimensions or registries do not match")
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        self._check(other)
-        return DiffOp(
-            self.registry,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp(self.registry, [[-e for e in row] for row in self.rows])
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
+        return DiffOp(mat.registry, mat.rows)
 
     def scale(self, factor) -> "DiffOp":
         return DiffOp(self.registry, [[e.scale(factor) for e in row] for row in self.rows])
 
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.rows for e in row)
-
-    def entry(self, r: int, c: int) -> ScalarDiffOp:
-        return self.rows[r][c]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiffOp)
-            and self.registry == other.registry
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.registry, self.rows))
-
-    def __str__(self):
-        return "[" + "; ".join(
-            ", ".join(str(e) for e in row) for row in self.rows
-        ) + "]"
-
-    def __repr__(self):
-        return f"DiffOp({self})"
-
 
 def compose(A: DiffOp, B: DiffOp) -> DiffOp:
-    A._check(B)
-    n = A.dim
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = ScalarDiffOp.zero(A.registry)
-            for k in range(n):
-                acc = acc + A.rows[r][k].compose(B.rows[k][c])
-            row.append(acc)
-        out.append(row)
-    return DiffOp(A.registry, out)
+    return A @ B
 
 
 def bracket(A: DiffOp, B: DiffOp) -> DiffOp:
-    return compose(A, B) - compose(B, A)
+    return A.commutator(B)
 
 
 def _as_phase_poly(theta) -> PolyExpr:
