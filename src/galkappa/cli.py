@@ -32,6 +32,8 @@ from .fieldcheck import (
 )
 from .galrealize import (
     MODELS,
+    check_rank,
+    check_spin,
     default_table,
     extend_lambda,
     kappa_shift,
@@ -187,6 +189,8 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    check_spin(args.spin_s)
+    check_rank(args.rank)
     if args.model == "schrodinger":
         g = realize_schrodinger()
     elif args.model == "levyleblond":
@@ -237,10 +241,15 @@ def _cmd_realize(args) -> int:
     return EXIT_OK if overall else EXIT_FAIL
 
 
+def _requested_spins(args) -> tuple:
+    """The validated --spin-s label, or both labels when the flag is absent."""
+    return (1, -1) if args.spin_s is None else (check_spin(args.spin_s),)
+
+
 def _cmd_fieldcheck(args) -> int:
+    spins = _requested_spins(args)
     if args.check == "conservation":
         indices = (args.index,) if args.index else (1, 2)
-        spins = (args.spin_s,) if args.spin_s else (1, -1)
         rows = []
         for i in indices:
             for s in spins:
@@ -265,7 +274,6 @@ def _cmd_fieldcheck(args) -> int:
         return EXIT_OK if ok else EXIT_FAIL
 
     if args.check in ("boost", "rotation"):
-        spins = (args.spin_s,) if args.spin_s else (1, -1)
         checks = []
         anchor = "boost-covariance" if args.check == "boost" else "rotation-covariance"
         for s in spins:
@@ -282,8 +290,7 @@ def _cmd_fieldcheck(args) -> int:
         return EXIT_OK
 
     # multispinor-eqs
-    s = args.spin_s if args.spin_s else 1
-    res = multispinor_equations(args.rank, s)
+    res = multispinor_equations(args.rank, spins[0])
     print(f"rank {res.rank}: reduced system has 2 distinct equations; "
           f"{res.nullity} symmetric component(s) unconstrained; "
           f"second-row scale {res.row_scale}")

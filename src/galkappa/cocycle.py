@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GalkappaError
-from .exactscalar import ONE, ZERO, Scalar
+from .exactscalar import ONE, ZERO, Scalar, accumulate
 
 
 class LieAlgebraSpec:
@@ -85,13 +85,12 @@ def jacobi_check(spec: LieAlgebraSpec) -> JacobiResult:
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, coeff in spec.bracket(a, b).items():
                 for l, coeff2 in spec.bracket(m, c).items():
-                    acc[l] = acc.get(l, ZERO) + coeff * coeff2
-        bad = {l: v for l, v in acc.items() if not v.is_zero}
-        if bad:
+                    accumulate(acc, l, coeff * coeff2)
+        if acc:
             return JacobiResult(
                 ok=False,
                 triple=(spec.names[i], spec.names[j], spec.names[k]),
-                residual={spec.names[l]: v for l, v in bad.items()},
+                residual={spec.names[l]: v for l, v in acc.items()},
             )
     return JacobiResult(ok=True)
 
@@ -99,8 +98,19 @@ def jacobi_check(spec: LieAlgebraSpec) -> JacobiResult:
 # -- exact elimination -------------------------------------------------------
 
 
+def _support(row: List[Scalar]) -> List[int]:
+    """Columns where the row is nonzero."""
+    return [c for c, e in enumerate(row) if not e.is_zero]
+
+
 def _rref(rows: List[List[Scalar]], ncols: int) -> Tuple[int, List[int], List[List[Scalar]]]:
-    """Reduced row echelon form with deterministic first-nonzero pivoting."""
+    """Reduced row echelon form with deterministic first-nonzero pivoting.
+
+    Returns the rank, the pivot columns in increasing order and the reduced
+    rows in the same order.  A pivot row updates the other rows only on its
+    own support, since subtracting a multiple of a zero leaves an entry as
+    it is.
+    """
     work = [list(r) for r in rows]
     pivots: List[int] = []
     reduced: List[List[Scalar]] = []
@@ -116,16 +126,13 @@ def _rref(rows: List[List[Scalar]], ncols: int) -> Tuple[int, List[int], List[Li
             continue
         row = work.pop(hit)
         inv = ONE / row[col]
-        row = [e * inv for e in row]
-        for other in work:
-            if not other[col].is_zero:
-                f = other[col]
-                for c in range(ncols):
-                    other[c] = other[c] - f * row[c]
-        for other in reduced:
-            if not other[col].is_zero:
-                f = other[col]
-                for c in range(ncols):
+        support = _support(row)
+        for c in support:
+            row[c] = row[c] * inv
+        for other in itertools.chain(work, reduced):
+            f = other[col]
+            if not f.is_zero:
+                for c in support:
                     other[c] = other[c] - f * row[c]
         reduced.append(row)
         pivots.append(col)
@@ -134,20 +141,22 @@ def _rref(rows: List[List[Scalar]], ncols: int) -> Tuple[int, List[int], List[Li
     return len(pivots), [pivots[r] for r in order], [reduced[r] for r in order]
 
 
-def _rank_two_orders(rows: List[List[Scalar]], ncols: int) -> int:
-    """Rank via two independent elimination orders; they must agree."""
-    rank_fwd, _, _ = _rref(rows, ncols)
+def _rref_checked(
+    rows: List[List[Scalar]], ncols: int
+) -> Tuple[int, List[int], List[List[Scalar]]]:
+    """`_rref`, with the rank re-derived under the reversed elimination order."""
+    result = _rref(rows, ncols)
     flipped = [list(reversed(r)) for r in reversed(rows)]
     rank_rev, _, _ = _rref(flipped, ncols)
-    if rank_fwd != rank_rev:
+    if result[0] != rank_rev:
         raise GalkappaError(
-            f"elimination self-check failed: ranks {rank_fwd} vs {rank_rev}"
+            f"elimination self-check failed: ranks {result[0]} vs {rank_rev}"
         )
-    return rank_fwd
+    return result
 
 
-def _nullspace(rows: List[List[Scalar]], ncols: int) -> List[List[Scalar]]:
-    rank, pivots, red = _rref(rows, ncols)
+def _nullspace(pivots: List[int], red: List[List[Scalar]], ncols: int) -> List[List[Scalar]]:
+    """Nullspace basis read off an `_rref` result, one vector per free column."""
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -233,21 +242,20 @@ def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
     P = len(pairs)
 
     cocycle_rows = _cocycle_rows(spec, pairs, pidx)
-    z = P - _rank_two_orders(cocycle_rows, P)
+    rank, pivots, red = _rref_checked(cocycle_rows, P)
+    z = P - rank
 
     cob_rows = _coboundary_rows(spec, pairs, pidx)
-    b = _rank_two_orders(cob_rows, P)
+    b, cob_pivots, cob_red = _rref_checked(cob_rows, P)
 
     # representatives: nullspace basis reduced modulo the coboundary row space
-    null_basis = _nullspace(cocycle_rows, P)
-    _, cob_pivots, cob_red = _rref(cob_rows, P)
+    cob_reducers = [(p, row, _support(row)) for row, p in zip(cob_red, cob_pivots)]
     reduced = []
-    for vec in null_basis:
-        v = list(vec)
-        for row, p in zip(cob_red, cob_pivots):
-            if not v[p].is_zero:
-                f = v[p]
-                for c in range(P):
+    for v in _nullspace(pivots, red, P):
+        for p, row, support in cob_reducers:
+            f = v[p]
+            if not f.is_zero:
+                for c in support:
                     v[c] = v[c] - f * row[c]
         if any(not e.is_zero for e in v):
             reduced.append(v)
@@ -313,9 +321,9 @@ def classes_independent(spec: LieAlgebraSpec, betas: Sequence) -> bool:
     pidx = {p: s for s, p in enumerate(pairs)}
     P = len(pairs)
     cob_rows = _coboundary_rows(spec, pairs, pidx)
-    base_rank = _rank_two_orders(cob_rows, P)
+    base_rank = _rref_checked(cob_rows, P)[0]
     stacked = [list(r) for r in cob_rows]
     for mat in mats:
         stacked.append([mat[i][j] for (i, j) in pairs])
-    full_rank = _rank_two_orders(stacked, P)
+    full_rank = _rref_checked(stacked, P)[0]
     return full_rank == base_rank + len(mats)

@@ -26,9 +26,14 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 from .errors import NotInvertible, RegistryMismatch, ShapeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar:
-    """A Gaussian rational: re + im*i with both parts exact fractions."""
+    """A Gaussian rational: re + im*i with both parts exact fractions.
+
+    The public constructor accepts ints and Fractions and normalizes them;
+    arithmetic builds its results with `_from_fractions`, which skips that
+    step because Fraction arithmetic already yields Fractions in lowest terms.
+    """
 
     re: Fraction = Fraction(0)
     im: Fraction = Fraction(0)
@@ -49,33 +54,46 @@ class Scalar:
         raise TypeError(f"cannot build Scalar from {value!r}")
 
     # -- arithmetic --------------------------------------------------------
+    # Each operator tests first for an operand that is exactly a Scalar, the
+    # case of nearly every call; ints and Fractions are lifted through `of`.
 
     def __add__(self, other) -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = Scalar.of(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
+            other = Scalar.of(other)
+        if not other.im:
+            return _from_fractions(self.re + other.re, self.im)
+        return _from_fractions(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _from_fractions(-self.re, -self.im)
 
     def __sub__(self, other) -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        return self + (-Scalar.of(other))
+        if type(other) is not Scalar:
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
+            other = Scalar.of(other)
+        if not other.im:
+            return _from_fractions(self.re - other.re, self.im)
+        return _from_fractions(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        return Scalar.of(other) + (-self)
-
-    def __mul__(self, other) -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
         other = Scalar.of(other)
-        return Scalar(
+        return _from_fractions(other.re - self.re, other.im - self.im)
+
+    def __mul__(self, other) -> "Scalar":
+        if type(other) is not Scalar:
+            if not isinstance(other, _OPERANDS):
+                return NotImplemented
+            other = Scalar.of(other)
+        if not (self.im or other.im):
+            return _from_fractions(self.re * other.re, self.im)
+        return _from_fractions(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -83,21 +101,22 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        other = Scalar.of(other)
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
+        return _from_fractions(
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,
         )
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _from_fractions(self.re, -self.im)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -125,6 +144,19 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+_OPERANDS = (Scalar, int, Fraction)
+_SET_RE = Scalar.re.__set__
+_SET_IM = Scalar.im.__set__
+
+
+def _from_fractions(re: Fraction, im: Fraction) -> Scalar:
+    """Private constructor for parts that are already Fractions."""
+    value = object.__new__(Scalar)
+    _SET_RE(value, re)
+    _SET_IM(value, im)
+    return value
 
 
 ZERO = Scalar()

@@ -22,6 +22,19 @@ import numpy as np
 from .errors import BadParameter
 from .galrealize import MODELS, StructureTable, check_rank, check_spin, default_table
 
+# Every operator is a dense complex matrix of side (n_max+1)**2.  A run holds
+# about 14 of them at its peak (measured with tracemalloc at n_max 12 and 20):
+# the generators, the axis factors they are built from, and the temporaries
+# of one commutator row.  Larger truncations are refused before allocating.
+PEAK_DENSE_MATRICES = 14
+DENSE_BYTES_BUDGET = 2 * 1024**3
+
+
+def dense_bytes(n_max: int) -> int:
+    """Estimated peak bytes of the dense matrices of a check at n_max."""
+    side = (n_max + 1) ** 2
+    return PEAK_DENSE_MATRICES * side * side * np.dtype(complex).itemsize
+
 
 def _ladder(dim: int) -> np.ndarray:
     """Annihilation matrix: superdiagonal sqrt(1..dim-1)."""
@@ -61,6 +74,12 @@ def build_numeric(
         raise BadParameter(f"time must be a finite number, got {t!r}")
     if not isinstance(n_max, int) or n_max < 4:
         raise BadParameter(f"n_max must be an integer >= 4, got {n_max!r}")
+    if dense_bytes(n_max) > DENSE_BYTES_BUDGET:
+        raise BadParameter(
+            f"n_max {n_max} needs about {dense_bytes(n_max) / 2**20:,.0f} MiB of "
+            f"dense matrices ({PEAK_DENSE_MATRICES} complex matrices of side "
+            f"{(n_max + 1) ** 2}), over the budget of {DENSE_BYTES_BUDGET / 2**20:,.0f} MiB"
+        )
     check_spin(spin_s)
     check_rank(rank)
 
@@ -199,10 +218,20 @@ def run_numeric_check(
     rank: int = 1,
     table: Optional[StructureTable] = None,
 ) -> NumericReport:
-    """Build the matrices and score every table row in one call."""
+    """Build the matrices and score every table row in one call.
+
+    A value of m or t so large that the matrices overflow double precision
+    is an input error, not a failed check.
+    """
     if not (math.isfinite(tol) and tol >= 0):
         raise BadParameter(f"tolerance must be a finite number >= 0, got {tol!r}")
-    ops = build_numeric(model, m=m, t=t, n_max=n_max, spin_s=spin_s, rank=rank)
-    return residual_report(
-        ops, table=table, low_cutoff=low, tol=tol, model=model, m=m, t=t
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            ops = build_numeric(model, m=m, t=t, n_max=n_max, spin_s=spin_s, rank=rank)
+            return residual_report(
+                ops, table=table, low_cutoff=low, tol=tol, model=model, m=m, t=t
+            )
+    except FloatingPointError as exc:
+        raise BadParameter(
+            f"m = {m!r}, t = {t!r} at n_max {n_max} exceed double precision ({exc})"
+        ) from None

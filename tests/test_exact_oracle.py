@@ -1,0 +1,159 @@
+"""The sparse elimination and the slotted Scalar against plain references.
+
+`dense_rref` is the dense elimination the package used before row updates
+were restricted to the pivot row's support; the sparse `_rref` must return
+the identical `(rank, pivots, rows)`.  Scalar arithmetic is compared with
+the same formulas evaluated on plain `(Fraction, Fraction)` pairs.
+"""
+
+import dataclasses
+from fractions import Fraction
+from typing import List, Tuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from galkappa import algfile, cocycle
+from galkappa.cocycle import _rref, central_extensions
+from galkappa.exactscalar import ONE, ZERO, Scalar
+
+
+def dense_rref(rows: List[List[Scalar]], ncols: int) -> Tuple[int, List[int], List[List[Scalar]]]:
+    """Reduced row echelon form with deterministic first-nonzero pivoting."""
+    work = [list(r) for r in rows]
+    pivots: List[int] = []
+    reduced: List[List[Scalar]] = []
+    col = 0
+    while col < ncols and work:
+        hit = None
+        for ridx, row in enumerate(work):
+            if not row[col].is_zero:
+                hit = ridx
+                break
+        if hit is None:
+            col += 1
+            continue
+        row = work.pop(hit)
+        inv = ONE / row[col]
+        row = [e * inv for e in row]
+        for other in work:
+            if not other[col].is_zero:
+                f = other[col]
+                for c in range(ncols):
+                    other[c] = other[c] - f * row[c]
+        for other in reduced:
+            if not other[col].is_zero:
+                f = other[col]
+                for c in range(ncols):
+                    other[c] = other[c] - f * row[c]
+        reduced.append(row)
+        pivots.append(col)
+        col += 1
+    order = sorted(range(len(pivots)), key=lambda r: pivots[r])
+    return len(pivots), [pivots[r] for r in order], [reduced[r] for r in order]
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+# real and complex entries, scattered over a mostly zero matrix
+entries = st.one_of(small.map(Scalar), st.builds(Scalar, small, small))
+
+
+@st.composite
+def sparse_matrices(draw):
+    ncols = draw(st.integers(1, 45))
+    nrows = draw(st.integers(0, 6))
+    rows = [[ZERO] * ncols for _ in range(nrows)]
+    if nrows:
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), entries)
+        for r, c, value in draw(st.lists(cells, max_size=4 * ncols)):
+            rows[r][c] = value
+        rows += [list(rows[k]) for k in draw(st.lists(st.integers(0, nrows - 1), max_size=3))]
+    rows += [[ZERO] * ncols for _ in range(draw(st.integers(0, 2)))]
+    for col in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 2)):
+        for row in rows:
+            row[col] = ZERO
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[k] for k in order], ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rref_matches_dense_reference(matrix):
+    rows, ncols = matrix
+    before = [list(r) for r in rows]
+    assert _rref(rows, ncols) == dense_rref(rows, ncols)
+    assert rows == before
+
+
+def test_central_extensions_eliminates_five_times(monkeypatch):
+    calls = []
+
+    def counting(rows, ncols):
+        calls.append(len(rows))
+        return _rref(rows, ncols)
+
+    monkeypatch.setattr(cocycle, "_rref", counting)
+    ext = central_extensions(algfile.load_bundled("planar_galilei"))
+    assert ext.h2 == 3
+    assert len(calls) == 5
+
+
+pairs = st.tuples(rationals, rationals)
+
+
+def _is_exact(x: Scalar, re: Fraction, im: Fraction) -> None:
+    assert type(x) is Scalar
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    assert (x.re, x.im) == (re, im)
+    public = Scalar(re, im)
+    assert x == public
+    assert hash(x) == hash(public)
+
+
+@given(pairs, pairs)
+def test_scalar_arithmetic_matches_fraction_pairs(p, q):
+    (a, b), (c, d) = p, q
+    x, y = Scalar(a, b), Scalar(c, d)
+    _is_exact(x + y, a + c, b + d)
+    _is_exact(x - y, a - c, b - d)
+    _is_exact(x * y, a * c - b * d, a * d + b * c)
+    _is_exact(-x, -a, -b)
+    _is_exact(x.conj(), a, -b)
+    norm = c * c + d * d
+    if norm:
+        _is_exact(x / y, (a * c + b * d) / norm, (b * c - a * d) / norm)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert (x - y).is_zero == (x == y)
+
+
+@given(pairs, st.one_of(st.integers(-20, 20), rationals))
+def test_scalar_mixed_operands_match_fraction_pairs(p, r):
+    a, b = p
+    x = Scalar(a, b)
+    _is_exact(x + r, a + r, b)
+    _is_exact(r + x, a + r, b)
+    _is_exact(x - r, a - r, b)
+    _is_exact(r - x, r - a, -b)
+    _is_exact(x * r, a * r, b * r)
+    _is_exact(r * x, a * r, b * r)
+    if r:
+        _is_exact(x / r, a / r, b / r)
+
+
+def test_public_constructor_still_normalizes():
+    assert Scalar(0, "3/4") == Scalar(Fraction(0), Fraction(3, 4))
+    assert type(Scalar(2).re) is Fraction and type(Scalar(2).im) is Fraction
+    assert hash(Scalar(2)) == hash(Scalar(Fraction(2))) == hash(Scalar.of(2))
+    assert Scalar() == ZERO and Scalar(1) == ONE
+
+
+def test_scalar_is_frozen_and_slotted():
+    x = Scalar(1, 2)
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.re = Fraction(3)
