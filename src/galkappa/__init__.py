@@ -42,6 +42,7 @@ from .galrealize import (
     kappa_shift,
     literal_table,
     make_registry,
+    realize,
     realize_levyleblond,
     realize_multispinor,
     realize_schrodinger,
@@ -57,7 +58,7 @@ from .matspin import (
 )
 from .numtrunc import (
     build_numeric,
-    low_mode_projector,
+    low_mode_indices,
     residual_report,
     run_numeric_check,
     xp_defect,
@@ -78,7 +79,7 @@ __all__ = [
     "restrict_symmetric",
     "ScalarDiffOp", "DiffOp", "compose", "bracket", "conjugate_phase",
     "conjugate_shift",
-    "GeneratorSet", "StructureTable", "make_registry", "realize_schrodinger",
+    "GeneratorSet", "StructureTable", "make_registry", "realize", "realize_schrodinger",
     "realize_levyleblond", "realize_multispinor", "extend_lambda",
     "kappa_shift", "extract_kappa", "central_scalar", "verify_structure",
     "default_table", "literal_table", "get_table",
@@ -88,5 +89,5 @@ __all__ = [
     "build_wave_operator", "check_boost_covariance",
     "check_rotation_covariance", "multispinor_equations",
     "build_numeric", "residual_report", "run_numeric_check",
-    "low_mode_projector", "xp_defect",
+    "low_mode_indices", "xp_defect",
 ]

@@ -180,19 +180,22 @@ def dumps(spec: LieAlgebraSpec) -> str:
             continue
         chunks = []
         for k in sorted(rhs):
-            c = rhs[k]
-            text = str(c)
-            if text == "1":
-                term = spec.names[k]
-            elif text == "-1":
-                term = f"-{spec.names[k]}"
-            else:
-                term = f"{text}*{spec.names[k]}"
-            if chunks and not term.startswith("-"):
-                chunks.append("+ " + term)
-            elif chunks:
-                chunks.append("- " + term[1:])
-            else:
-                chunks.append(term)
+            # real and imaginary parts are separate terms: a literal has no inner sign
+            for c in (Scalar(rhs[k].re), Scalar(0, rhs[k].im)):
+                if c.is_zero:
+                    continue
+                text = str(c)
+                if text == "1":
+                    term = spec.names[k]
+                elif text == "-1":
+                    term = f"-{spec.names[k]}"
+                else:
+                    term = f"{text}*{spec.names[k]}"
+                if chunks and not term.startswith("-"):
+                    chunks.append("+ " + term)
+                elif chunks:
+                    chunks.append("- " + term[1:])
+                else:
+                    chunks.append(term)
         lines.append(f"[{spec.names[i]}, {spec.names[j]}] = " + " ".join(chunks))
     return "\n".join(lines) + "\n"

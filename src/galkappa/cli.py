@@ -32,15 +32,12 @@ from .fieldcheck import (
 )
 from .galrealize import (
     MODELS,
-    check_rank,
     check_spin,
     default_table,
     extend_lambda,
     kappa_shift,
     literal_table,
-    realize_levyleblond,
-    realize_multispinor,
-    realize_schrodinger,
+    realize,
     verify_structure,
 )
 from .numtrunc import run_numeric_check
@@ -109,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     nc.add_argument("--m", type=float, default=1.0, help="mass value")
     nc.add_argument("--t", type=float, default=0.5, help="time value")
     nc.add_argument("--tol", type=float, default=1e-9,
-                    help="residual tolerance")
+                    help="residual tolerance, relative to the largest entry "
+                    "(at least 1) of the low-block products and expected value")
     nc.add_argument("--spin-s", dest="spin_s", type=int, default=1)
     nc.add_argument("--rank", type=int, default=1)
     return p
@@ -189,14 +187,7 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    check_spin(args.spin_s)
-    check_rank(args.rank)
-    if args.model == "schrodinger":
-        g = realize_schrodinger()
-    elif args.model == "levyleblond":
-        g = realize_levyleblond(s=args.spin_s)
-    else:
-        g = realize_multispinor(s=args.spin_s, N=args.rank)
+    g = realize(args.model, args.spin_s, args.rank)
     reg = g.registry
     if args.lam is not None:
         g = extend_lambda(g, _param_value(reg, args.lam))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .cocycle import LieAlgebraSpec, jacobi_check
-from .errors import BadMass, BadRank, BadSpin, GalkappaError, NotCentral
+from .errors import BadMass, BadParameter, BadRank, BadSpin, GalkappaError, NotCentral
 from .exactscalar import HALF, I, NEG_I, PolyExpr, Scalar, SymbolRegistry
 from .weylop import DiffOp, ScalarDiffOp, bracket
 
@@ -81,7 +81,10 @@ def _coerce_param(registry: SymbolRegistry, value) -> PolyExpr:
     return registry.const(Scalar.of(value))
 
 
-def _base_generators(reg: SymbolRegistry) -> Dict[str, DiffOp]:
+def _realization(registry: Optional[SymbolRegistry], model: str, s: Optional[int] = None,
+                 N: Optional[int] = None, spin: Fraction = Fraction(0)) -> GeneratorSet:
+    """The free-field generators; the spin enters only as the constant in J."""
+    reg = registry or make_registry()
     x1, x2, t, m = (reg.symbol(n) for n in ("x1", "x2", "t", "m"))
     neg_i = reg.const(NEG_I)
     P1 = DiffOp.scalar(ScalarDiffOp.deriv(reg, (1, 0, 0), neg_i))
@@ -91,50 +94,46 @@ def _base_generators(reg: SymbolRegistry) -> Dict[str, DiffOp]:
         ScalarDiffOp(reg, {(2, 0, 0): -half_inv_m, (0, 2, 0): -half_inv_m})
     )
     J = DiffOp.scalar(
-        ScalarDiffOp(reg, {(0, 1, 0): NEG_I * x1, (1, 0, 0): I * x2})
+        ScalarDiffOp(reg, {(0, 1, 0): NEG_I * x1, (1, 0, 0): I * x2, (0, 0, 0): reg.const(spin)})
     )
     it = reg.const(I) * t
     K1 = DiffOp.scalar(ScalarDiffOp(reg, {(0, 0, 0): m * x1, (1, 0, 0): it}))
     K2 = DiffOp.scalar(ScalarDiffOp(reg, {(0, 1, 0): it, (0, 0, 0): m * x2}))
     M = DiffOp.scalar(ScalarDiffOp.coeff(m))
-    return {"P1": P1, "P2": P2, "H": H, "J": J, "K1": K1, "K2": K2, "M": M}
-
-
-def _with_spin_constant(gens: Dict[str, DiffOp], reg, constant: Scalar) -> None:
-    if constant.is_zero:
-        return
-    shift = DiffOp.identity(reg, 1, factor=reg.const(constant))
-    gens["J"] = gens["J"] + shift
+    gens = {"P1": P1, "P2": P2, "H": H, "J": J, "K1": K1, "K2": K2, "M": M}
+    return GeneratorSet(gens, {"model": model, "s": s, "rank": N, "lam": None, "shift": None})
 
 
 def realize_schrodinger(registry: Optional[SymbolRegistry] = None) -> GeneratorSet:
     """Spinless one-component realization."""
-    reg = registry or make_registry()
-    gens = _base_generators(reg)
-    return GeneratorSet(gens, {"model": "schrodinger", "s": None, "rank": None,
-                               "lam": None, "shift": None})
+    return _realization(registry, "schrodinger")
 
 
 def realize_levyleblond(registry: Optional[SymbolRegistry] = None, s: int = 1) -> GeneratorSet:
     """Spin-1/2 realization on the independent component: J gains s/2."""
-    reg = registry or make_registry()
     s = check_spin(s)
-    gens = _base_generators(reg)
-    _with_spin_constant(gens, reg, Scalar(Fraction(s, 2)))
-    return GeneratorSet(gens, {"model": "levyleblond", "s": s, "rank": None,
-                               "lam": None, "shift": None})
+    return _realization(registry, "levyleblond", s, spin=Fraction(s, 2))
 
 
 def realize_multispinor(registry: Optional[SymbolRegistry] = None, s: int = 1,
                         N: int = 1) -> GeneratorSet:
     """Rank-N symmetric multispinor reduction: J gains N*s/2."""
-    reg = registry or make_registry()
     s = check_spin(s)
     N = check_rank(N)
-    gens = _base_generators(reg)
-    _with_spin_constant(gens, reg, Scalar(Fraction(N * s, 2)))
-    return GeneratorSet(gens, {"model": "multispinor", "s": s, "rank": N,
-                               "lam": None, "shift": None})
+    return _realization(registry, "multispinor", s, N, Fraction(N * s, 2))
+
+
+def realize(model: str, s: int, N: int) -> GeneratorSet:
+    """The generators of a named model; spin and rank are checked for every model."""
+    if model not in MODELS:
+        raise BadParameter(f"unknown model {model!r}; choose from {MODELS}")
+    check_spin(s)
+    check_rank(N)
+    if model == "schrodinger":
+        return realize_schrodinger()
+    if model == "levyleblond":
+        return realize_levyleblond(s=s)
+    return realize_multispinor(s=s, N=N)
 
 
 def _require_mass_identity(g: GeneratorSet) -> None:

@@ -1,8 +1,11 @@
 """Parsing and rendering of plain-text structure-constant files."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galkappa.algfile import bundled_names, dumps, load, load_bundled, loads
+from galkappa.cocycle import LieAlgebraSpec
 from galkappa.errors import AlgebraFileError
 from galkappa.exactscalar import Scalar
 
@@ -86,6 +89,41 @@ def test_dumps_round_trip():
     assert again.brackets == spec.brackets
     # canonical rendering is stable under a second pass
     assert dumps(again) == dumps(spec)
+
+
+def test_dumps_writes_complex_coefficients_as_two_terms():
+    spec = LieAlgebraSpec(("A", "B", "C"), {(0, 1): {2: Scalar("-1/2", 3)}})
+    text = dumps(spec)
+    assert text.splitlines()[1] == "[A, B] = -1/2*C + 3*i*C"
+    assert loads(text).brackets == spec.brackets
+
+
+_letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghjklmnopqrstuvwxyz"
+_names = st.lists(
+    st.builds(str.__add__, st.sampled_from(_letters),
+              st.text(_letters + "0123456789_i", max_size=3)),
+    min_size=1, max_size=6, unique=True,
+)
+_parts = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+_coeffs = st.builds(Scalar, _parts, _parts).filter(lambda c: not c.is_zero)
+
+
+@st.composite
+def _specs(draw):
+    names = draw(_names)
+    n = len(names)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])
+    rhs = st.dictionaries(st.integers(0, n - 1), _coeffs, min_size=1, max_size=3)
+    brackets = draw(st.dictionaries(pairs, rhs, max_size=n * (n - 1) // 2))
+    return LieAlgebraSpec(names, brackets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_specs())
+def test_dumps_loads_round_trip_on_random_specs(spec):
+    again = loads(dumps(spec))
+    assert again.names == spec.names
+    assert again.brackets == spec.brackets
 
 
 def test_load_from_disk(tmp_path):

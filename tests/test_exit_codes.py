@@ -1,7 +1,15 @@
 """Input errors the CLI must report as exit 2 with no traceback."""
 
-import pytest
+import contextlib
+import io
+import os
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from galkappa import report
 from galkappa.cli import main
 
 
@@ -32,3 +40,41 @@ def test_algebra_directory_argument_is_an_input_error(subcommand, tmp_path, caps
     assert code == 2
     assert "Traceback" not in err
     assert "cannot read" in err
+
+
+# -- argv fuzz -------------------------------------------------------------------
+
+_HEADS = [[], ["algebra"], ["algebra", "verify"], ["algebra", "cohomology"], ["realize"],
+          ["fieldcheck"], ["numcheck"], ["bogus"]]
+_WORDS = ["planar_galilei", "so3", "galilei_1d", "galilei_3p1", "no_such_algebra", ".",
+          "schrodinger", "levyleblond", "multispinor", "heat-kernel", "conservation",
+          "boost", "rotation", "multispinor-eqs", "corrected", "literal", "c", "lam", "",
+          "-", "--"]
+_FLAGS = ["--spin-s", "--rank", "--lambda", "--shift", "--strict-literal-table", "--index",
+          "--variant", "--model", "--nmax", "--low", "--m", "--t", "--tol", "--frobnicate"]
+# No integer in 9..54 appears, so any --nmax is either small or refused by the
+# size guard before anything large is allocated.
+_VALUES = ["0", "1", "-1", "2", "3", "4", "5", "6", "7", "8", "-3", "55", "99", "100000",
+           "nan", "inf", "-inf", "1e308", "-1e308", "1e200", "5e-324", "1e-6", "0.5",
+           "1/2", "-3/4*i", "2*i", "1/0", "abc", "x1", "0x10", "1e", "\u00e9"]
+
+_tokens = st.one_of(
+    st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)).map(list),
+    st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)).map(lambda fv: ["=".join(fv)]),
+    st.sampled_from(_WORDS + _FLAGS + _VALUES).map(lambda w: [w]),
+)
+_argvs = st.tuples(st.sampled_from(_HEADS), st.lists(_tokens, max_size=5)).map(
+    lambda ht: ht[0] + [w for chunk in ht[1] for w in chunk]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argvs)
+def test_any_argv_exits_0_1_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop(report.REPORT_DIR_ENV, None)
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -34,7 +34,9 @@ def test_out_of_range_spin_or_rank_is_an_input_error(argv, capsys):
     assert "spin label" in err or "rank" in err
 
 
-@pytest.mark.parametrize("flags", [["--m", "1e308"], ["--m", "1e200"], ["--t", "1e300"]])
+@pytest.mark.parametrize(
+    "flags", [["--m", "1e308"], ["--m", "1e200"], ["--t", "1e300"], ["--m", "5e-324"]]
+)
 def test_numcheck_overflow_is_an_input_error(flags, capsys, recwarn):
     code = main(["numcheck", "--nmax", "4", "--low", "2"] + flags)
     err = _assert_input_error(code, capsys)

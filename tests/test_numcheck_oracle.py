@@ -1,0 +1,85 @@
+"""The evaluated numcheck against the hand-written dense construction.
+
+`dense_build` and `dense_residuals` are the earlier `numtrunc` code, kept
+here as the reference: generators transcribed by hand as full
+(n_max+1)^2 matrices, and residuals projected with a dense 0/1 projector.
+The package now evaluates the exact `galrealize` generators and forms only
+the low-mode block; both must give the same matrices and residuals.
+"""
+
+import numpy as np
+import pytest
+
+from galkappa.galrealize import MODELS, default_table, literal_table
+from galkappa.numtrunc import build_numeric, residual_report
+
+SETTINGS = [(1.0, 0.5), (0.7, 1.3), (2.0, 0.0), (0.25, -2.0)]
+
+
+def spin_constant(model, spin_s, rank):
+    if model == "schrodinger":
+        return 0.0
+    if model == "levyleblond":
+        return spin_s / 2.0
+    return rank * spin_s / 2.0
+
+
+def dense_build(model, m, t, n_max, spin_s, rank):
+    dim = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    x = (a + a.conj().T) / np.sqrt(2.0)
+    p = -1j * (a - a.conj().T) / np.sqrt(2.0)
+    eye = np.eye(dim, dtype=complex)
+    x1, x2 = np.kron(x, eye), np.kron(eye, x)
+    p1, p2 = np.kron(p, eye), np.kron(eye, p)
+    big_eye = np.eye(dim * dim, dtype=complex)
+    spin_const = spin_constant(model, spin_s, rank)
+    return {
+        "P1": p1,
+        "P2": p2,
+        "H": (p1 @ p1 + p2 @ p2) / (2.0 * m),
+        "J": x1 @ p2 - x2 @ p1 + spin_const * big_eye,
+        "K1": np.kron(m * x - t * p, eye),
+        "K2": np.kron(eye, m * x - t * p),
+        "M": m * big_eye,
+    }
+
+
+def dense_residuals(ops, table, n_max, low):
+    keep = np.zeros(n_max + 1)
+    keep[: low + 1] = 1.0
+    proj = np.diag(np.kron(keep, keep)).astype(complex)
+    zero = np.zeros_like(ops["P1"])
+    out = []
+    for row in table.rows:
+        A, B = ops[row.lhs], ops[row.rhs]
+        rhs = zero
+        for name, coeff in row.expected.items():
+            target = zero if name == "kappa" else ops[name]
+            rhs = rhs + (complex(coeff.re) + 1j * complex(coeff.im)) * target
+        resid = proj @ (A @ B - B @ A - rhs) @ proj
+        out.append((float(np.max(np.abs(resid))), bool(np.all(resid == 0.0))))
+    return out
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("spin_s", [1, -1])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_evaluated_generators_and_residuals_match_dense_reference(model, spin_s, rank):
+    for n_max in range(4, 13):
+        m, t = SETTINGS[n_max % len(SETTINGS)]
+        low = n_max // 2
+        ref = dense_build(model, m, t, n_max, spin_s, rank)
+        ops = build_numeric(model, m=m, t=t, n_max=n_max, spin_s=spin_s, rank=rank)
+        assert list(ops) == list(ref)
+        for name, mat in ref.items():
+            scale = max(1.0, float(np.max(np.abs(mat))))
+            assert np.max(np.abs(ops[name] - mat)) <= 1e-13 * scale, (name, n_max)
+        table = literal_table() if n_max % 3 == 0 else default_table()
+        want = dense_residuals(ref, table, n_max, low)
+        rep = residual_report(ops, table=table, low_cutoff=low, m=m, t=t)
+        for row, (residual, exact_zero) in zip(rep.rows, want):
+            assert abs(row.residual - residual) <= 1e-13, (row.lhs, row.rhs, n_max)
+            assert row.exact_zero == exact_zero, (row.lhs, row.rhs, n_max)
+        k1k2 = ops["K1"] @ ops["K2"] - ops["K2"] @ ops["K1"]
+        assert np.all(k1k2 == 0.0)

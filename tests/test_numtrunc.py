@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from galkappa.errors import BadParameter, BadRank, BadSpin
-from galkappa.galrealize import literal_table
+from galkappa.galrealize import MODELS, literal_table
 from galkappa.numtrunc import (
-    MODELS,
     build_numeric,
-    low_mode_projector,
+    low_mode_indices,
     residual_report,
     run_numeric_check,
     xp_defect,
@@ -80,11 +79,11 @@ def test_internal_constant_shifts_rotation():
     assert np.allclose(multi["J"] - base["J"], 1.5 * eye)
 
 
-def test_projector_shape_and_idempotence():
-    proj = low_mode_projector(4, 1)
-    assert proj.shape == (25, 25)
-    assert np.allclose(proj @ proj, proj)
-    assert np.isclose(np.trace(proj).real, 4.0)
+def test_low_mode_indices_select_the_block():
+    keep = low_mode_indices(4, 1)
+    # states (n1, n2) sit at n1 * 5 + n2; both quanta <= 1
+    assert keep.tolist() == [0, 1, 5, 6]
+    assert len(low_mode_indices(8, 8)) == 81
 
 
 def test_parameter_validation():
@@ -101,9 +100,9 @@ def test_parameter_validation():
     with pytest.raises(BadRank):
         build_numeric("multispinor", rank=9)
     with pytest.raises(BadParameter):
-        low_mode_projector(8, 9)
+        low_mode_indices(8, 9)
     with pytest.raises(BadParameter):
-        low_mode_projector(8, -1)
+        low_mode_indices(8, -1)
 
 
 def test_report_serialization_shape():
@@ -116,3 +115,43 @@ def test_report_serialization_shape():
     assert payload["overall"] is True
     row = payload["rows"][0]
     assert set(row) == {"pair", "max_abs_residual", "exact_zero", "passed"}
+
+
+# Entries of size m (or 1/m, or t) round at m * 1e-16; the tolerance scales
+# with the largest entry of the low block, so a correct model passes at any
+# representable size while a wrong bracket or a visible cut still fails.
+EXTREME = [
+    {"m": 1e-6},
+    {"m": 1e6},
+    {"m": 1e150},
+    {"t": 1e5},
+]
+
+
+@pytest.mark.parametrize("params", EXTREME)
+def test_relative_tolerance_passes_correct_models_at_extreme_values(params):
+    for model in MODELS:
+        rep = run_numeric_check(model=model, n_max=12, low=4, **params)
+        assert rep.overall, [r.to_dict() for r in rep.failing_rows()]
+        pairs = {(r.lhs, r.rhs): r for r in rep.rows}
+        assert pairs[("K1", "K2")].exact_zero
+
+
+def test_residual_field_stays_absolute_under_relative_tolerance():
+    rep = run_numeric_check(m=1e6)
+    assert rep.overall
+    assert max(r.residual for r in rep.rows) > rep.tol
+
+
+@pytest.mark.parametrize("params", EXTREME)
+def test_literal_table_still_fails_exactly_boost_time_rows(params):
+    rep = run_numeric_check(n_max=12, low=4, table=literal_table(), **params)
+    failing = {(r.lhs, r.rhs) for r in rep.failing_rows()}
+    assert failing == {("K1", "H"), ("K2", "H")}
+
+
+@pytest.mark.parametrize("params", EXTREME)
+def test_visible_cut_still_fails_canonical_pair_rows(params):
+    rep = run_numeric_check(n_max=8, low=8, **params)
+    failing = {(r.lhs, r.rhs) for r in rep.failing_rows()}
+    assert {("K1", "P1"), ("K2", "P2")} <= failing
