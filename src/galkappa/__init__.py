@@ -56,13 +56,6 @@ from .matspin import (
     pauli,
     restrict_symmetric,
 )
-from .numtrunc import (
-    build_numeric,
-    low_mode_indices,
-    residual_report,
-    run_numeric_check,
-    xp_defect,
-)
 from .weylop import (
     DiffOp,
     ScalarDiffOp,
@@ -91,3 +84,16 @@ __all__ = [
     "build_numeric", "residual_report", "run_numeric_check",
     "low_mode_indices", "xp_defect",
 ]
+
+# The floating-point cross-check is the only user of numpy; its names are
+# imported on first use so that the exact commands never load numpy.
+_NUMTRUNC_NAMES = ("build_numeric", "residual_report", "run_numeric_check",
+                   "low_mode_indices", "xp_defect")
+
+
+def __getattr__(name):
+    if name in _NUMTRUNC_NAMES:
+        from . import numtrunc
+
+        return getattr(numtrunc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

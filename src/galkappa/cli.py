@@ -9,6 +9,7 @@ out-of-range parameters).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -40,7 +41,6 @@ from .galrealize import (
     realize,
     verify_structure,
 )
-from .numtrunc import run_numeric_check
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -294,6 +294,8 @@ def _cmd_fieldcheck(args) -> int:
 
 
 def _cmd_numcheck(args) -> int:
+    from .numtrunc import run_numeric_check  # loads numpy, which no other command needs
+
     rep = run_numeric_check(
         model=args.model,
         m=args.m,
@@ -318,7 +320,7 @@ def _cmd_numcheck(args) -> int:
     return EXIT_OK if rep.overall else EXIT_FAIL
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _run(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -340,6 +342,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except GalkappaError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        # a buffered stdout meets a closed reader here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head`): the output is
+        # truncated, so the run is not a pass.  stdout now points at devnull,
+        # so the interpreter's own final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return EXIT_FAIL
 
 

@@ -18,6 +18,7 @@ and matrix differential operators.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,11 +89,21 @@ class Scalar:
 
     def __mul__(self, other) -> "Scalar":
         if type(other) is not Scalar:
+            if type(other) is int:
+                # Fraction * int is already in lowest terms; no Scalar is built
+                return _from_fractions(self.re * other, self.im * other)
             if not isinstance(other, _OPERANDS):
                 return NotImplemented
             other = Scalar.of(other)
+        # a part known to be zero is reused as the zero part of the product
         if not (self.im or other.im):
             return _from_fractions(self.re * other.re, self.im)
+        if not (self.re or other.re):
+            return _from_fractions(-(self.im * other.im), self.re)
+        if not (self.im or other.re):
+            return _from_fractions(self.im, self.re * other.im)
+        if not (self.re or other.im):
+            return _from_fractions(other.im, self.im * other.re)
         return _from_fractions(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -274,12 +285,26 @@ class TermMap:
 
     The map never stores a zero, so equal objects have equal maps and
     equality and zero tests are exact dictionary comparisons.  Subclasses
-    validate keys and coefficients in their constructor (which every result
-    passes through), check or coerce the other operand in `_coerce`, and
-    supply their own calculus and printing.
+    validate keys and coefficients in their constructor, check or coerce the
+    other operand in `_coerce`, and supply their own calculus and printing.
+    Results whose invariants hold by construction (sums, negations, and the
+    polynomial product and derivative) are built with `_make`, which skips
+    that validation; every other result passes through the constructor.
     """
 
     __slots__ = ("registry", "_terms")
+
+    def _make(self, terms: dict):
+        """A result of this type over this registry, taking terms as they are.
+
+        terms must already be canonical for the subclass: nonzero
+        coefficients, valid keys, and within every guard its constructor
+        enforces.
+        """
+        out = object.__new__(type(self))
+        out.registry = self.registry
+        out._terms = terms
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -294,12 +319,12 @@ class TermMap:
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
             accumulate(terms, key, coeff)
-        return type(self)(self.registry, terms)
+        return self._make(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.registry, {k: -c for k, c in self._terms.items()})
+        return self._make({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -385,8 +410,8 @@ class PolyExpr(TermMap):
         terms: Dict[Tuple[int, ...], Scalar] = {}
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
-                accumulate(terms, tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
-        return PolyExpr(self.registry, terms)
+                accumulate(terms, tuple(map(operator.add, k1, k2)), c1 * c2)
+        return self._make(terms)
 
     __rmul__ = __mul__
 
@@ -442,13 +467,13 @@ class PolyExpr(TermMap):
         """Formal partial derivative with respect to one symbol."""
         idx = self.registry.index(name)
         terms: Dict[Tuple[int, ...], Scalar] = {}
+        # lowering one exponent maps distinct keys to distinct keys, so no
+        # two terms meet and every coefficient stays nonzero
         for key, coeff in self._terms.items():
             e = key[idx]
-            if e == 0:
-                continue
-            new_key = tuple(v - 1 if j == idx else v for j, v in enumerate(key))
-            accumulate(terms, new_key, coeff * Scalar.of(e))
-        return PolyExpr(self.registry, terms)
+            if e:
+                terms[key[:idx] + (e - 1,) + key[idx + 1:]] = coeff * e
+        return self._make(terms)
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every symbol appearing must get a value."""
@@ -571,13 +596,12 @@ class SquareMatrix:
     def __matmul__(self, other):
         self._check(other)
         n = self.dim
-        zero = self._entry(self.registry.zero())
         out = []
         for r in range(n):
             row = []
             for c in range(n):
-                acc = zero
-                for k in range(n):
+                acc = self._times(self.rows[r][0], other.rows[0][c])
+                for k in range(1, n):
                     acc = acc + self._times(self.rows[r][k], other.rows[k][c])
                 row.append(acc)
             out.append(row)

@@ -197,13 +197,18 @@ def central_scalar(op: DiffOp) -> Optional[PolyExpr]:
     return diag
 
 
+def _central_over_i(op: DiffOp) -> Optional[PolyExpr]:
+    """q when op == i * q * Id with q coordinate-free; otherwise None."""
+    q = central_scalar(op)
+    return None if q is None else q * NEG_I
+
+
 def extract_kappa(g: GeneratorSet) -> PolyExpr:
     """The second extension parameter, read off [K1, K2] = i * kappa * Id."""
-    b = bracket(g["K1"], g["K2"])
-    q = central_scalar(b)
-    if q is None:
+    kappa = _central_over_i(bracket(g["K1"], g["K2"]))
+    if kappa is None:
         raise NotCentral("[K1, K2] is not a constant multiple of the identity")
-    return q * NEG_I
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -356,16 +361,20 @@ def verify_structure(g: GeneratorSet, table: Optional[StructureTable] = None) ->
     reg = g.registry
     report = StructureReport(table=table.name)
 
-    try:
-        report.kappa = extract_kappa(g)
-    except NotCentral:
-        report.kappa = None
+    # each row's bracket is computed once; kappa and the mass are read off
+    # the [K1,K2] and [K1,P1] rows (computed apart only if a table lacks them)
+    computed_by_pair = {(row.lhs, row.rhs): bracket(g[row.lhs], g[row.rhs])
+                        for row in table.rows}
 
-    mass_q = central_scalar(bracket(g["K1"], g["P1"]))
-    report.mass = None if mass_q is None else mass_q * NEG_I
+    def pair_bracket(a: str, b: str) -> DiffOp:
+        found = computed_by_pair.get((a, b))
+        return bracket(g[a], g[b]) if found is None else found
+
+    report.kappa = _central_over_i(pair_bracket("K1", "K2"))
+    report.mass = _central_over_i(pair_bracket("K1", "P1"))
 
     for row in table.rows:
-        computed = bracket(g[row.lhs], g[row.rhs])
+        computed = computed_by_pair[(row.lhs, row.rhs)]
         note = row.note
         expected = DiffOp.zeros(reg, g.dim)
         ok_to_compare = True

@@ -100,31 +100,41 @@ class ScalarDiffOp(TermMap):
         """Normal-form product: derivatives act through coefficients (Leibniz)."""
         self._coerce(other)
         terms: Dict[MultiIndex, PolyExpr] = {}
+        # derivatives of each right-hand coefficient by order (g1, g2, gt),
+        # each taken once, from the order one lower that the loops met before
+        derivatives = {beta: {ZERO_IDX: g} for beta, g in other._terms.items()}
         for alpha, f in self._terms.items():
-            for beta, g in other._terms.items():
+            for beta, by_order in derivatives.items():
                 for g1 in range(alpha[0] + 1):
                     for g2 in range(alpha[1] + 1):
                         for gt in range(alpha[2] + 1):
-                            dg = g
-                            for _ in range(g1):
-                                dg = dg.diff("x1")
-                            for _ in range(g2):
-                                dg = dg.diff("x2")
-                            for _ in range(gt):
-                                dg = dg.diff("t")
+                            order = (g1, g2, gt)
+                            dg = by_order.get(order)
+                            if dg is None:
+                                if gt:
+                                    dg = by_order[(g1, g2, gt - 1)].diff("t")
+                                elif g2:
+                                    dg = by_order[(g1, g2 - 1, 0)].diff("x2")
+                                else:
+                                    dg = by_order[(g1 - 1, 0, 0)].diff("x1")
+                                by_order[order] = dg
                             if dg.is_zero:
                                 continue
+                            term = f * dg
                             w = (
                                 math.comb(alpha[0], g1)
                                 * math.comb(alpha[1], g2)
                                 * math.comb(alpha[2], gt)
                             )
+                            if w != 1:  # a nonzero integer keeps every coefficient nonzero
+                                term = term._make({k: c * w for k, c in term._terms.items()})
                             midx = (
                                 alpha[0] - g1 + beta[0],
                                 alpha[1] - g2 + beta[1],
                                 alpha[2] - gt + beta[2],
                             )
-                            accumulate(terms, midx, f * dg * Scalar.of(w))
+                            accumulate(terms, midx, term)
+        # the constructor applies the degree guards to the result
         return ScalarDiffOp(self.registry, terms)
 
     def bracket(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
@@ -174,11 +184,6 @@ class DiffOp(SquareMatrix):
     @staticmethod
     def scalar(op: ScalarDiffOp) -> "DiffOp":
         return DiffOp(op.registry, [[op]])
-
-    @staticmethod
-    def from_matrix(mat) -> "DiffOp":
-        """Lift a constant MatExpr to a multiplication operator."""
-        return DiffOp(mat.registry, mat.rows)
 
     def scale(self, factor) -> "DiffOp":
         return DiffOp(self.registry, [[e.scale(factor) for e in row] for row in self.rows])

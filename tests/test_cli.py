@@ -1,9 +1,14 @@
 """End-to-end command-line behavior: exit codes, output, report files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import galkappa
 from galkappa import report
 from galkappa.cli import main
 
@@ -264,3 +269,57 @@ def test_no_report_without_env(tmp_path, monkeypatch, capsys):
     code, out, _ = run(capsys, "numcheck", "--nmax", "6", "--low", "3")
     assert code == 0
     assert "report written" not in out
+
+
+# -- fresh interpreters ------------------------------------------------------------
+
+
+def _child_env(**extra):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", report.REPORT_DIR_ENV)}
+    src = str(Path(galkappa.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    env.update(extra)
+    return env
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    probe = (
+        "import sys\n"
+        "import galkappa.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert galkappa.cli.main(['algebra', 'verify', 'so3']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "import galkappa\n"
+        "assert callable(galkappa.build_numeric)\n"
+        "assert 'numpy' in sys.modules\n"
+        "names = {}\n"
+        "exec('from galkappa import *', names)\n"
+        "assert set(galkappa.__all__) <= set(names)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["algebra", "cohomology", "planar_galilei"],
+    ["realize", "schrodinger"],
+    ["fieldcheck", "conservation"],
+])
+def test_closed_stdout_is_a_failure_without_traceback(argv, buffering):
+    # the reader is gone before the command starts, so every write meets a
+    # closed pipe, wherever the stdout buffer happens to be flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "galkappa.cli"] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=_child_env(**buffering), timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1
