@@ -47,28 +47,32 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="galkappa",
-        description="Exact checks on planar kinematical symmetry and its "
-        "free-field realizations.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose help output lets a failed write through.
 
-    alg = sub.add_parser("algebra", help="parse and analyze an algebra file")
+    argparse drops an OSError raised while it prints, so help sent into a
+    closed pipe would exit 0 with an unbuffered stdout and 1 with a
+    buffered one, where `main`'s flush meets the error.  Letting the error
+    through gives `main` the same BrokenPipeError in both cases.
+    """
+
+    def print_help(self, file=None):
+        (sys.stdout if file is None else file).write(self.format_help())
+
+
+def _add_algebra(alg: argparse.ArgumentParser) -> None:
     alg_sub = alg.add_subparsers(dest="subcommand", required=True)
     verify = alg_sub.add_parser("verify", help="check the Jacobi identity")
     cohom = alg_sub.add_parser(
         "cohomology", help="compute the central-extension space"
     )
+    source_help = ("path to an algebra file, or the name of a bundled one "
+                   f"({', '.join(algfile.bundled_names())})")
     for s in (verify, cohom):
-        s.add_argument(
-            "source",
-            help="path to an algebra file, or the name of a bundled one "
-            f"({', '.join(algfile.bundled_names())})",
-        )
+        s.add_argument("source", help=source_help)
 
-    re_p = sub.add_parser("realize", help="build generators and verify brackets")
+
+def _add_realize(re_p: argparse.ArgumentParser) -> None:
     re_p.add_argument("model", choices=MODELS)
     re_p.add_argument("--spin-s", dest="spin_s", type=int, default=1,
                       help="spin label, +1 or -1")
@@ -84,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="verify against the literal table variant, whose "
                       "boost-time rows are pinned to zero")
 
-    fc = sub.add_parser("fieldcheck", help="field-level identity checks")
+
+def _add_fieldcheck(fc: argparse.ArgumentParser) -> None:
     fc.add_argument("check", choices=("conservation", "boost", "rotation",
                                       "multispinor-eqs"))
     fc.add_argument("--index", type=int, choices=(1, 2), default=None,
@@ -97,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--rank", type=int, default=1,
                     help="multispinor rank for multispinor-eqs")
 
-    nc = sub.add_parser("numcheck", help="floating-point truncation cross-check")
+
+def _add_numcheck(nc: argparse.ArgumentParser) -> None:
     nc.add_argument("--model", choices=MODELS, default="schrodinger")
     nc.add_argument("--nmax", type=int, default=24,
                     help="highest oscillator mode kept per axis")
@@ -110,6 +116,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "(at least 1) of the low-block products and expected value")
     nc.add_argument("--spin-s", dest="spin_s", type=int, default=1)
     nc.add_argument("--rank", type=int, default=1)
+
+
+# (name, help, the function that adds its arguments)
+_COMMANDS = (
+    ("algebra", "parse and analyze an algebra file", _add_algebra),
+    ("realize", "build generators and verify brackets", _add_realize),
+    ("fieldcheck", "field-level identity checks", _add_fieldcheck),
+    ("numcheck", "floating-point truncation cross-check", _add_numcheck),
+)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command-line parser, with every subcommand or only `command`.
+
+    Every subcommand is registered either way, so top-level usage, help and
+    errors are the same; given a name, only that subcommand gets its
+    arguments.  Parsing argv whose command is `command` then gives the same
+    result, output and exit as the full parser.
+    """
+    p = _Parser(
+        prog="galkappa",
+        description="Exact checks on planar kinematical symmetry and its "
+        "free-field realizations.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(sp)
     return p
 
 
@@ -321,7 +356,11 @@ def _cmd_numcheck(args) -> int:
 
 
 def _run(argv: Optional[List[str]]) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option with a value, so the first argument that
+    # is not an option is the command argparse will dispatch on
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -5,16 +5,23 @@ satisfying the cyclic cocycle identity, taken modulo coboundaries (forms of
 the shape beta(X_i, X_j) = f([X_i, X_j])).  Both spaces are computed by
 exact elimination over Gaussian rationals, and every dimension is re-derived
 under a second, independent elimination order as a self-check.
+
+Every system is sparse end to end: the structure constants are read from one
+antisymmetric tensor holding only the nonzero brackets, and each row is a
+``{column: nonzero Scalar}`` dict built straight from them.  Columns are the
+pairs i < j in lexicographic order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GalkappaError
 from .exactscalar import ONE, ZERO, Scalar, accumulate
+
+Row = Dict[int, Scalar]
 
 
 class LieAlgebraSpec:
@@ -67,6 +74,46 @@ class LieAlgebraSpec:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+Structure = List[Dict[int, Row]]
+
+
+def _structure(spec: LieAlgebraSpec) -> Structure:
+    """The antisymmetric structure tensor: f[i][j] is [X_i, X_j] as {k: coeff}.
+
+    Both index orders are present, and only the nonzero brackets; the rows
+    are shared with the spec and are never written to.
+    """
+    f: Structure = [{} for _ in range(spec.dim)]
+    for (i, j), rhs in spec.brackets.items():
+        f[i][j] = rhs
+        f[j][i] = {k: -c for k, c in rhs.items()}
+    return f
+
+
+def _cyclic_terms(f: Structure) -> Iterator[Tuple[Tuple[int, int, int], list]]:
+    """Each triple i<j<k with a nonzero bracket among its pairs, in
+    lexicographic order, with its terms ([X_a, X_b], c) over the cyclic
+    orders (a, b, c).  A triple without one has no term in any cyclic sum."""
+    n = len(f)
+    for i in range(n):
+        fi = f[i]
+        for j in range(i + 1, n):
+            fij, fj = fi.get(j), f[j]
+            for k in range(j + 1, n):
+                terms = [(rhs, c) for rhs, c in ((fij, k), (fj.get(k), i), (f[k].get(i), j))
+                         if rhs]
+                if terms:
+                    yield (i, j, k), terms
+
+
+def _slots(n: int) -> List[List[Optional[int]]]:
+    """slot[i][j] = slot[j][i] = column of the pair i < j."""
+    slot: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
+    for s, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        slot[i][j] = slot[j][i] = s
+    return slot
+
+
 @dataclass
 class JacobiResult:
     ok: bool
@@ -77,14 +124,12 @@ class JacobiResult:
         return self.ok
 
 
-def jacobi_check(spec: LieAlgebraSpec) -> JacobiResult:
-    """Verify the cyclic identity on all generator triples; report the first failure."""
-    n = spec.dim
-    for i, j, k in itertools.combinations(range(n), 3):
-        acc: Dict[int, Scalar] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, coeff in spec.bracket(a, b).items():
-                for l, coeff2 in spec.bracket(m, c).items():
+def _jacobi(spec: LieAlgebraSpec, f: Structure) -> JacobiResult:
+    for (i, j, k), terms in _cyclic_terms(f):
+        acc: Row = {}
+        for rhs, c in terms:
+            for m, coeff in rhs.items():
+                for l, coeff2 in f[m].get(c, {}).items():
                     accumulate(acc, l, coeff * coeff2)
         if acc:
             return JacobiResult(
@@ -95,58 +140,74 @@ def jacobi_check(spec: LieAlgebraSpec) -> JacobiResult:
     return JacobiResult(ok=True)
 
 
+def jacobi_check(spec: LieAlgebraSpec) -> JacobiResult:
+    """Verify the cyclic identity on all generator triples; report the first failure."""
+    return _jacobi(spec, _structure(spec))
+
+
 # -- exact elimination -------------------------------------------------------
 
 
-def _support(row: List[Scalar]) -> List[int]:
-    """Columns where the row is nonzero."""
-    return [c for c, e in enumerate(row) if not e.is_zero]
+def _rref(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
+    """Reduced row echelon form of sparse rows ({column: Scalar}).
 
-
-def _rref(rows: List[List[Scalar]], ncols: int) -> Tuple[int, List[int], List[List[Scalar]]]:
-    """Reduced row echelon form with deterministic first-nonzero pivoting.
+    Columns are taken in increasing order.  At each, a column -> rows index
+    supplies the rows not yet used as pivots that reach it, and the one with
+    the fewest nonzeros becomes the pivot row.  The reduced row echelon form
+    of a row space is unique, so this choice changes the work done, never
+    the result.  A pivot row updates the other rows only on its own support,
+    and entries that cancel are dropped.
 
     Returns the rank, the pivot columns in increasing order and the reduced
-    rows in the same order.  A pivot row updates the other rows only on its
-    own support, since subtracting a multiple of a zero leaves an entry as
-    it is.
+    rows in the same order.  The input rows are left as they are.
     """
-    work = [list(r) for r in rows]
+    work = [{c: e for c, e in r.items() if not e.is_zero} for r in rows]
+    at: Dict[int, set] = {}
+    for rid, row in enumerate(work):
+        for c in row:
+            at.setdefault(c, set()).add(rid)
+    pending = set(range(len(work)))
     pivots: List[int] = []
-    reduced: List[List[Scalar]] = []
-    col = 0
-    while col < ncols and work:
-        hit = None
-        for ridx, row in enumerate(work):
-            if not row[col].is_zero:
-                hit = ridx
-                break
-        if hit is None:
-            col += 1
+    reduced: List[Row] = []
+    for col in range(ncols):
+        if not pending:
+            break
+        hits = at.get(col)
+        candidates = hits & pending if hits else None
+        if not candidates:
             continue
-        row = work.pop(hit)
-        inv = ONE / row[col]
-        support = _support(row)
-        for c in support:
-            row[c] = row[c] * inv
-        for other in itertools.chain(work, reduced):
-            f = other[col]
-            if not f.is_zero:
-                for c in support:
-                    other[c] = other[c] - f * row[c]
+        rid = min(candidates, key=lambda r: (len(work[r]), r))
+        pending.discard(rid)
+        row = work[rid]
+        lead = row[col]
+        if lead != ONE:
+            inv = ONE / lead
+            for c, e in row.items():
+                row[c] = e * inv
+        for oid in hits - {rid}:
+            other = work[oid]
+            factor = other[col]
+            for c, e in row.items():
+                old = other.get(c)
+                if old is None:
+                    other[c] = -(factor * e)
+                    at.setdefault(c, set()).add(oid)
+                else:
+                    new = old - factor * e
+                    if new.is_zero:
+                        del other[c]
+                        at[c].discard(oid)
+                    else:
+                        other[c] = new
         reduced.append(row)
         pivots.append(col)
-        col += 1
-    order = sorted(range(len(pivots)), key=lambda r: pivots[r])
-    return len(pivots), [pivots[r] for r in order], [reduced[r] for r in order]
+    return len(pivots), pivots, reduced
 
 
-def _rref_checked(
-    rows: List[List[Scalar]], ncols: int
-) -> Tuple[int, List[int], List[List[Scalar]]]:
+def _rref_checked(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
     """`_rref`, with the rank re-derived under the reversed elimination order."""
     result = _rref(rows, ncols)
-    flipped = [list(reversed(r)) for r in reversed(rows)]
+    flipped = [{ncols - 1 - c: e for c, e in r.items()} for r in reversed(rows)]
     rank_rev, _, _ = _rref(flipped, ncols)
     if result[0] != rank_rev:
         raise GalkappaError(
@@ -155,19 +216,16 @@ def _rref_checked(
     return result
 
 
-def _nullspace(pivots: List[int], red: List[List[Scalar]], ncols: int) -> List[List[Scalar]]:
+def _nullspace(pivots: List[int], red: List[Row], ncols: int) -> List[Row]:
     """Nullspace basis read off an `_rref` result, one vector per free column."""
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for row, p in zip(red, pivots):
-            vec[p] = -row[free]
-        basis.append(vec)
-    return basis
+    basis = {free: {free: ONE} for free in range(ncols) if free not in pivot_set}
+    # a reduced row is zero on every other pivot column: the rest are free
+    for row, p in zip(red, pivots):
+        for c, e in row.items():
+            if c != p:
+                basis[c][p] = -e
+    return list(basis.values())
 
 
 @dataclass
@@ -189,41 +247,29 @@ class ExtensionSpace:
         return out
 
 
-def _beta_slot(pidx, m: int, c: int):
-    if m == c:
-        return None, ZERO
-    if m < c:
-        return pidx[(m, c)], ONE
-    return pidx[(c, m)], -ONE
-
-
-def _cocycle_rows(spec: LieAlgebraSpec, pairs, pidx) -> List[List[Scalar]]:
+def _cocycle_rows(f: Structure, slot) -> List[Row]:
+    """One row per triple: the cyclic identity as a linear form in beta."""
     rows = []
-    for i, j, k in itertools.combinations(range(spec.dim), 3):
-        row = [ZERO] * len(pairs)
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, coeff in spec.bracket(a, b).items():
-                slot, sign = _beta_slot(pidx, m, c)
-                if slot is not None:
-                    row[slot] = row[slot] + coeff * sign
-        if any(not e.is_zero for e in row):
+    for _, terms in _cyclic_terms(f):
+        row: Row = {}
+        for rhs, c in terms:
+            for m, coeff in rhs.items():
+                if m != c:
+                    accumulate(row, slot[m][c], coeff if m < c else -coeff)
+        if row:
             rows.append(row)
     return rows
 
 
-def _coboundary_rows(spec: LieAlgebraSpec, pairs, pidx) -> List[List[Scalar]]:
-    rows = []
-    for k in range(spec.dim):
-        vec = [ZERO] * len(pairs)
-        used = False
-        for (i, j), slot in pidx.items():
-            coeff = spec.bracket(i, j).get(k, ZERO)
-            if not coeff.is_zero:
-                vec[slot] = coeff
-                used = True
-        if used:
-            rows.append(vec)
-    return rows
+def _coboundary_rows(f: Structure, slot) -> List[Row]:
+    """One row per generator k: the coboundary of the functional dual to X_k."""
+    by_target: Dict[int, Row] = {}
+    for i, fi in enumerate(f):
+        for j, rhs in fi.items():
+            if i < j:
+                for k, coeff in rhs.items():
+                    by_target.setdefault(k, {})[slot[i][j]] = coeff
+    return [by_target[k] for k in sorted(by_target)]
 
 
 def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
@@ -232,32 +278,30 @@ def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
     Requires a valid Lie algebra; run jacobi_check first (and we re-run it
     here, since cohomology of a non-algebra is meaningless).
     """
-    jac = jacobi_check(spec)
+    f = _structure(spec)
+    jac = _jacobi(spec, f)
     if not jac.ok:
         raise GalkappaError(
             f"structure constants violate the cyclic identity at {jac.triple}"
         )
-    pairs = spec.pairs()
-    pidx = {p: s for s, p in enumerate(pairs)}
-    P = len(pairs)
+    n = spec.dim
+    slot = _slots(n)
+    P = n * (n - 1) // 2
 
-    cocycle_rows = _cocycle_rows(spec, pairs, pidx)
-    rank, pivots, red = _rref_checked(cocycle_rows, P)
+    rank, pivots, red = _rref_checked(_cocycle_rows(f, slot), P)
     z = P - rank
 
-    cob_rows = _coboundary_rows(spec, pairs, pidx)
-    b, cob_pivots, cob_red = _rref_checked(cob_rows, P)
+    b, cob_pivots, cob_red = _rref_checked(_coboundary_rows(f, slot), P)
 
     # representatives: nullspace basis reduced modulo the coboundary row space
-    cob_reducers = [(p, row, _support(row)) for row, p in zip(cob_red, cob_pivots)]
     reduced = []
     for v in _nullspace(pivots, red, P):
-        for p, row, support in cob_reducers:
-            f = v[p]
-            if not f.is_zero:
-                for c in support:
-                    v[c] = v[c] - f * row[c]
-        if any(not e.is_zero for e in v):
+        for p, row in zip(cob_pivots, cob_red):
+            factor = v.get(p)
+            if factor is not None:
+                for c, e in row.items():
+                    accumulate(v, c, -(factor * e))
+        if v:
             reduced.append(v)
     _, _, rep_rows = _rref(reduced, P)
 
@@ -267,13 +311,14 @@ def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
             f"representative count {len(rep_rows)} disagrees with h2 = {h2}"
         )
 
-    n = spec.dim
     reps = []
     for vec in rep_rows:
         mat = [[ZERO] * n for _ in range(n)]
-        for (i, j), slot in pidx.items():
-            mat[i][j] = vec[slot]
-            mat[j][i] = -vec[slot]
+        for i in range(n):
+            for j in range(i + 1, n):
+                e = vec.get(slot[i][j], ZERO)
+                mat[i][j] = e
+                mat[j][i] = -e
         reps.append(mat)
     return ExtensionSpace(spec.names, z, b, h2, reps)
 
@@ -298,32 +343,37 @@ def _as_beta_matrix(spec: LieAlgebraSpec, beta) -> List[List[Scalar]]:
     return mat
 
 
-def is_cocycle(spec: LieAlgebraSpec, beta) -> bool:
-    """Does beta satisfy the cyclic identity for this algebra?"""
-    mat = _as_beta_matrix(spec, beta)
-    for i, j, k in itertools.combinations(range(spec.dim), 3):
+def _satisfies_cyclic_identity(f: Structure, mat: List[List[Scalar]]) -> bool:
+    for _, terms in _cyclic_terms(f):
         acc = ZERO
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, coeff in spec.bracket(a, b).items():
+        for rhs, c in terms:
+            for m, coeff in rhs.items():
                 acc = acc + coeff * mat[m][c]
         if not acc.is_zero:
             return False
     return True
 
 
+def is_cocycle(spec: LieAlgebraSpec, beta) -> bool:
+    """Does beta satisfy the cyclic identity for this algebra?"""
+    return _satisfies_cyclic_identity(_structure(spec), _as_beta_matrix(spec, beta))
+
+
 def classes_independent(spec: LieAlgebraSpec, betas: Sequence) -> bool:
     """True iff the given cocycles are linearly independent modulo coboundaries."""
+    f = _structure(spec)
     mats = [_as_beta_matrix(spec, b) for b in betas]
-    for mat in mats:
-        if not is_cocycle(spec, mat):
-            return False
-    pairs = spec.pairs()
-    pidx = {p: s for s, p in enumerate(pairs)}
-    P = len(pairs)
-    cob_rows = _coboundary_rows(spec, pairs, pidx)
+    if not all(_satisfies_cyclic_identity(f, mat) for mat in mats):
+        return False
+    n = spec.dim
+    slot = _slots(n)
+    P = n * (n - 1) // 2
+    cob_rows = _coboundary_rows(f, slot)
     base_rank = _rref_checked(cob_rows, P)[0]
-    stacked = [list(r) for r in cob_rows]
-    for mat in mats:
-        stacked.append([mat[i][j] for (i, j) in pairs])
+    stacked = cob_rows + [
+        {slot[i][j]: mat[i][j]
+         for i, j in itertools.combinations(range(n), 2) if not mat[i][j].is_zero}
+        for mat in mats
+    ]
     full_rank = _rref_checked(stacked, P)[0]
     return full_rank == base_rank + len(mats)

@@ -142,6 +142,7 @@ def test_bundled_inventory():
         "planar_galilei",
         "planar_galilei_literal",
         "planar_galilei_mass",
+        "planar_gca",
         "so3",
     ):
         assert expected in names

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import galkappa
-from galkappa import report
-from galkappa.cli import main
+from galkappa import cli, report
+from galkappa.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -226,6 +226,71 @@ def test_unknown_flag_exits_two(capsys):
     assert code == 2
 
 
+# -- parser built for one subcommand ----------------------------------------------
+
+# per subcommand: valid argv, bad flags and values, and help
+PARSER_CASES = [
+    ["algebra", "verify", "so3"],
+    ["algebra", "cohomology", "some/file.alg"],
+    ["algebra"],
+    ["algebra", "bogus", "so3"],
+    ["algebra", "verify"],
+    ["algebra", "verify", "so3", "--frobnicate"],
+    ["algebra", "-h"],
+    ["algebra", "cohomology", "--help"],
+    ["realize", "schrodinger", "--spin-s", "-1", "--shift", "c", "--lambda", "1/2"],
+    ["realize", "multispinor", "--rank", "3", "--strict-literal-table"],
+    ["realize", "nomodel"],
+    ["realize", "schrodinger", "--rank", "x"],
+    ["realize", "schrodinger", "--frobnicate"],
+    ["realize", "-h"],
+    ["fieldcheck", "conservation", "--index", "1", "--variant", "literal"],
+    ["fieldcheck", "multispinor-eqs", "--rank", "2", "--spin-s", "1"],
+    ["fieldcheck", "boost", "--index", "3"],
+    ["fieldcheck"],
+    ["fieldcheck", "-h"],
+    ["numcheck", "--nmax", "6", "--low", "3", "--m", "2.5", "--model", "levyleblond"],
+    ["numcheck"],
+    ["numcheck", "--m", "abc"],
+    ["numcheck", "extra"],
+    ["numcheck", "--help"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        namespace, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return namespace, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_subcommand_parser_parses_like_the_full_parser(argv, capsys):
+    full = _parse(build_parser(), argv, capsys)
+    lean = _parse(build_parser(argv[0]), argv, capsys)
+    assert lean == full
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["-h", "realize"],
+    [],
+    ["bogus"],
+    ["--frobnicate", "realize", "schrodinger"],
+    ["--", "fieldcheck", "rotation", "--spin-s", "1"],
+    ["-", "numcheck"],
+    ["realize", "schrodinger", "--frobnicate"],
+    ["fieldcheck", "rotation", "--spin-s", "-1"],
+], ids=" ".join)
+def test_cli_behaves_as_with_the_full_parser(argv, capsys, monkeypatch):
+    lean = run(capsys, *argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert run(capsys, *argv) == lean
+
+
 # -- reports -------------------------------------------------------------------
 
 
@@ -308,6 +373,8 @@ def test_exact_commands_leave_numpy_unloaded():
     ["algebra", "cohomology", "planar_galilei"],
     ["realize", "schrodinger"],
     ["fieldcheck", "conservation"],
+    ["--help"],
+    ["realize", "--help"],
 ])
 def test_closed_stdout_is_a_failure_without_traceback(argv, buffering):
     # the reader is gone before the command starts, so every write meets a

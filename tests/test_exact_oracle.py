@@ -1,14 +1,16 @@
 """The sparse elimination and the slotted Scalar against plain references.
 
 `dense_rref` is the dense elimination the package used before row updates
-were restricted to the pivot row's support; the sparse `_rref` must return
-the identical `(rank, pivots, rows)`.  Scalar arithmetic is compared with
-the same formulas evaluated on plain `(Fraction, Fraction)` pairs.
+were restricted to the pivot row's support; the sparse `_rref`, which takes
+and returns `{column: Scalar}` rows, must return the identical
+`(rank, pivots, rows)` once its rows are written out densely.  Scalar
+arithmetic is compared with the same formulas evaluated on plain
+`(Fraction, Fraction)` pairs.
 """
 
 import dataclasses
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -79,13 +81,47 @@ def sparse_matrices(draw):
     return [rows[k] for k in order], ncols
 
 
+def to_sparse(rows: List[List[Scalar]]) -> List[Dict[int, Scalar]]:
+    return [{c: e for c, e in enumerate(row) if not e.is_zero} for row in rows]
+
+
+def sparse_rref(rows: List[List[Scalar]], ncols: int):
+    """`_rref` on dense rows, its reduced rows written out densely again."""
+    rank, pivots, red = _rref(to_sparse(rows), ncols)
+    assert all(not e.is_zero for row in red for e in row.values())
+    return rank, pivots, [[row.get(c, ZERO) for c in range(ncols)] for row in red]
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices())
 def test_sparse_rref_matches_dense_reference(matrix):
     rows, ncols = matrix
     before = [list(r) for r in rows]
-    assert _rref(rows, ncols) == dense_rref(rows, ncols)
+    assert sparse_rref(rows, ncols) == dense_rref(rows, ncols)
     assert rows == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_rref_is_independent_of_row_order_and_duplicates(matrix, rnd):
+    # the reduced row echelon form of a row space is unique, whatever the
+    # pivot rule meets first
+    rows, ncols = matrix
+    expected = sparse_rref(rows, ncols)
+    assert sparse_rref(rows[::-1], ncols) == expected
+    doubled = rows + [rnd.choice(rows) for _ in range(3)] if rows else rows
+    rnd.shuffle(doubled)
+    assert sparse_rref(doubled, ncols) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_rref_leaves_its_input_rows_alone(matrix):
+    rows, ncols = matrix
+    sparse = to_sparse(rows)
+    before = [dict(r) for r in sparse]
+    _rref(sparse, ncols)
+    assert sparse == before
 
 
 def test_central_extensions_eliminates_five_times(monkeypatch):

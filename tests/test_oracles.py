@@ -7,13 +7,16 @@ exact scalars, and dense tensor products instead of the symmetric-basis
 restriction.  Agreement between the two paths is the point of the file.
 """
 
+from fractions import Fraction
+
 import pytest
 
 sp = pytest.importorskip("sympy")
 
-from galkappa.algfile import load_bundled
+from galkappa.algfile import load_bundled, loads
 from galkappa.cocycle import central_extensions
 from galkappa.fieldcheck import load_current_terms
+from test_conformal_galilei import conformal_galilei_text
 
 
 # -- central-extension dimensions, recomputed by generic rank -------------------
@@ -74,6 +77,7 @@ def _sympy_h2(spec):
         ("so3", 0),
         ("abelian4", 6),
         ("galilei_3p1", 1),
+        ("planar_gca", 1),
     ],
 )
 def test_extension_dimensions_agree(name, h2):
@@ -82,6 +86,14 @@ def test_extension_dimensions_agree(name, h2):
     ext = central_extensions(spec)
     assert (z, b, h) == (ext.cocycle_dim, ext.coboundary_dim, ext.h2)
     assert h == h2
+
+
+@pytest.mark.parametrize("ell", [Fraction(1, 2), Fraction(1), Fraction(3, 2)],
+                         ids=lambda ell: f"l={ell}")
+def test_conformal_galilei_dimensions_agree(ell):
+    spec = loads(conformal_galilei_text(ell))
+    ext = central_extensions(spec)
+    assert _sympy_h2(spec) == (ext.cocycle_dim, ext.coboundary_dim, ext.h2)
 
 
 # -- conservation on explicit two-momentum solutions ----------------------------
