@@ -327,7 +327,16 @@ class TermMap:
         return self._make({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            old = terms.get(key)
+            coeff = -coeff if old is None else old - coeff
+            if coeff.is_zero:
+                del terms[key]
+            else:
+                terms[key] = coeff
+        return self._make(terms)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -525,9 +534,10 @@ class PolyExpr(TermMap):
 class SquareMatrix:
     """Square matrix over a ring of registry-bound entries.
 
-    Subclasses fix the entry ring through two hooks: `_entry` checks (and may
-    coerce) one entry, and `_times` multiplies two entries for the matrix
-    product.  `identity` and `zeros` pass PolyExpr constants through `_entry`.
+    Subclasses fix the entry ring through three hooks: `_entry` checks (and
+    may coerce) one entry, `_times` multiplies two entries for the matrix
+    product, and `_bracket` gives the commutator of two entries.  `identity`
+    and `zeros` pass PolyExpr constants through `_entry`.
     """
 
     __slots__ = ("registry", "rows")
@@ -550,6 +560,10 @@ class SquareMatrix:
     @staticmethod
     def _times(a, b):
         return a * b
+
+    @staticmethod
+    def _bracket(a, b):
+        return a._make({})  # entries of the default ring (polynomials) commute
 
     @classmethod
     def identity(cls, registry: SymbolRegistry, dim: int, factor=None):
@@ -591,7 +605,11 @@ class SquareMatrix:
         return type(self)(self.registry, [[-e for e in row] for row in self.rows])
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return type(self)(
+            self.registry,
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+        )
 
     def __matmul__(self, other):
         self._check(other)
@@ -608,7 +626,26 @@ class SquareMatrix:
         return type(self)(self.registry, out)
 
     def commutator(self, other):
-        return self @ other - other @ self
+        """self @ other - other @ self, entry by entry.
+
+        Entry (r, c) sums A_rk B_kc - B_rk A_kc over k; the summand with
+        r = k = c is the entry bracket [A_rr, B_rr].
+        """
+        self._check(other)
+        A, B, n = self.rows, other.rows, self.dim
+        out = []
+        for r in range(n):
+            row = []
+            for c in range(n):
+                acc = self._bracket(A[r][r], B[r][r]) if r == c else None
+                for k in range(n):
+                    if k == r == c:
+                        continue
+                    term = self._times(A[r][k], B[k][c]) - self._times(B[r][k], A[k][c])
+                    acc = term if acc is None else acc + term
+                row.append(acc)
+            out.append(row)
+        return type(self)(self.registry, out)
 
     def __eq__(self, other) -> bool:
         return (

@@ -25,10 +25,11 @@ from .galrealize import CENTRAL_NAME, StructureTable, default_table, realize
 from .weylop import ScalarDiffOp
 
 # Every generator is a dense complex matrix of side (n_max+1)**2.  A run holds
-# at most 14 of them (tracemalloc peak at n_max 12 and 20): the seven
-# generators and one table row's temporaries when the low block is the whole
-# space; at low = n_max/3 the peak is about 8.5.  Larger truncations are
-# refused before allocating.
+# about 11.5 of them when the low block is the whole space (tracemalloc peak
+# at n_max 12 and 20): the seven generators and one table row's products,
+# right-hand side and residual; at low = n_max/3 the peak, about 8.5, comes
+# while the generators are built.  The bound of 14 is kept, so the refused
+# truncations are the same.  Larger truncations are refused before allocating.
 PEAK_DENSE_MATRICES = 14
 DENSE_BYTES_BUDGET = 2 * 1024**3
 
@@ -181,21 +182,29 @@ def residual_report(
     central symbol has no matrix realization here, so rows producing it are
     compared against zero.
     """
-    n_max = int(round(np.sqrt(next(iter(ops.values())).shape[0]))) - 1
+    side = next(iter(ops.values())).shape[0]
+    n_max = int(round(np.sqrt(side))) - 1
     keep = low_mode_indices(n_max, low_cutoff)
+    # a block that is the whole space is the matrices as they are: no copies
+    whole = len(keep) == side
     block = np.ix_(keep, keep)
     table = table if table is not None else default_table()
 
     report = NumericReport(model, m, t, n_max, low_cutoff, tol)
     for row in table.rows:
         A, B = ops[row.lhs], ops[row.rhs]
-        ab = A[keep] @ B[:, keep]
-        ba = B[keep] @ A[:, keep]
+        if whole:
+            ab, ba = A @ B, B @ A
+        else:
+            ab = A[keep] @ B[:, keep]
+            ba = B[keep] @ A[:, keep]
         rhs = np.zeros_like(ab)
         for name, coeff in row.expected.items():
             if name != CENTRAL_NAME:
-                rhs = rhs + (complex(coeff.re) + 1j * complex(coeff.im)) * ops[name][block]
-        resid = ab - ba - rhs
+                target = ops[name] if whole else ops[name][block]
+                rhs += (complex(coeff.re) + 1j * complex(coeff.im)) * target
+        resid = ab - ba
+        resid -= rhs
         worst = _peak(resid)
         scale = max(1.0, _peak(ab), _peak(ba), _peak(rhs))
         report.rows.append(
@@ -207,6 +216,7 @@ def residual_report(
                 passed=worst <= tol * scale,
             )
         )
+        del ab, ba, rhs, resid  # freed before the next row allocates its own
     return report
 
 

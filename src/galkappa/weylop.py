@@ -4,12 +4,19 @@ Operators live in coordinates (x1, x2, t) with derivative directions
 (d1, d2, dt).  The canonical normal form keeps every derivative to the right
 of every coefficient; two operators are equal exactly when their normal
 forms coincide.  Composition uses the generalized Leibniz rule with exact
-integer binomials.
+integer binomials.  The bracket [A, B] is one Leibniz pass over the
+derivative cross terms only: the zero-order products f g d^(alpha+beta) of
+A o B and B o A are equal, because coefficients commute, and are never formed.
 
 Degree guards: coefficient polynomials may not exceed total coordinate
 degree 8 and derivative monomials may not exceed order 6.  Everything needed
 here stays far below both bounds, so hitting one indicates a runaway
-computation rather than a legitimate workload.
+computation rather than a legitimate workload.  Coordinates are never
+invertible, so a derivative lowers both the order and the coordinate degree
+of a term.  The top parts of A o B are then products of the nonzero top
+parts of A and B, over an integral domain, so A o B is over a guard exactly
+when ord A + ord B or deg A + deg B is; the bracket raises in exactly those
+cases too.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ class ScalarDiffOp(TermMap):
         for c in COORDS:
             if c not in registry:
                 raise ValueError(f"registry lacks coordinate symbol {c!r}")
+            if registry.is_invertible(c):
+                raise ValueError(f"coordinate symbol {c!r} must not be invertible")
         self.registry = registry
         clean: Dict[MultiIndex, PolyExpr] = {}
         for midx, coeff in terms.items():
@@ -96,10 +105,13 @@ class ScalarDiffOp(TermMap):
             self.registry, {m: factor * c for m, c in self._terms.items()}
         )
 
-    def compose(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
-        """Normal-form product: derivatives act through coefficients (Leibniz)."""
-        self._coerce(other)
-        terms: Dict[MultiIndex, PolyExpr] = {}
+    def _leibniz(self, other: "ScalarDiffOp", terms: dict, sign: int, start: int) -> None:
+        """Accumulate sign * C(alpha, gamma) f * (d^gamma g) d^(alpha - gamma + beta).
+
+        One term for every f d^alpha of self, g d^beta of other and gamma <=
+        alpha with |gamma| >= start: start 0 gives the whole product
+        self o other, start 1 only its derivative cross terms.
+        """
         # derivatives of each right-hand coefficient by order (g1, g2, gt),
         # each taken once, from the order one lower that the loops met before
         derivatives = {beta: {ZERO_IDX: g} for beta, g in other._terms.items()}
@@ -108,6 +120,8 @@ class ScalarDiffOp(TermMap):
                 for g1 in range(alpha[0] + 1):
                     for g2 in range(alpha[1] + 1):
                         for gt in range(alpha[2] + 1):
+                            if g1 + g2 + gt < start:
+                                continue
                             order = (g1, g2, gt)
                             dg = by_order.get(order)
                             if dg is None:
@@ -121,7 +135,7 @@ class ScalarDiffOp(TermMap):
                             if dg.is_zero:
                                 continue
                             term = f * dg
-                            w = (
+                            w = sign * (
                                 math.comb(alpha[0], g1)
                                 * math.comb(alpha[1], g2)
                                 * math.comb(alpha[2], gt)
@@ -134,11 +148,44 @@ class ScalarDiffOp(TermMap):
                                 alpha[2] - gt + beta[2],
                             )
                             accumulate(terms, midx, term)
+
+    def compose(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
+        """Normal-form product: derivatives act through coefficients (Leibniz)."""
+        self._coerce(other)
+        terms: Dict[MultiIndex, PolyExpr] = {}
+        self._leibniz(other, terms, 1, 0)
         # the constructor applies the degree guards to the result
         return ScalarDiffOp(self.registry, terms)
 
+    def _extent(self) -> Tuple[int, int]:
+        """(derivative order, coefficient coordinate degree) of a nonzero operator."""
+        return (
+            max(map(sum, self._terms)),
+            max(c.max_degree(COORDS) for c in self._terms.values()),
+        )
+
     def bracket(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
-        return self.compose(other) - other.compose(self)
+        """The commutator self o other - other o self, from its cross terms only.
+
+        The zero-order products f g d^(alpha+beta) of the two compositions
+        are equal, since coefficients commute, so they are never formed.
+        A o B and B o A each raise DegreeOverflow exactly when the order sum
+        or the coordinate-degree sum of the operands is over its guard (see
+        the module docstring), and so does the bracket.
+        """
+        self._coerce(other)
+        if self._terms and other._terms:
+            (order_a, degree_a), (order_b, degree_b) = self._extent(), other._extent()
+            if order_a + order_b > MAX_DERIV_ORDER:
+                raise DegreeOverflow(
+                    f"derivative order {order_a + order_b} exceeds guard"
+                )
+            if degree_a + degree_b > MAX_COEFF_DEGREE:
+                raise DegreeOverflow("coefficient coordinate degree exceeds guard")
+        terms: Dict[MultiIndex, PolyExpr] = {}
+        self._leibniz(other, terms, 1, 1)
+        other._leibniz(self, terms, -1, 1)
+        return ScalarDiffOp(self.registry, terms)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -180,6 +227,10 @@ class DiffOp(SquareMatrix):
     @staticmethod
     def _times(a: ScalarDiffOp, b: ScalarDiffOp) -> ScalarDiffOp:
         return a.compose(b)
+
+    @staticmethod
+    def _bracket(a: ScalarDiffOp, b: ScalarDiffOp) -> ScalarDiffOp:
+        return a.bracket(b)
 
     @staticmethod
     def scalar(op: ScalarDiffOp) -> "DiffOp":

@@ -5,13 +5,16 @@ here as the reference: generators transcribed by hand as full
 (n_max+1)^2 matrices, and residuals projected with a dense 0/1 projector.
 The package now evaluates the exact `galrealize` generators and forms only
 the low-mode block; both must give the same matrices and residuals.
+`copying_residuals` is the block scoring that always copied the block out of
+the generators, even when the block is the whole space; `residual_report`
+must give bitwise the same rows.
 """
 
 import numpy as np
 import pytest
 
-from galkappa.galrealize import MODELS, default_table, literal_table
-from galkappa.numtrunc import build_numeric, residual_report
+from galkappa.galrealize import CENTRAL_NAME, MODELS, default_table, literal_table
+from galkappa.numtrunc import build_numeric, low_mode_indices, residual_report
 
 SETTINGS = [(1.0, 0.5), (0.7, 1.3), (2.0, 0.0), (0.25, -2.0)]
 
@@ -83,3 +86,34 @@ def test_evaluated_generators_and_residuals_match_dense_reference(model, spin_s,
             assert row.exact_zero == exact_zero, (row.lhs, row.rhs, n_max)
         k1k2 = ops["K1"] @ ops["K2"] - ops["K2"] @ ops["K1"]
         assert np.all(k1k2 == 0.0)
+
+
+def copying_residuals(ops, table, n_max, low, tol=1e-9):
+    keep = low_mode_indices(n_max, low)
+    block = np.ix_(keep, keep)
+    out = []
+    for row in table.rows:
+        A, B = ops[row.lhs], ops[row.rhs]
+        ab = A[keep] @ B[:, keep]
+        ba = B[keep] @ A[:, keep]
+        rhs = np.zeros_like(ab)
+        for name, coeff in row.expected.items():
+            if name != CENTRAL_NAME:
+                rhs = rhs + (complex(coeff.re) + 1j * complex(coeff.im)) * ops[name][block]
+        resid = ab - ba - rhs
+        worst = float(np.max(np.abs(resid)))
+        scale = max(1.0, *(float(np.max(np.abs(a))) for a in (ab, ba, rhs)))
+        out.append((row.lhs, row.rhs, worst, bool(np.all(resid == 0.0)), worst <= tol * scale))
+    return out
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_whole_space_block_matches_the_copying_path_bitwise(model):
+    for n_max in range(6, 13):
+        m, t = SETTINGS[n_max % len(SETTINGS)]
+        ops = build_numeric(model, m=m, t=t, n_max=n_max, spin_s=1, rank=2)
+        table = literal_table() if n_max % 3 == 0 else default_table()
+        for low in (n_max, n_max // 3):
+            rep = residual_report(ops, table=table, low_cutoff=low, m=m, t=t)
+            got = [(r.lhs, r.rhs, r.residual, r.exact_zero, r.passed) for r in rep.rows]
+            assert got == copying_residuals(ops, table, n_max, low), (n_max, low)

@@ -1,5 +1,7 @@
 """Floating-point commutator checks on the truncated mode space."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,22 @@ def test_boost_commutator_is_bitwise_zero():
     ops = build_numeric("schrodinger", n_max=10)
     comm = ops["K1"] @ ops["K2"] - ops["K2"] @ ops["K1"]
     assert np.all(comm == 0.0)
+
+
+@pytest.mark.parametrize("n_max", [12, 20])
+def test_whole_space_block_makes_no_copies_of_the_generators(n_max):
+    # the row's two products, its right-hand side and its residual: with a
+    # copy of A and B for each product the peak was 7 matrices
+    ops = build_numeric("schrodinger", n_max=n_max)
+    matrix_bytes = ops["P1"].nbytes
+    tracemalloc.start()
+    try:
+        rep = residual_report(ops, low_cutoff=n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.rows) == 21
+    assert peak <= 5 * matrix_bytes, peak / matrix_bytes
 
 
 def test_acceptance_settings_pass_tightly():

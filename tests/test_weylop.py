@@ -71,6 +71,15 @@ def test_degree_guards(reg):
         ScalarDiffOp.coeff(big)
 
 
+def test_coordinates_must_not_be_invertible():
+    # a derivative of x1^-1 raises the coordinate degree, which the exact
+    # guard rule for brackets excludes
+    for name in ("x1", "x2", "t"):
+        laurent = SymbolRegistry(("x1", "x2", "t", "m"), invertible={"m", name})
+        with pytest.raises(ValueError, match="must not be invertible"):
+            ScalarDiffOp.zero(laurent)
+
+
 def test_matrix_ops_and_bracket(reg):
     z = ScalarDiffOp.zero(reg)
     d1 = d(reg, (1, 0, 0))
