@@ -4,6 +4,9 @@ the shared sparse-map and square-matrix containers.
 Every coefficient in this package is a complex number with rational real and
 imaginary parts (a Gaussian rational), so all verification is equality of
 canonical forms -- there are no tolerances anywhere in the symbolic layer.
+A `Scalar` is one reduced integer triple (a, b, d) for (a + b*i)/d, so its
+arithmetic is integer arithmetic plus one gcd per result; Fractions appear
+only at the public edges (the constructor and the `re`/`im` parts).
 
 Polynomials are multivariate over a fixed registry of named symbols.  A
 symbol registered as invertible may carry negative exponents (Laurent terms);
@@ -20,29 +23,49 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import NotInvertible, RegistryMismatch, ShapeError
 
 
-@dataclass(frozen=True, slots=True)
 class Scalar:
-    """A Gaussian rational: re + im*i with both parts exact fractions.
+    """A Gaussian rational (a + b*i)/d, stored as one triple of ints.
 
-    The public constructor accepts ints and Fractions and normalizes them;
-    arithmetic builds its results with `_from_fractions`, which skips that
-    step because Fraction arithmetic already yields Fractions in lowest terms.
+    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
+    have equal triples and equal hashes.  `re` and `im` give the two parts as
+    Fractions.  The public constructor accepts ints, Fractions and strings;
+    arithmetic works on the integers alone and builds its results with
+    `_reduced`, which divides out gcd(a, b, d) (skipped when d == 1), or with
+    `_canonical` when the result is canonical by construction.  Instances
+    are immutable: assignment raises `dataclasses.FrozenInstanceError`.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_abd",)
 
-    def __post_init__(self):
-        # normalize ints and reduce; Fraction already keeps lowest terms
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re=0, im=0):
+        # ints and Fractions are already in lowest terms; strings and the
+        # like are read by Fraction
+        if not isinstance(re, _RATIONALS):
+            re = Fraction(re)
+        if not isinstance(im, _RATIONALS):
+            im = Fraction(im)
+        dr, di = re.denominator, im.denominator
+        # over the lcm of two reduced denominators, gcd(a, b, d) is already 1
+        d = dr if dr == di else lcm(dr, di)
+        _SET(self, (re.numerator * (d // dr), im.numerator * (d // di), d))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default restores the slot through __setattr__, which refuses
+        return (Scalar, (self.re, self.im))
 
     # -- constructors ------------------------------------------------------
 
@@ -50,131 +73,191 @@ class Scalar:
     def of(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar(Fraction(value))
+        if isinstance(value, _RATIONALS):
+            return Scalar(value)
         raise TypeError(f"cannot build Scalar from {value!r}")
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
 
     # -- arithmetic --------------------------------------------------------
     # Each operator tests first for an operand that is exactly a Scalar, the
-    # case of nearly every call; ints and Fractions are lifted through `of`.
+    # case of nearly every call; ints and Fractions are lifted by `_operand`,
+    # and any other operand gives NotImplemented.  No operator calls another,
+    # so each counts as one operation wherever the operators are counted.
 
     def __add__(self, other) -> "Scalar":
         if type(other) is not Scalar:
-            if not isinstance(other, _OPERANDS):
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
-            other = Scalar.of(other)
-        if not other.im:
-            return _from_fractions(self.re + other.re, self.im)
-        return _from_fractions(self.re + other.re, self.im + other.im)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return _from_fractions(-self.re, -self.im)
+        a, b, d = self._abd
+        return _canonical(-a, -b, d)
 
     def __sub__(self, other) -> "Scalar":
         if type(other) is not Scalar:
-            if not isinstance(other, _OPERANDS):
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
-            other = Scalar.of(other)
-        if not other.im:
-            return _from_fractions(self.re - other.re, self.im)
-        return _from_fractions(self.re - other.re, self.im - other.im)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other) -> "Scalar":
-        if not isinstance(other, _OPERANDS):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        other = Scalar.of(other)
-        return _from_fractions(other.re - self.re, other.im - self.im)
+        a, b, d = self._abd
+        c, e, f = other._abd
+        return _reduced(c * d - a * f, e * d - b * f, d * f)
 
     def __mul__(self, other) -> "Scalar":
         if type(other) is not Scalar:
             if type(other) is int:
-                # Fraction * int is already in lowest terms; no Scalar is built
-                return _from_fractions(self.re * other, self.im * other)
-            if not isinstance(other, _OPERANDS):
+                # derivatives and binomial weights multiply by ints; no
+                # operand Scalar is built for them
+                a, b, d = self._abd
+                return _reduced(a * other, b * other, d)
+            other = _operand(other)
+            if other is None:
                 return NotImplemented
-            other = Scalar.of(other)
-        # a part known to be zero is reused as the zero part of the product
-        if not (self.im or other.im):
-            return _from_fractions(self.re * other.re, self.im)
-        if not (self.re or other.re):
-            return _from_fractions(-(self.im * other.im), self.re)
-        if not (self.im or other.re):
-            return _from_fractions(self.im, self.re * other.im)
-        if not (self.re or other.im):
-            return _from_fractions(other.im, self.im * other.re)
-        return _from_fractions(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._abd
+        c, e, f = other._abd
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
         if type(other) is not Scalar:
-            other = Scalar.of(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        return _from_fractions(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return _quotient(self, other)
+
+    def __rtruediv__(self, other) -> "Scalar":
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return _quotient(other, self)
 
     def conj(self) -> "Scalar":
-        return _from_fractions(self.re, -self.im)
+        a, b, d = self._abd
+        return _canonical(a, -b, d)
 
     @property
     def is_zero(self) -> bool:
-        return not (self.re or self.im)
+        abd = self._abd
+        return not (abd[0] or abd[1])
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        abd = self._abd
+        return bool(abd[0] or abd[1])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Scalar:
+            return NotImplemented
+        return self._abd == other._abd
+
+    def __hash__(self) -> int:
+        return hash(self._abd)
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero:
+        a, b, d = self._abd
+        if not (a or b):
             return "0"
-        parts = []
-        if self.re != 0:
-            parts.append(str(self.re))
-        if self.im != 0:
-            if self.im == 1:
+        text = _ratio(a, d) if a else ""
+        if b:
+            if b == d:
                 imtxt = "i"
-            elif self.im == -1:
+            elif b == -d:
                 imtxt = "-i"
             else:
-                imtxt = f"{self.im}*i"
-            if parts and not imtxt.startswith("-"):
-                parts.append("+" + imtxt)
-            else:
-                parts.append(imtxt)
-        return "".join(parts)
+                imtxt = _ratio(b, d) + "*i"
+            if text and imtxt[0] != "-":
+                text += "+"
+            text += imtxt
+        return text
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
 
-_OPERANDS = (Scalar, int, Fraction)
-_SET_RE = Scalar.re.__set__
-_SET_IM = Scalar.im.__set__
+_RATIONALS = (int, Fraction)
+_new = object.__new__
+_SET = Scalar._abd.__set__
 
 
-def _from_fractions(re: Fraction, im: Fraction) -> Scalar:
-    """Private constructor for parts that are already Fractions."""
-    value = object.__new__(Scalar)
-    _SET_RE(value, re)
-    _SET_IM(value, im)
+def _canonical(a: int, b: int, d: int) -> Scalar:
+    """Private constructor for a triple that is already canonical."""
+    value = _new(Scalar)
+    _SET(value, (a, b, d))
     return value
 
 
+def _reduced(a: int, b: int, d: int) -> Scalar:
+    """Private constructor for (a + b*i)/d with d > 0, in lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    value = _new(Scalar)
+    _SET(value, (a, b, d))
+    return value
+
+
+def _operand(value):
+    """An int or Fraction operand as a Scalar; None for any other type."""
+    if isinstance(value, _RATIONALS):
+        return _canonical(value.numerator, 0, value.denominator)
+    return None
+
+
+def _quotient(x: Scalar, y: Scalar) -> Scalar:
+    """x / y = x * conj(y) * f / (c^2 + e^2), for y = (c + e*i)/f."""
+    c, e, f = y._abd
+    norm = c * c + e * e
+    if not norm:
+        raise ZeroDivisionError("division by zero Scalar")
+    a, b, d = x._abd
+    return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * norm)
+
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, printed as a Fraction prints."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 ZERO = Scalar()
-ONE = Scalar(Fraction(1))
-I = Scalar(Fraction(0), Fraction(1))
+ONE = Scalar(1)
+I = Scalar(0, 1)
 HALF = Scalar(Fraction(1, 2))
-NEG_I = Scalar(Fraction(0), Fraction(-1))
+NEG_I = Scalar(0, -1)
 
 _SCALAR_TOKEN = re.compile(
     r"""^\s*(?P<sign>[+-])?\s*
@@ -193,15 +276,14 @@ def parse_scalar(text: str) -> Scalar:
         raise ValueError(f"malformed scalar literal: {text!r}")
     sign = -1 if m.group("sign") == "-" else 1
     if m.group("imag_only"):
-        return Scalar(0, Fraction(sign))
-    num = int(m.group("num"))
+        return _canonical(0, sign, 1)
+    num = sign * int(m.group("num"))
     den = int(m.group("den") or 1)
     if den == 0:
         raise ValueError(f"zero denominator in scalar literal: {text!r}")
-    q = Fraction(sign * num, den)
     if m.group("imag"):
-        return Scalar(0, q)
-    return Scalar(q)
+        return _reduced(0, num, den)
+    return _reduced(num, 0, den)
 
 
 class SymbolRegistry:
@@ -222,12 +304,22 @@ class SymbolRegistry:
         self.names: Tuple[str, ...] = names
         self.invertible: frozenset = invertible
         self._index = {n: k for k, n in enumerate(names)}
+        self._positions: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
 
     def index(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
             raise KeyError(f"unknown symbol {name!r}") from None
+
+    def positions(self, names: Iterable[str]) -> Tuple[int, ...]:
+        """The indices of several names, looked up once per registry."""
+        if type(names) is not tuple:
+            names = tuple(names)
+        found = self._positions.get(names)
+        if found is None:
+            found = self._positions[names] = tuple(self.index(n) for n in names)
+        return found
 
     def is_invertible(self, name: str) -> bool:
         return name in self.invertible
@@ -391,15 +483,19 @@ class PolyExpr(TermMap):
         return self._terms.get(tuple(key), ZERO)
 
     def uses_symbols(self, names: Iterable[str]) -> bool:
-        idxs = [self.registry.index(n) for n in names]
+        idxs = self.registry.positions(names)
         return any(any(key[i] != 0 for i in idxs) for key in self._terms)
 
     def max_degree(self, names: Iterable[str]) -> int:
         """Largest total degree over the given symbols (0 for the zero poly)."""
-        idxs = [self.registry.index(n) for n in names]
+        idxs = self.registry.positions(names)
         best = 0
         for key in self._terms:
-            best = max(best, sum(abs(key[i]) for i in idxs))
+            degree = 0
+            for i in idxs:
+                degree += abs(key[i])
+            if degree > best:
+                best = degree
         return best
 
     # -- arithmetic --------------------------------------------------------

@@ -8,7 +8,11 @@ arithmetic is compared with the same formulas evaluated on plain
 `(Fraction, Fraction)` pairs.
 """
 
+import copy
 import dataclasses
+import math
+import operator
+import pickle
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 from galkappa import algfile, cocycle
 from galkappa.cocycle import _rref, central_extensions
 from galkappa.exactscalar import ONE, ZERO, Scalar
+from galkappa.galrealize import kappa_shift, realize
 
 
 def dense_rref(rows: List[List[Scalar]], ncols: int) -> Tuple[int, List[int], List[List[Scalar]]]:
@@ -179,6 +184,9 @@ def test_scalar_mixed_operands_match_fraction_pairs(p, r):
     _is_exact(r * x, a * r, b * r)
     if r:
         _is_exact(x / r, a / r, b / r)
+    norm = a * a + b * b
+    if norm:
+        _is_exact(r / x, r * a / norm, -r * b / norm)
 
 
 def test_public_constructor_still_normalizes():
@@ -193,3 +201,104 @@ def test_scalar_is_frozen_and_slotted():
     assert not hasattr(x, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         x.re = Fraction(3)
+
+
+def test_division_takes_the_operands_of_the_other_operators():
+    assert 1 / Scalar(2) == Scalar(Fraction(1, 2))
+    assert Fraction(1, 2) / Scalar(0, 2) == Scalar(0, Fraction(-1, 4))
+    with pytest.raises(ZeroDivisionError):
+        1 / ZERO
+    x = Scalar(2)
+    for bad in (2.5, 1j, "1", None):
+        assert x.__truediv__(bad) is NotImplemented
+        assert x.__rtruediv__(bad) is NotImplemented
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(x, bad)
+            with pytest.raises(TypeError):
+                op(bad, x)
+
+
+def reference_str(re: Fraction, im: Fraction) -> str:
+    """A Scalar printed from its two Fraction parts, as the package prints it."""
+    if not (re or im):
+        return "0"
+    parts = []
+    if re != 0:
+        parts.append(str(re))
+    if im != 0:
+        if im == 1:
+            imtxt = "i"
+        elif im == -1:
+            imtxt = "-i"
+        else:
+            imtxt = f"{im}*i"
+        if parts and not imtxt.startswith("-"):
+            parts.append("+" + imtxt)
+        else:
+            parts.append(imtxt)
+    return "".join(parts)
+
+
+def assert_canonical(x: Scalar) -> None:
+    """The stored triple is reduced, and the value survives its public parts."""
+    assert type(x) is Scalar
+    a, b, d = x._abd
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and math.gcd(a, b, d) == 1
+    re, im = x.re, x.im
+    for part in (re, im):
+        assert type(part) is Fraction
+        assert part.denominator > 0 and math.gcd(part.numerator, part.denominator) == 1
+    public = Scalar(re, im)
+    assert public == x and public._abd == x._abd and hash(public) == hash(x)
+    assert str(x) == reference_str(re, im)
+    assert repr(x) == f"Scalar({reference_str(re, im)})"
+
+
+# small parts meet equal and unit denominators; wide ones carry tens of bits
+wide = st.fractions(min_value=-(2**40), max_value=2**40, max_denominator=2**40)
+parts = st.one_of(st.integers(-3, 3), rationals, wide)
+operands = st.one_of(st.integers(-(2**40), 2**40), rationals, wide)
+
+
+@settings(max_examples=300)
+@given(st.tuples(parts, parts), st.tuples(parts, parts), operands)
+def test_every_result_is_a_canonical_triple(p, q, r):
+    x, y = Scalar(*p), Scalar(*q)
+    results = [x, y, x + y, x - y, x * y, -x, x.conj(), x + r, r + x, x - r, r - x,
+               x * r, r * x, Scalar(str(p[0]), str(p[1])), Scalar.of(r), x * 0, x - x]
+    if not y.is_zero:
+        results.append(x / y)
+    if r:
+        results.append(x / r)
+    if not x.is_zero:
+        results.append(r / x)
+    for z in results:
+        assert_canonical(z)
+    assert Scalar(p[0]) == Scalar.of(p[0])
+
+
+def round_trips(obj):
+    return [pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)]
+
+
+@given(st.tuples(parts, parts))
+def test_scalar_pickles_and_copies(p):
+    x = Scalar(*p)
+    for y in round_trips(x):
+        assert_canonical(y)
+        assert y == x and hash(y) == hash(x) and str(y) == str(x)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            y.re = Fraction(3)
+
+
+def test_polynomials_and_realized_operators_pickle_and_copy():
+    K1 = kappa_shift(realize("multispinor", 1, 3), Fraction(3, 7))["K1"]
+    entry = K1.entry(0, 0)
+    poly = entry.coefficient((0, 1, 0))  # -3/14*i*m^-1
+    for obj in (poly, entry, K1):
+        for y in round_trips(obj):
+            assert type(y) is type(obj)
+            assert y == obj and hash(y) == hash(obj) and str(y) == str(obj)
+            assert y.registry == obj.registry
