@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -33,6 +34,7 @@ from .fieldcheck import (
 )
 from .galrealize import (
     MODELS,
+    check_rank,
     check_spin,
     default_table,
     extend_lambda,
@@ -60,92 +62,154 @@ class _Parser(argparse.ArgumentParser):
         (sys.stdout if file is None else file).write(self.format_help())
 
 
-def _add_algebra(alg: argparse.ArgumentParser) -> None:
-    alg_sub = alg.add_subparsers(dest="subcommand", required=True)
-    verify = alg_sub.add_parser("verify", help="check the Jacobi identity")
-    cohom = alg_sub.add_parser(
-        "cohomology", help="compute the central-extension space"
-    )
-    source_help = ("path to an algebra file, or the name of a bundled one "
-                   f"({', '.join(algfile.bundled_names())})")
-    for s in (verify, cohom):
-        s.add_argument("source", help=source_help)
+# Every argument of every command, declared once as the flag (or positional
+# name) and keyword arguments of `add_argument`.  `build_parser` builds
+# argparse from these entries; `_parse_direct` reads the same entries' dest,
+# type, default, choices and action.  `algebra` takes its arguments after
+# one of its subcommands, and the help of its source lists the bundled
+# algebras.
+_ALGEBRA_SUBCOMMANDS = {
+    "verify": "check the Jacobi identity",
+    "cohomology": "compute the central-extension space",
+}
+_COMMANDS = {
+    "algebra": ("parse and analyze an algebra file", (
+        ("source", {"help": "path to an algebra file, or the name of a bundled "
+                    "one ({bundled})"}),
+    )),
+    "realize": ("build generators and verify brackets", (
+        ("model", {"choices": MODELS}),
+        ("--spin-s", {"dest": "spin_s", "type": int, "default": 1,
+                      "help": "spin label, +1 or -1"}),
+        ("--rank", {"type": int, "default": 1, "help": "multispinor rank (1..4)"}),
+        ("--lambda", {"dest": "lam", "default": None, "metavar": "VALUE",
+                      "help": "shift the rotation generator by VALUE times the "
+                      "identity (exact literal like 1/2 or the symbol lam)"}),
+        ("--shift", {"default": None, "metavar": "VALUE",
+                     "help": "redefine the boosts with parameter VALUE "
+                     "(exact literal or the symbol c)"}),
+        ("--strict-literal-table", {"action": "store_true",
+                                    "help": "verify against the literal table variant, "
+                                    "whose boost-time rows are pinned to zero"}),
+    )),
+    "fieldcheck": ("field-level identity checks", (
+        ("check", {"choices": ("conservation", "boost", "rotation", "multispinor-eqs")}),
+        ("--index", {"type": int, "choices": (1, 2), "default": None,
+                     "help": "restrict the conservation check to one free index"}),
+        ("--spin-s", {"dest": "spin_s", "type": int, "default": None,
+                      "help": "restrict to one spin label (+1 or -1)"}),
+        ("--variant", {"choices": ("corrected", "literal"), "default": "corrected",
+                       "help": "which transcription of the current to test"}),
+        ("--rank", {"type": int, "default": 1,
+                    "help": "multispinor rank for multispinor-eqs"}),
+    )),
+    "numcheck": ("floating-point truncation cross-check", (
+        ("--model", {"choices": MODELS, "default": "schrodinger"}),
+        ("--nmax", {"type": int, "default": 24,
+                    "help": "highest oscillator mode kept per axis"}),
+        ("--low", {"type": int, "default": 8,
+                   "help": "low-mode block used for residual measurement"}),
+        ("--m", {"type": float, "default": 1.0, "help": "mass value"}),
+        ("--t", {"type": float, "default": 0.5, "help": "time value"}),
+        ("--tol", {"type": float, "default": 1e-9,
+                   "help": "residual tolerance, relative to the largest entry "
+                   "(at least 1) of the low-block products and expected value"}),
+        ("--spin-s", {"dest": "spin_s", "type": int, "default": 1}),
+        ("--rank", {"type": int, "default": 1}),
+    )),
+}
 
 
-def _add_realize(re_p: argparse.ArgumentParser) -> None:
-    re_p.add_argument("model", choices=MODELS)
-    re_p.add_argument("--spin-s", dest="spin_s", type=int, default=1,
-                      help="spin label, +1 or -1")
-    re_p.add_argument("--rank", type=int, default=1,
-                      help="multispinor rank (1..4)")
-    re_p.add_argument("--lambda", dest="lam", default=None, metavar="VALUE",
-                      help="shift the rotation generator by VALUE times the "
-                      "identity (exact literal like 1/2 or the symbol lam)")
-    re_p.add_argument("--shift", default=None, metavar="VALUE",
-                      help="redefine the boosts with parameter VALUE "
-                      "(exact literal or the symbol c)")
-    re_p.add_argument("--strict-literal-table", action="store_true",
-                      help="verify against the literal table variant, whose "
-                      "boost-time rows are pinned to zero")
-
-
-def _add_fieldcheck(fc: argparse.ArgumentParser) -> None:
-    fc.add_argument("check", choices=("conservation", "boost", "rotation",
-                                      "multispinor-eqs"))
-    fc.add_argument("--index", type=int, choices=(1, 2), default=None,
-                    help="restrict the conservation check to one free index")
-    fc.add_argument("--spin-s", dest="spin_s", type=int, default=None,
-                    help="restrict to one spin label (+1 or -1)")
-    fc.add_argument("--variant", choices=("corrected", "literal"),
-                    default="corrected",
-                    help="which transcription of the current to test")
-    fc.add_argument("--rank", type=int, default=1,
-                    help="multispinor rank for multispinor-eqs")
-
-
-def _add_numcheck(nc: argparse.ArgumentParser) -> None:
-    nc.add_argument("--model", choices=MODELS, default="schrodinger")
-    nc.add_argument("--nmax", type=int, default=24,
-                    help="highest oscillator mode kept per axis")
-    nc.add_argument("--low", type=int, default=8,
-                    help="low-mode block used for residual measurement")
-    nc.add_argument("--m", type=float, default=1.0, help="mass value")
-    nc.add_argument("--t", type=float, default=0.5, help="time value")
-    nc.add_argument("--tol", type=float, default=1e-9,
-                    help="residual tolerance, relative to the largest entry "
-                    "(at least 1) of the low-block products and expected value")
-    nc.add_argument("--spin-s", dest="spin_s", type=int, default=1)
-    nc.add_argument("--rank", type=int, default=1)
-
-
-# (name, help, the function that adds its arguments)
-_COMMANDS = (
-    ("algebra", "parse and analyze an algebra file", _add_algebra),
-    ("realize", "build generators and verify brackets", _add_realize),
-    ("fieldcheck", "field-level identity checks", _add_fieldcheck),
-    ("numcheck", "floating-point truncation cross-check", _add_numcheck),
-)
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The command-line parser, with every subcommand or only `command`.
-
-    Every subcommand is registered either way, so top-level usage, help and
-    errors are the same; given a name, only that subcommand gets its
-    arguments.  Parsing argv whose command is `command` then gives the same
-    result, output and exit as the full parser.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built from the argument table."""
     p = _Parser(
         prog="galkappa",
         description="Exact checks on planar kinematical symmetry and its "
         "free-field realizations.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments in _COMMANDS:
+    for name, (help_text, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_arguments(sp)
+        if name != "algebra":
+            for flag, kwargs in arguments:
+                sp.add_argument(flag, **kwargs)
+            continue
+        alg_sub = sp.add_subparsers(dest="subcommand", required=True)
+        bundled = ", ".join(algfile.bundled_names())
+        for subcommand, sub_help in _ALGEBRA_SUBCOMMANDS.items():
+            s = alg_sub.add_parser(subcommand, help=sub_help)
+            for flag, kwargs in arguments:
+                s.add_argument(flag, **dict(kwargs, help=kwargs["help"].format(
+                    bundled=bundled)))
     return p
+
+
+# argparse's own pattern: no option looks like a negative number, so a word
+# matching it is a value, as in `--spin-s -1`
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _parse_direct(argv: List[str]) -> Optional[argparse.Namespace]:
+    """The argv parsed from the argument table alone, or None for argparse.
+
+    Taken are a command (for `algebra`, one of its subcommands), then in any
+    order exactly its positionals and its own long flags, spelled out in
+    full: `--flag=value`, `--flag value` where the value does not start with
+    `-` or is a negative number, and a store_true flag without `=`.  Each
+    value goes through its entry's `type` and `choices` as argparse would
+    take it.  Everything else (help, abbreviations, `--`, any other value
+    after a space that starts with `-`, anything argparse rejects) gives
+    None, so argparse parses it and writes its own help, usage and errors.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens = argv[0], argv[1:]
+    values = {"command": command}
+    if command == "algebra":
+        if not tokens or tokens[0] not in _ALGEBRA_SUBCOMMANDS:
+            return None
+        values["subcommand"], tokens = tokens[0], tokens[1:]
+    options, positionals = {}, []
+    for flag, kwargs in _COMMANDS[command][1]:
+        dest = kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
+        if flag.startswith("-"):
+            options[flag] = dest, kwargs
+            store_true = kwargs.get("action") == "store_true"
+            values[dest] = kwargs.get("default", False if store_true else None)
+        else:
+            positionals.append((dest, kwargs))
+    pending, words = [], []  # (dest, entry, text) of each value; positional texts
+    rest = iter(tokens)
+    for token in rest:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in options:
+            return None
+        dest, kwargs = options[flag]
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            values[dest] = True
+            continue
+        if not eq:
+            text = next(rest, "-")
+            if text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+                return None
+        pending.append((dest, kwargs, text))
+    if len(words) != len(positionals):
+        return None
+    pending += [(dest, kwargs, word) for (dest, kwargs), word in zip(positionals, words)]
+    for dest, kwargs, text in pending:
+        try:
+            value = kwargs.get("type", str)(text)
+        except (TypeError, ValueError):  # argparse's "invalid value"
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
 
 
 def _load_algebra(source: str):
@@ -274,6 +338,7 @@ def _requested_spins(args) -> tuple:
 
 def _cmd_fieldcheck(args) -> int:
     spins = _requested_spins(args)
+    check_rank(args.rank)  # every check takes --rank, though only multispinor-eqs reads it
     if args.check == "conservation":
         indices = (args.index,) if args.index else (1, 2)
         rows = []
@@ -357,14 +422,12 @@ def _cmd_numcheck(args) -> int:
 
 def _run(argv: Optional[List[str]]) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the top level takes no option with a value, so the first argument that
-    # is not an option is the command argparse will dispatch on
-    command = next((a for a in argv if not a.startswith("-")), None)
-    parser = build_parser(command)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse_direct(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         if args.command == "algebra":
             return _cmd_algebra(args)

@@ -7,10 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import galkappa
+import test_golden_reports
+import test_growing_fraction_reports
 from galkappa import cli, report
 from galkappa.cli import build_parser, main
+from test_exit_codes import _argvs
 
 
 def run(capsys, *argv):
@@ -226,7 +230,7 @@ def test_unknown_flag_exits_two(capsys):
     assert code == 2
 
 
-# -- parser built for one subcommand ----------------------------------------------
+# -- argv parsed from the argument table ------------------------------------------
 
 # per subcommand: valid argv, bad flags and values, and help
 PARSER_CASES = [
@@ -257,20 +261,19 @@ PARSER_CASES = [
 ]
 
 
-def _parse(parser, argv, capsys):
-    try:
-        namespace, code = parser.parse_args(argv), None
-    except SystemExit as exc:
-        namespace, code = None, exc.code
-    captured = capsys.readouterr()
-    return namespace, code, captured.out, captured.err
+def run_with_argparse_only(capsys, monkeypatch, argv):
+    """`run`, with every argv left to the argparse parser."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_direct", lambda _: None)
+        return run(capsys, *argv)
 
 
+# The direct parse must leave exit code, output and errors as argparse alone
+# gives them, for argv it takes and for argv it hands over.
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
-def test_subcommand_parser_parses_like_the_full_parser(argv, capsys):
-    full = _parse(build_parser(), argv, capsys)
-    lean = _parse(build_parser(argv[0]), argv, capsys)
-    assert lean == full
+def test_subcommand_parser_parses_like_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.delenv(report.REPORT_DIR_ENV, raising=False)
+    assert run(capsys, *argv) == run_with_argparse_only(capsys, monkeypatch, argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -285,10 +288,89 @@ def test_subcommand_parser_parses_like_the_full_parser(argv, capsys):
     ["fieldcheck", "rotation", "--spin-s", "-1"],
 ], ids=" ".join)
 def test_cli_behaves_as_with_the_full_parser(argv, capsys, monkeypatch):
-    lean = run(capsys, *argv)
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
-    assert run(capsys, *argv) == lean
+    monkeypatch.delenv(report.REPORT_DIR_ENV, raising=False)
+    assert run(capsys, *argv) == run_with_argparse_only(capsys, monkeypatch, argv)
+
+
+def _same(a, b):
+    return a == b or (a != a and b != b)  # NaN equals NaN here
+
+
+def assert_direct_parse_agrees(argv):
+    """The direct parse hands `argv` over, or parses it as argparse does."""
+    direct = cli._parse_direct(argv)
+    if direct is not None:
+        full = vars(build_parser().parse_args(argv))
+        assert vars(direct).keys() == full.keys(), argv
+        assert all(_same(v, full[k]) for k, v in vars(direct).items()), argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs)
+def test_direct_parse_agrees_with_argparse(argv):
+    assert_direct_parse_agrees(argv)
+
+
+# argv near the edge of what the direct parse takes
+EDGE_CASES = [
+    ["realize", "schrodinger", "--strict-literal-table=1"],
+    ["realize", "schrodinger", "--shift", "-c"],
+    ["realize", "schrodinger", "--shift="],
+    ["realize", "schrodinger", "--shift", ""],
+    ["realize", "--shift", "schrodinger"],
+    ["realize", "schrodinger", "--spin", "1", "--str"],
+    ["realize", "schrodinger", "--spin-s", "-1", "--rank=-1"],
+    ["realize", "schrodinger", "levyleblond"],
+    ["numcheck", "--m", "-1e-3"],
+    ["numcheck", "--m", "-.5", "--t=-1e-3"],
+    ["fieldcheck", "boost", "--index=1.0"],
+    ["algebra", "verify", "--", "so3"],
+    ["algebra", "verify", "-so3"],
+]
+
+
+def test_direct_parse_agrees_with_argparse_on_listed_argv():
+    for argv in PARSER_CASES + EDGE_CASES:
+        assert_direct_parse_agrees(argv)
+
+
+# Well-formed argv in both value forms, covering every flag of every
+# command, with their exit codes
+WELL_FORMED = {
+    "realize multispinor --rank 3 --shift c": 0,
+    "realize --rank 2 multispinor --spin-s=-1": 0,
+    "realize levyleblond --spin-s 1 --shift=-3/4 --lambda=lam --strict-literal-table": 1,
+    "fieldcheck conservation --index=2 --spin-s=-1 --variant literal": 1,
+    "fieldcheck multispinor-eqs --rank=2 --spin-s 1": 0,
+    "numcheck --model=levyleblond --nmax=6 --low=2 --m=1.5 --t 0.25 --tol=1e-8 "
+    "--spin-s=-1 --rank=2": 0,
+}
+EXIT_CODES = {**{c: code for c, (code, _) in test_golden_reports.GOLDEN.items()},
+              **WELL_FORMED}
+
+
+def _refuse_argparse():
+    raise AssertionError("argv handed over to argparse")
+
+
+@pytest.mark.parametrize("command", list(EXIT_CODES))
+def test_well_formed_argv_never_builds_argparse(command, capsys, monkeypatch):
+    argv = command.split()
+    assert_direct_parse_agrees(argv)
+    monkeypatch.delenv(report.REPORT_DIR_ENV, raising=False)
+    monkeypatch.setattr(cli, "build_parser", _refuse_argparse)
+    assert run(capsys, *argv)[0] == EXIT_CODES[command]
+
+
+@pytest.mark.parametrize("command,name,steps", test_growing_fraction_reports.CASES)
+def test_random_basis_argv_never_builds_argparse(command, name, steps, tmp_path,
+                                                 capsys, monkeypatch):
+    monkeypatch.setenv(report.REPORT_DIR_ENV, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_parser", _refuse_argparse)
+    result = test_growing_fraction_reports.run_report(command, name, steps, tmp_path)
+    capsys.readouterr()
+    assert result == test_growing_fraction_reports.GOLDEN[f"{command} {name}"]
 
 
 # -- reports -------------------------------------------------------------------

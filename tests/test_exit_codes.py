@@ -49,9 +49,11 @@ _HEADS = [[], ["algebra"], ["algebra", "verify"], ["algebra", "cohomology"], ["r
 _WORDS = ["planar_galilei", "so3", "galilei_1d", "galilei_3p1", "no_such_algebra", ".",
           "schrodinger", "levyleblond", "multispinor", "heat-kernel", "conservation",
           "boost", "rotation", "multispinor-eqs", "corrected", "literal", "c", "lam", "",
-          "-", "--"]
+          "-", "--", "--strict-literal-table=1", "--shift="]
+# help, abbreviations and the forms above are argv the CLI hands over to argparse
 _FLAGS = ["--spin-s", "--rank", "--lambda", "--shift", "--strict-literal-table", "--index",
-          "--variant", "--model", "--nmax", "--low", "--m", "--t", "--tol", "--frobnicate"]
+          "--variant", "--model", "--nmax", "--low", "--m", "--t", "--tol", "--frobnicate",
+          "-h", "--help", "--spin", "--str"]
 # No integer in 9..54 appears, so any --nmax is either small or refused by the
 # size guard before anything large is allocated.
 _VALUES = ["0", "1", "-1", "2", "3", "4", "5", "6", "7", "8", "-3", "55", "99", "100000",

@@ -27,6 +27,9 @@ def _assert_input_error(code, capsys):
         ["realize", "levyleblond", "--rank", "99"],
         ["realize", "multispinor", "--rank", "0"],
         ["realize", "schrodinger", "--rank", "5"],
+        ["fieldcheck", "boost", "--rank=0"],
+        ["fieldcheck", "rotation", "--rank", "7"],
+        ["fieldcheck", "conservation", "--index=1", "--rank=-2"],
     ],
 )
 def test_out_of_range_spin_or_rank_is_an_input_error(argv, capsys):
