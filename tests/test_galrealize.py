@@ -114,6 +114,53 @@ def test_extract_kappa_requires_central_bracket():
         extract_kappa(broken)
 
 
+def test_non_central_boost_bracket_has_no_kappa_and_fails_its_row():
+    g = realize_schrodinger()
+    reg = g.registry
+    # K1 + x2: [K1, K2] gains -i*t, a coordinate term, so no kappa exists
+    broken = g.replaced({"K1": g["K1"] + DiffOp.scalar(ScalarDiffOp.coeff(reg.symbol("x2")))}, {})
+    rep = verify_structure(broken)
+    assert rep.kappa is None
+    assert rep.mass == reg.symbol("m")
+    rows = {(r.lhs, r.rhs): r for r in rep.rows}
+    k1k2 = rows[("K1", "K2")]
+    assert (k1k2.computed, k1k2.expected, k1k2.residual, k1k2.note, k1k2.passed) == (
+        "[-i*t]", "central multiple of Id", "[-i*t]",
+        "bracket is not central; no kappa value exists", False)
+    # a failing row with an expected term, and one whose expected side is zero
+    jk2, k1p2 = rows[("J", "K2")], rows[("K1", "P2")]
+    assert (jk2.computed, jk2.expected, jk2.residual, jk2.passed) == (
+        "[-i*m*x1 + t*d1]", "[(-i*x2 - i*m*x1) + t*d1]", "[i*x2]", False)
+    assert (k1p2.computed, k1p2.expected, k1p2.residual, k1p2.passed) == (
+        "[i]", "[0]", "[i]", False)
+    # a passing row prints its computed text as expected and a zero residual
+    jp1 = rows[("J", "P1")]
+    assert (jp1.computed, jp1.expected, jp1.residual, jp1.passed) == ("[d2]", "[d2]", "[0]", True)
+    assert {(r.lhs, r.rhs) for r in rep.failing_rows()} == {
+        ("J", "K1"), ("J", "K2"), ("K1", "H"), ("K1", "K2"), ("K1", "P2")}
+
+
+def test_two_component_rows_print_matrix_texts():
+    g = realize_schrodinger()
+    reg = g.registry
+    zero = ScalarDiffOp.zero(reg)
+    doubled = GeneratorSet({name: DiffOp(reg, [[op.entry(0, 0), zero], [zero, op.entry(0, 0)]])
+                            for name, op in g.gens.items()}, g.meta)
+    rep = verify_structure(doubled, literal_table())
+    assert rep.kappa.is_zero and rep.mass == reg.symbol("m")
+    rows = {(r.lhs, r.rhs): r.to_dict() for r in rep.rows}
+    assert rows[("K1", "K2")] == {"pair": "[K1,K2]", "computed": "[0, 0; 0, 0]",
+                                  "expected": "[0, 0; 0, 0]", "residual": "[0, 0; 0, 0]",
+                                  "passed": True}
+    assert rows[("K1", "P1")] == {"pair": "[K1,P1]", "computed": "[i*m, 0; 0, i*m]",
+                                  "expected": "[i*m, 0; 0, i*m]",
+                                  "residual": "[0, 0; 0, 0]", "passed": True}
+    k1h = rows[("K1", "H")]
+    assert (k1h["computed"], k1h["expected"], k1h["residual"], k1h["passed"]) == (
+        "[d1, 0; 0, d1]", "[0, 0; 0, 0]", "[d1, 0; 0, d1]", False)
+    assert k1h["note"].startswith("literal variant pins this bracket to zero")
+
+
 def test_central_scalar_rejects_non_central():
     g = realize_schrodinger()
     assert central_scalar(g["P1"]) is None
