@@ -95,11 +95,15 @@ _COMMANDS = {
     "fieldcheck": ("field-level identity checks", (
         ("check", {"choices": ("conservation", "boost", "rotation", "multispinor-eqs")}),
         ("--index", {"type": int, "choices": (1, 2), "default": None,
-                     "help": "restrict the conservation check to one free index"}),
+                     "help": "restrict the conservation check to one free index "
+                     "(conservation only)"}),
         ("--spin-s", {"dest": "spin_s", "type": int, "default": None,
-                      "help": "restrict to one spin label (+1 or -1)"}),
-        ("--variant", {"choices": ("corrected", "literal"), "default": "corrected",
-                       "help": "which transcription of the current to test"}),
+                      "help": "restrict to one spin label (+1 or -1); without it "
+                      "every check runs both spins, except multispinor-eqs, "
+                      "which checks spin +1"}),
+        ("--variant", {"choices": ("corrected", "literal"), "default": None,
+                       "help": "which transcription of the current to test "
+                       "(conservation only; default corrected)"}),
         ("--rank", {"type": int, "default": 1,
                     "help": "multispinor rank for multispinor-eqs"}),
     )),
@@ -339,12 +343,17 @@ def _requested_spins(args) -> tuple:
 def _cmd_fieldcheck(args) -> int:
     spins = _requested_spins(args)
     check_rank(args.rank)  # every check takes --rank, though only multispinor-eqs reads it
+    if args.check != "conservation":
+        for flag, value in (("--index", args.index), ("--variant", args.variant)):
+            if value is not None:
+                raise BadParameter(f"{flag} applies only to fieldcheck conservation")
     if args.check == "conservation":
+        variant = args.variant or "corrected"
         indices = (args.index,) if args.index else (1, 2)
         rows = []
         for i in indices:
             for s in spins:
-                resid = check_conservation(i, s, variant=args.variant)
+                resid = check_conservation(i, s, variant=variant)
                 rows.append({
                     "index": i,
                     "spin": s,
@@ -359,7 +368,7 @@ def _cmd_fieldcheck(args) -> int:
         payload = report.build_payload(
             "fieldcheck conservation",
             [report.check_record("conservation-law",
-                                 ok, {"variant": args.variant, "rows": rows})],
+                                 ok, {"variant": variant, "rows": rows})],
         )
         _emit("fieldcheck-conservation", payload)
         return EXIT_OK if ok else EXIT_FAIL

@@ -373,38 +373,32 @@ def verify_structure(g: GeneratorSet, table: Optional[StructureTable] = None) ->
     report.kappa = _central_over_i(pair_bracket("K1", "K2"))
     report.mass = _central_over_i(pair_bracket("K1", "P1"))
 
+    # a row passes when its residual is zero, that is when the computed and
+    # expected term maps are equal; then both print alike and the residual
+    # prints as the zero matrix, so only a failing row prints them apart
+    zero_text = str(DiffOp.zeros(reg, g.dim))
     for row in table.rows:
         computed = computed_by_pair[(row.lhs, row.rhs)]
-        note = row.note
-        expected = DiffOp.zeros(reg, g.dim)
-        ok_to_compare = True
-        for name, coeff in row.expected.items():
-            if name == CENTRAL_NAME:
-                if report.kappa is None:
-                    note = "bracket is not central; no kappa value exists"
-                    ok_to_compare = False
-                    break
-                expected = expected + DiffOp.identity(
-                    reg, g.dim, factor=reg.const(coeff) * report.kappa
-                )
-            else:
-                expected = expected + g[name].scale(coeff)
-        if not ok_to_compare:
+        text = str(computed)
+        if CENTRAL_NAME in row.expected and report.kappa is None:
             report.rows.append(
-                RowResult(row.lhs, row.rhs, str(computed), "central multiple of Id",
-                          str(computed), False, note)
+                RowResult(row.lhs, row.rhs, text, "central multiple of Id", text, False,
+                          "bracket is not central; no kappa value exists")
             )
             continue
-        residual = computed - expected
-        report.rows.append(
-            RowResult(
-                row.lhs,
-                row.rhs,
-                str(computed),
-                str(expected),
-                str(residual),
-                residual.is_zero,
-                note,
-            )
-        )
+        expected = None
+        for name, coeff in row.expected.items():
+            if name == CENTRAL_NAME:
+                term = DiffOp.identity(reg, g.dim, factor=reg.const(coeff) * report.kappa)
+            else:
+                term = g[name].scale(coeff)
+            expected = term if expected is None else expected + term
+        residual = computed if expected is None else computed - expected
+        if residual.is_zero:
+            report.rows.append(RowResult(row.lhs, row.rhs, text, text, zero_text, True, row.note))
+        else:
+            report.rows.append(RowResult(
+                row.lhs, row.rhs, text, zero_text if expected is None else str(expected),
+                str(residual), False, row.note,
+            ))
     return report

@@ -2,14 +2,19 @@
 
 Payloads are plain dictionaries of JSON-native values rendered with sorted
 keys and no timestamps, so identical inputs produce byte-identical files and
-``json.loads(render(p)) == p`` holds.  Writing is opt-in via the
-GALKAPPA_REPORT_DIR environment variable; without it the CLI only prints.
+``json.loads(render(p)) == p`` holds.  The rendered text is, byte for byte,
+``json.dumps(p, sort_keys=True, indent=2) + "\n"``; `render` forms it in one
+recursive pass, because with an indent the standard encoder falls back from
+its C implementation to a much slower generator-based one.  Writing is
+opt-in via the GALKAPPA_REPORT_DIR environment variable; without it the CLI
+only prints.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import List, Optional
 
@@ -32,8 +37,35 @@ def build_payload(command: str, checks: List[dict]) -> dict:
     }
 
 
+def _encode(value, newline: str) -> str:
+    """value as json.dumps writes it with sorted keys and indent 2, nested at newline."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(
+            [_encode(item, inner) for item in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _encode(item, inner)
+             for key, item in sorted(value.items())]) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value)  # int and float; anything else raises TypeError
+
+
 def render(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The report text: json.dumps(payload, sort_keys=True, indent=2) plus a newline."""
+    return _encode(payload, "\n") + "\n"
 
 
 def write(name: str, payload: dict) -> Optional[Path]:

@@ -16,7 +16,9 @@ invertible, so a derivative lowers both the order and the coordinate degree
 of a term.  The top parts of A o B are then products of the nonzero top
 parts of A and B, over an integral domain, so A o B is over a guard exactly
 when ord A + ord B or deg A + deg B is; the bracket raises in exactly those
-cases too.
+cases too.  Every term of a bracket is a term of A o B or of B o A, so a
+bracket that passes this check on its operands is within both guards, and
+it is built without running the guards again.
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ class ScalarDiffOp(TermMap):
         terms: Dict[MultiIndex, PolyExpr] = {}
         self._leibniz(other, terms, 1, 1)
         other._leibniz(self, terms, -1, 1)
-        return ScalarDiffOp(self.registry, terms)
+        # accumulate dropped every zero, and the check above bounds every term
+        return self._make(terms)
 
     def __str__(self) -> str:
         if self.is_zero:

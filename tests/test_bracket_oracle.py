@@ -5,7 +5,9 @@ B o A, and `DiffOp.commutator` uses it for the summands with r = k = c.
 The reference is the plain difference of the two products from
 `test_operator_oracle`, with every result rebuilt through the public
 constructors.  The bracket must give the same terms, coefficients, hashes
-and strings, and raise `DegreeOverflow` exactly when a product does.
+and strings, and raise `DegreeOverflow` exactly when a product does.  It
+builds its result without the constructor's checks, so every result must
+also be one the constructor takes unchanged.
 """
 
 import random
@@ -108,6 +110,12 @@ def near_guard_extents(rng: random.Random):
     return (order_a, degree_a), (order_b, degree_b)
 
 
+def _assert_canonical(op: ScalarDiffOp) -> None:
+    """The public constructor takes op's terms unchanged: no zero, every guard holds."""
+    rebuilt = ScalarDiffOp(op.registry, op._terms)
+    assert rebuilt == op and list(rebuilt._terms.items()) == list(op._terms.items())
+
+
 def _outcome(f, *args):
     try:
         return False, f(*args)
@@ -131,6 +139,7 @@ def test_bracket_raises_exactly_when_the_products_do():
         assert got_raised == want_raised, (A, B)
         if not got_raised:
             _same_operator(got, want, ordered=False)
+            _assert_canonical(got)
         raised += got_raised
     _assert_balanced(raised, 150)
 
@@ -169,6 +178,8 @@ def test_commutator_matches_reference(pair):
 @given(operators, operators, operator_matrices())
 def test_bracket_is_antisymmetric(A, B, pair):
     assert A.bracket(B) == -B.bracket(A)
+    for result in (A.bracket(B), B.bracket(A), A.bracket(A)):
+        _assert_canonical(result)
     assert A.bracket(A).is_zero
     M, N = pair
     assert M.commutator(N) == -N.commutator(M)
@@ -202,6 +213,8 @@ def _jacobi(bracket, a, b, c):
 @given(small_operators, small_operators, small_operators)
 def test_bracket_obeys_jacobi(A, B, C):
     assert _jacobi(ScalarDiffOp.bracket, A, B, C).is_zero
+    for X, Y in ((A, B), (B, C), (C, A), (A, B.bracket(C))):
+        _assert_canonical(X.bracket(Y))
 
 
 @settings(max_examples=25, deadline=None)
@@ -217,6 +230,7 @@ def test_bracket_with_a_zero_operand_is_zero():
     zero = ScalarDiffOp.zero(REG)
     for got in (A.bracket(zero), zero.bracket(A), zero.bracket(zero)):
         assert got == zero and got._terms == {}
+        _assert_canonical(got)
     for dim in (1, 2, 3):
         M = DiffOp(REG, [[near_guard_operator(rng, MAX_DERIV_ORDER, MAX_COEFF_DEGREE)
                           for _ in range(dim)] for _ in range(dim)])

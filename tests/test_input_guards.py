@@ -38,7 +38,23 @@ def test_out_of_range_spin_or_rank_is_an_input_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--m", "1e308"], ["--m", "1e200"], ["--t", "1e300"], ["--m", "5e-324"]]
+    "argv",
+    [
+        ["fieldcheck", "boost", "--index", "2", "--variant", "literal"],
+        ["fieldcheck", "boost", "--index=1"],
+        ["fieldcheck", "rotation", "--variant", "corrected"],
+        ["fieldcheck", "rotation", "--spin-s", "1", "--index", "2"],
+        ["fieldcheck", "multispinor-eqs", "--rank", "2", "--index", "1", "--variant", "literal"],
+        ["fieldcheck", "multispinor-eqs", "--variant=literal"],
+    ],
+)
+def test_conservation_flags_outside_conservation_are_input_errors(argv, capsys):
+    err = _assert_input_error(main(argv), capsys)
+    assert "applies only to fieldcheck conservation" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--m", "1e308"],["--m", "1e200"], ["--t", "1e300"], ["--m", "5e-324"]]
 )
 def test_numcheck_overflow_is_an_input_error(flags, capsys, recwarn):
     code = main(["numcheck", "--nmax", "4", "--low", "2"] + flags)
