@@ -95,15 +95,15 @@ _COMMANDS = {
     "fieldcheck": ("field-level identity checks", (
         ("check", {"choices": ("conservation", "boost", "rotation", "multispinor-eqs")}),
         ("--index", {"type": int, "choices": (1, 2), "default": None,
-                     "help": "restrict the conservation check to one free index "
-                     "(conservation only)"}),
+                     "help": "restrict the conservation check to one free index; "
+                     "the other checks refuse it"}),
         ("--spin-s", {"dest": "spin_s", "type": int, "default": None,
                       "help": "restrict to one spin label (+1 or -1); without it "
                       "every check runs both spins, except multispinor-eqs, "
                       "which checks spin +1"}),
         ("--variant", {"choices": ("corrected", "literal"), "default": None,
-                       "help": "which transcription of the current to test "
-                       "(conservation only; default corrected)"}),
+                       "help": "which transcription of the current the conservation "
+                       "check tests (default corrected); the other checks refuse it"}),
         ("--rank", {"type": int, "default": 1,
                     "help": "multispinor rank for multispinor-eqs"}),
     )),
