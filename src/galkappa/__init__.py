@@ -33,16 +33,13 @@ from .fieldcheck import (
 )
 from .galrealize import (
     GeneratorSet,
-    StructureTable,
     central_scalar,
-    default_table,
     extend_lambda,
     extract_kappa,
-    get_table,
     kappa_shift,
-    literal_table,
     make_registry,
     realize,
+    realization_table,
     realize_levyleblond,
     realize_multispinor,
     realize_schrodinger,
@@ -72,10 +69,10 @@ __all__ = [
     "restrict_symmetric",
     "ScalarDiffOp", "DiffOp", "compose", "bracket", "conjugate_phase",
     "conjugate_shift",
-    "GeneratorSet", "StructureTable", "make_registry", "realize", "realize_schrodinger",
+    "GeneratorSet", "make_registry", "realize", "realize_schrodinger",
     "realize_levyleblond", "realize_multispinor", "extend_lambda",
     "kappa_shift", "extract_kappa", "central_scalar", "verify_structure",
-    "default_table", "literal_table", "get_table",
+    "realization_table",
     "LieAlgebraSpec", "JacobiResult", "ExtensionSpace", "jacobi_check",
     "central_extensions", "is_cocycle", "classes_independent",
     "FieldPoly", "EomRules", "reduce_on_shell", "check_conservation",

@@ -13,6 +13,8 @@ one bracket.  Coefficients are exact scalar literals (``3``, ``-1/2``,
 ``i``, ``2*i``, ``3/4*i``); a bare name means coefficient 1.  Unstated
 brackets vanish.  Restating a pair in either order is an error, as is a
 self-bracket or an unknown name; errors carry the offending line number.
+The pairs as the file states them, in its order and orientation and with
+its ``= 0`` lines, are kept in the spec's ``stated``.
 """
 
 from __future__ import annotations
@@ -21,20 +23,24 @@ import re
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-from importlib import resources
-
 from .cocycle import LieAlgebraSpec
 from .errors import AlgebraFileError
 from .exactscalar import ONE, Scalar, accumulate, parse_scalar
 
 _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _BRACKET = re.compile(r"^\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*=\s*(.+)$")
+_TERM = re.compile(r"[+-]?[^+-]+")
+# The bundled files ship as plain files in the package directory.  A path is
+# used rather than importlib.resources, whose reader for this namespace
+# package lists the directory on every lookup: `realize` loads its bracket
+# table on every call.
+_DATA = Path(__file__).with_name("data")
 
 
 def _split_terms(rhs: str) -> List[Tuple[int, str]]:
     """Split a bracket right-hand side into (sign, body) chunks."""
     out = []
-    for chunk in re.finditer(r"[+-]?[^+-]+", rhs):
+    for chunk in _TERM.finditer(rhs):
         text = chunk.group().strip()
         if not text:
             continue
@@ -61,7 +67,7 @@ def _parse_term(sign: int, body: str, line_no: int) -> Tuple[Scalar, str]:
             raise AlgebraFileError(str(exc), line=line_no) from None
     if not _NAME.match(name):
         raise AlgebraFileError(f"bad generator reference {name!r}", line=line_no)
-    return (coeff * Scalar.of(sign), name)
+    return (-coeff if sign < 0 else coeff, name)
 
 
 def loads(text: str) -> LieAlgebraSpec:
@@ -69,7 +75,8 @@ def loads(text: str) -> LieAlgebraSpec:
     names: List[str] = []
     index: Dict[str, int] = {}
     brackets: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    seen_pairs: Dict[Tuple[int, int], int] = {}
+    # each claimed pair i < j -> (line number, the pair as stated), in file order
+    seen_pairs: Dict[Tuple[int, int], Tuple[int, Tuple[int, int]]] = {}
     header_done = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -117,10 +124,10 @@ def loads(text: str) -> LieAlgebraSpec:
         if pair in seen_pairs:
             raise AlgebraFileError(
                 f"bracket for ({a_name},{b_name}) already given on line "
-                f"{seen_pairs[pair]}",
+                f"{seen_pairs[pair][0]}",
                 line=line_no,
             )
-        seen_pairs[pair] = line_no
+        seen_pairs[pair] = (line_no, (a, b))
 
         flip = a > b  # file states [b-th, a-th]; store the ordered pair
         rhs = rhs.strip()
@@ -138,7 +145,7 @@ def loads(text: str) -> LieAlgebraSpec:
 
     if not header_done:
         raise AlgebraFileError("file has no 'generators:' declaration", line=1)
-    return LieAlgebraSpec(names, brackets)
+    return LieAlgebraSpec(names, brackets, [ab for _, ab in seen_pairs.values()])
 
 
 def load(path) -> LieAlgebraSpec:
@@ -152,10 +159,9 @@ def load(path) -> LieAlgebraSpec:
 
 def bundled_names() -> List[str]:
     """Names of the algebra files shipped inside the package."""
-    root = resources.files("galkappa.data")
     return sorted(
         entry.name[: -len(".alg")]
-        for entry in root.iterdir()
+        for entry in _DATA.iterdir()
         if entry.name.endswith(".alg")
     )
 
@@ -163,7 +169,7 @@ def bundled_names() -> List[str]:
 def load_bundled(name: str) -> LieAlgebraSpec:
     """Load one of the algebras shipped with the package, by bare name."""
     fname = name if name.endswith(".alg") else f"{name}.alg"
-    ref = resources.files("galkappa.data").joinpath(fname)
+    ref = _DATA / fname
     if not ref.is_file():
         raise AlgebraFileError(
             f"no bundled algebra {name!r}; available: {', '.join(bundled_names())}"

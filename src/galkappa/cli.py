@@ -34,12 +34,12 @@ from .fieldcheck import (
 )
 from .galrealize import (
     MODELS,
+    TABLE_CORRECTED,
+    TABLE_LITERAL,
     check_rank,
     check_spin,
-    default_table,
     extend_lambda,
     kappa_shift,
-    literal_table,
     realize,
     verify_structure,
 )
@@ -88,7 +88,7 @@ _COMMANDS = {
         ("--shift", {"default": None, "metavar": "VALUE",
                      "help": "redefine the boosts with parameter VALUE "
                      "(exact literal or the symbol c)"}),
-        ("--strict-literal-table", {"action": "store_true",
+        ("--strict-literal-table", {"action": "store_true", "dest": "strict_literal",
                                     "help": "verify against the literal table variant, "
                                     "whose boost-time rows are pinned to zero"}),
     )),
@@ -297,7 +297,7 @@ def _cmd_realize(args) -> int:
     if args.shift is not None:
         g = kappa_shift(g, _param_value(reg, args.shift))
 
-    table = literal_table() if args.strict_literal_table else default_table()
+    table = TABLE_LITERAL if args.strict_literal else TABLE_CORRECTED
     rep = verify_structure(g, table)
 
     mass_ok = rep.mass is not None and (rep.mass - reg.symbol("m")).is_zero
@@ -315,7 +315,7 @@ def _cmd_realize(args) -> int:
         ),
     ]
 
-    print(f"model: {args.model}   table: {table.name}")
+    print(f"model: {args.model}   table: {table}")
     print(f"extracted second extension parameter: "
           f"{'<none>' if rep.kappa is None else rep.kappa}")
     print(f"extracted mass: {'<none>' if rep.mass is None else rep.mass}")

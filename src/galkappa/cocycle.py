@@ -25,12 +25,17 @@ Row = Dict[int, Scalar]
 
 
 class LieAlgebraSpec:
-    """Generator names plus exact structure constants, stored once per i<j."""
+    """Generator names plus exact structure constants, stored once per i<j.
+
+    ``stated`` lists the pairs a table states, in its order and orientation
+    and with its vanishing pairs; by default the nonzero pairs i < j.
+    """
 
     def __init__(
         self,
         names: Sequence[str],
         brackets: Mapping[Tuple[int, int], Mapping[int, Scalar]],
+        stated: Optional[Sequence[Tuple[int, int]]] = None,
     ):
         self.names: Tuple[str, ...] = tuple(names)
         if len(set(self.names)) != len(self.names):
@@ -50,6 +55,8 @@ class LieAlgebraSpec:
             if row:
                 clean[(i, j)] = row
         self.brackets = clean
+        self.stated: Tuple[Tuple[int, int], ...] = tuple(
+            sorted(clean) if stated is None else stated)
 
     @property
     def dim(self) -> int:

@@ -1,4 +1,4 @@
-"""Free-field generator sets, the structure-relation table, and kappa extraction.
+"""Free-field generator sets, their check against a bundled bracket table, and kappa.
 
 All realizations here act on the single independent field component, where
 the Hamiltonian is the free quadratic operator.  Spin enters only through
@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .cocycle import LieAlgebraSpec, jacobi_check
+from .algfile import load_bundled
+from .cocycle import LieAlgebraSpec
 from .errors import BadMass, BadParameter, BadRank, BadSpin, GalkappaError, NotCentral
 from .exactscalar import HALF, I, NEG_I, PolyExpr, Scalar, SymbolRegistry
 from .weylop import DiffOp, ScalarDiffOp, bracket
@@ -211,91 +212,28 @@ def extract_kappa(g: GeneratorSet) -> PolyExpr:
     return kappa
 
 
-@dataclass(frozen=True)
-class TableRow:
-    lhs: str
-    rhs: str
-    expected: Dict[str, Scalar]
-    note: Optional[str] = None
+# each table name -> the bundled algebra file that states its rows
+_TABLE_FILES = {
+    TABLE_CORRECTED: "planar_galilei_central",
+    TABLE_LITERAL: "planar_galilei_central_literal",
+}
+
+_LITERAL_NOTE = (
+    "literal variant pins this bracket to zero; every bundled realization "
+    "produces the momentum row here"
+)
+# the note a report prints with a row, keyed by table name and stated pair
+_ROW_NOTES = {
+    (TABLE_LITERAL, "K1", "H"): _LITERAL_NOTE,
+    (TABLE_LITERAL, "K2", "H"): _LITERAL_NOTE,
+}
 
 
-class StructureTable:
-    """Bracket table over the seven generator names plus the central kappa."""
-
-    def __init__(self, name: str, rows: List[TableRow]):
-        self.name = name
-        self.rows = list(rows)
-        seen = set()
-        for row in self.rows:
-            key = frozenset((row.lhs, row.rhs))
-            if len(key) != 2 or key in seen:
-                raise GalkappaError(f"bad or duplicate table pair ({row.lhs},{row.rhs})")
-            seen.add(key)
-
-    def to_liealgebra_spec(self) -> LieAlgebraSpec:
-        names = GENERATOR_NAMES + (CENTRAL_NAME,)
-        idx = {n: k for k, n in enumerate(names)}
-        brackets = {}
-        for row in self.rows:
-            a, b = idx[row.lhs], idx[row.rhs]
-            rhs = {idx[n]: coeff for n, coeff in row.expected.items()}
-            if a < b:
-                brackets[(a, b)] = rhs
-            else:
-                brackets[(b, a)] = {k: -v for k, v in rhs.items()}
-        return LieAlgebraSpec(names, brackets)
-
-
-def _table_rows(khp_nonzero: bool) -> List[TableRow]:
-    i = I
-    lit_note = (
-        "literal variant pins this bracket to zero; every bundled realization "
-        "produces the momentum row here"
-    )
-    rows = [
-        TableRow("P1", "P2", {}),
-        TableRow("P1", "H", {}),
-        TableRow("P2", "H", {}),
-        TableRow("J", "P1", {"P2": i}),
-        TableRow("J", "P2", {"P1": -i}),
-        TableRow("J", "H", {}),
-        TableRow("J", "K1", {"K2": i}),
-        TableRow("J", "K2", {"K1": -i}),
-        TableRow("K1", "H", {"P1": i} if khp_nonzero else {},
-                 None if khp_nonzero else lit_note),
-        TableRow("K2", "H", {"P2": i} if khp_nonzero else {},
-                 None if khp_nonzero else lit_note),
-        TableRow("K1", "K2", {CENTRAL_NAME: i}),
-        TableRow("K1", "P1", {"M": i}),
-        TableRow("K1", "P2", {}),
-        TableRow("K2", "P1", {}),
-        TableRow("K2", "P2", {"M": i}),
-        TableRow("P1", "M", {}),
-        TableRow("P2", "M", {}),
-        TableRow("H", "M", {}),
-        TableRow("J", "M", {}),
-        TableRow("K1", "M", {}),
-        TableRow("K2", "M", {}),
-    ]
-    return rows
-
-
-def default_table() -> StructureTable:
-    """The bracket table with the boost-time rows carrying the momenta."""
-    return StructureTable(TABLE_CORRECTED, _table_rows(khp_nonzero=True))
-
-
-def literal_table() -> StructureTable:
-    """Variant table with [K_i, H] = 0, kept for strict transcription checks."""
-    return StructureTable(TABLE_LITERAL, _table_rows(khp_nonzero=False))
-
-
-def get_table(variant: str) -> StructureTable:
-    if variant == TABLE_CORRECTED:
-        return default_table()
-    if variant == TABLE_LITERAL:
-        return literal_table()
-    raise ValueError(f"unknown table variant {variant!r}")
+def realization_table(name: str) -> LieAlgebraSpec:
+    """The bundled bracket table named `name` ("corrected" or "literal")."""
+    if name not in _TABLE_FILES:
+        raise ValueError(f"unknown table variant {name!r}")
+    return load_bundled(_TABLE_FILES[name])
 
 
 @dataclass
@@ -345,26 +283,23 @@ class StructureReport:
         }
 
 
-def verify_structure(g: GeneratorSet, table: Optional[StructureTable] = None) -> StructureReport:
-    """Check every table row against the realized generators.
+def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> StructureReport:
+    """Check every row the named table states against the realized generators.
 
-    The table itself is validated as a Lie algebra first; a failing row in
-    the report is a statement about the realization (or about the table
-    variant), never a silently skipped check.
+    A failing row in the report is a statement about the realization (or
+    about the table variant), never a silently skipped check.  Both tables
+    are bundled algebra files, Jacobi-checked by the test suite.
     """
-    table = table or default_table()
-    jac = jacobi_check(table.to_liealgebra_spec())
-    if not jac.ok:
-        raise GalkappaError(
-            f"structure table is not a Lie algebra; cyclic identity fails at {jac.triple}"
-        )
+    spec = realization_table(table)
+    names = spec.names
+    rows = [(names[i], names[j], {names[k]: c for k, c in spec.bracket(i, j).items()})
+            for i, j in spec.stated]
     reg = g.registry
-    report = StructureReport(table=table.name)
+    report = StructureReport(table=table)
 
     # each row's bracket is computed once; kappa and the mass are read off
     # the [K1,K2] and [K1,P1] rows (computed apart only if a table lacks them)
-    computed_by_pair = {(row.lhs, row.rhs): bracket(g[row.lhs], g[row.rhs])
-                        for row in table.rows}
+    computed_by_pair = {(lhs, rhs): bracket(g[lhs], g[rhs]) for lhs, rhs, _ in rows}
 
     def pair_bracket(a: str, b: str) -> DiffOp:
         found = computed_by_pair.get((a, b))
@@ -377,17 +312,18 @@ def verify_structure(g: GeneratorSet, table: Optional[StructureTable] = None) ->
     # expected term maps are equal; then both print alike and the residual
     # prints as the zero matrix, so only a failing row prints them apart
     zero_text = str(DiffOp.zeros(reg, g.dim))
-    for row in table.rows:
-        computed = computed_by_pair[(row.lhs, row.rhs)]
+    for lhs, rhs, row_expected in rows:
+        computed = computed_by_pair[(lhs, rhs)]
         text = str(computed)
-        if CENTRAL_NAME in row.expected and report.kappa is None:
+        note = _ROW_NOTES.get((table, lhs, rhs))
+        if CENTRAL_NAME in row_expected and report.kappa is None:
             report.rows.append(
-                RowResult(row.lhs, row.rhs, text, "central multiple of Id", text, False,
+                RowResult(lhs, rhs, text, "central multiple of Id", text, False,
                           "bracket is not central; no kappa value exists")
             )
             continue
         expected = None
-        for name, coeff in row.expected.items():
+        for name, coeff in row_expected.items():
             if name == CENTRAL_NAME:
                 term = DiffOp.identity(reg, g.dim, factor=reg.const(coeff) * report.kappa)
             else:
@@ -395,10 +331,10 @@ def verify_structure(g: GeneratorSet, table: Optional[StructureTable] = None) ->
             expected = term if expected is None else expected + term
         residual = computed if expected is None else computed - expected
         if residual.is_zero:
-            report.rows.append(RowResult(row.lhs, row.rhs, text, text, zero_text, True, row.note))
+            report.rows.append(RowResult(lhs, rhs, text, text, zero_text, True, note))
         else:
             report.rows.append(RowResult(
-                row.lhs, row.rhs, text, zero_text if expected is None else str(expected),
-                str(residual), False, row.note,
+                lhs, rhs, text, zero_text if expected is None else str(expected),
+                str(residual), False, note,
             ))
     return report

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from .errors import BadParameter, GalkappaError
 from .exactscalar import PolyExpr
-from .galrealize import CENTRAL_NAME, StructureTable, default_table, realize
+from .galrealize import CENTRAL_NAME, TABLE_CORRECTED, realization_table, realize
 from .weylop import ScalarDiffOp
 
 # Every generator is a dense complex matrix of side (n_max+1)**2.  A run holds
@@ -166,14 +166,14 @@ def _peak(a: np.ndarray) -> float:
 
 def residual_report(
     ops: Dict[str, np.ndarray],
-    table: Optional[StructureTable] = None,
+    table: str = TABLE_CORRECTED,
     low_cutoff: int = 8,
     tol: float = 1e-9,
     model: str = "schrodinger",
     m: float = 1.0,
     t: float = 0.5,
 ) -> NumericReport:
-    """Max-abs commutator residuals on the low block against a structure table.
+    """Max-abs commutator residuals on the low block against the named table.
 
     Only the block of states with both axis quanta <= low_cutoff is formed,
     summing over every intermediate state.  A row passes when its residual is
@@ -188,20 +188,22 @@ def residual_report(
     # a block that is the whole space is the matrices as they are: no copies
     whole = len(keep) == side
     block = np.ix_(keep, keep)
-    table = table if table is not None else default_table()
+    spec = realization_table(table)
+    names = spec.names
 
     report = NumericReport(model, m, t, n_max, low_cutoff, tol)
-    for row in table.rows:
-        A, B = ops[row.lhs], ops[row.rhs]
+    for i, j in spec.stated:
+        a, b = names[i], names[j]
+        A, B = ops[a], ops[b]
         if whole:
             ab, ba = A @ B, B @ A
         else:
             ab = A[keep] @ B[:, keep]
             ba = B[keep] @ A[:, keep]
         rhs = np.zeros_like(ab)
-        for name, coeff in row.expected.items():
-            if name != CENTRAL_NAME:
-                target = ops[name] if whole else ops[name][block]
+        for k, coeff in spec.bracket(i, j).items():
+            if names[k] != CENTRAL_NAME:
+                target = ops[names[k]] if whole else ops[names[k]][block]
                 rhs += (complex(coeff.re) + 1j * complex(coeff.im)) * target
         resid = ab - ba
         resid -= rhs
@@ -209,8 +211,8 @@ def residual_report(
         scale = max(1.0, _peak(ab), _peak(ba), _peak(rhs))
         report.rows.append(
             NumericRow(
-                lhs=row.lhs,
-                rhs=row.rhs,
+                lhs=a,
+                rhs=b,
                 residual=worst,
                 exact_zero=bool(np.all(resid == 0.0)),
                 passed=worst <= tol * scale,
@@ -229,7 +231,7 @@ def run_numeric_check(
     tol: float = 1e-9,
     spin_s: int = 1,
     rank: int = 1,
-    table: Optional[StructureTable] = None,
+    table: str = TABLE_CORRECTED,
 ) -> NumericReport:
     """Build the matrices and score every table row in one call.
 

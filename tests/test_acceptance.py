@@ -34,11 +34,9 @@ from galkappa.fieldcheck import (
 )
 from galkappa.galrealize import (
     GENERATOR_NAMES,
-    default_table,
     extend_lambda,
     extract_kappa,
     kappa_shift,
-    literal_table,
     make_registry,
     realize_levyleblond,
     realize_multispinor,
@@ -79,7 +77,7 @@ def test_criterion_01_second_extension_parameter_vanishes():
 def test_criterion_02_structure_table_and_mass():
     with criterion(2, "full bracket table verified exactly, extracted mass is m"):
         for label, g in all_models():
-            rep = verify_structure(g, default_table())
+            rep = verify_structure(g, "corrected")
             assert rep.overall, f"{label}: {[str(r) for r in rep.failing_rows()]}"
             assert rep.mass is not None, label
             assert (rep.mass - g.registry.symbol("m")).is_zero, label
@@ -235,7 +233,7 @@ def test_criterion_09_numeric_truncation_residuals():
 def test_criterion_10_literal_table_mode_flags_discrepancy():
     with criterion(10, "literal-table mode isolates the boost-time rows, flagged"):
         for label, g in all_models():
-            rep = verify_structure(g, literal_table())
+            rep = verify_structure(g, "literal")
             failing = {(r.lhs, r.rhs) for r in rep.failing_rows()}
             assert failing == {("K1", "H"), ("K2", "H")}, label
             for row in rep.failing_rows():

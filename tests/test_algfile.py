@@ -32,6 +32,33 @@ def test_reversed_pair_flips_sign():
     assert forward.brackets == reverse.brackets
 
 
+def test_stated_pairs_keep_file_order_orientation_and_zero_rows():
+    text = (
+        "generators: A B C D\n"
+        "[C, A] = B\n"
+        "[A, B] = 0\n"
+        "# a comment claims nothing\n"
+        "[B, D] = i*A\n"
+        "[D, C] = 0\n"
+    )
+    spec = loads(text)
+    i = Scalar(0, 1)
+    assert spec.stated == ((2, 0), (0, 1), (1, 3), (3, 2))
+    assert spec.brackets == {(0, 2): {1: Scalar(-1)}, (1, 3): {0: i}}
+    assert spec.bracket(2, 0) == {1: Scalar(1)}  # the stated orientation reads back
+    # a spec built in code states its nonzero pairs i < j, sorted
+    built = LieAlgebraSpec(("A", "B", "C", "D"),
+                           {(1, 3): {0: i}, (0, 2): {1: Scalar(-1)}, (0, 1): {}})
+    assert built.stated == ((0, 2), (1, 3))
+    # restating a pair still errors with both line numbers
+    with pytest.raises(AlgebraFileError) as err:
+        loads(text + "[A, C] = B\n")
+    assert err.value.line == 7 and "already given on line 2" in str(err.value)
+    # dumps is unchanged: canonical pair order, nonzero pairs only
+    assert dumps(spec) == "generators: A B C D\n[A, C] = -B\n[B, D] = i*A\n"
+    assert dumps(spec) == dumps(built)
+
+
 def test_terms_accumulate_and_cancel():
     spec = loads("generators: A B C\n[A, B] = i*C + 2*C\n[A, C] = B - B\n")
     assert spec.brackets == {(0, 1): {2: Scalar(2, 1)}}
@@ -124,6 +151,7 @@ def test_dumps_loads_round_trip_on_random_specs(spec):
     again = loads(dumps(spec))
     assert again.names == spec.names
     assert again.brackets == spec.brackets
+    assert again.stated == spec.stated
 
 
 def test_load_from_disk(tmp_path):
@@ -140,6 +168,8 @@ def test_bundled_inventory():
         "galilei_1d",
         "galilei_3p1",
         "planar_galilei",
+        "planar_galilei_central",
+        "planar_galilei_central_literal",
         "planar_galilei_literal",
         "planar_galilei_mass",
         "planar_gca",

@@ -20,7 +20,7 @@ def planar():
 def test_jacobi_check_passes_bundled():
     for name in algfile.bundled_names():
         res = jacobi_check(algfile.load_bundled(name))
-        assert res.ok, name
+        assert res.ok, (name, res.triple)
 
 
 def test_jacobi_check_reports_failing_triple():
@@ -40,6 +40,8 @@ def test_jacobi_check_reports_failing_triple():
         ("planar_galilei", 3),
         ("planar_galilei_literal", 5),
         ("planar_galilei_mass", 2),
+        ("planar_galilei_central", 2),
+        ("planar_galilei_central_literal", 3),
         ("galilei_1d", 2),
         ("galilei_3p1", 1),
         ("so3", 0),
@@ -51,6 +53,26 @@ def test_extension_dimensions(name, expect_h2):
     assert ext.h2 == expect_h2
     assert ext.h2 == ext.cocycle_dim - ext.coboundary_dim
     assert len(ext.representatives) == ext.h2
+
+
+@pytest.mark.parametrize(
+    "name,dims,classes",
+    [
+        ("planar_galilei_central", (8, 6, 2), [
+            {("P1", "K2"): Scalar(1), ("P2", "K1"): Scalar(-1), ("H", "kappa"): Scalar(-2)},
+            {("H", "J"): Scalar(1)},
+        ]),
+        ("planar_galilei_central_literal", (9, 6, 3), [
+            {("P1", "P2"): Scalar(1)},
+            {("P1", "K2"): Scalar(1), ("P2", "K1"): Scalar(-1)},
+            {("H", "J"): Scalar(1)},
+        ]),
+    ],
+)
+def test_realization_tables_extension_classes(name, dims, classes):
+    ext = central_extensions(algfile.load_bundled(name))
+    assert (ext.cocycle_dim, ext.coboundary_dim, ext.h2) == dims
+    assert [ext.representative_support(r) for r in range(ext.h2)] == classes
 
 
 def test_planar_classes_contain_mass_and_boost_boost():

@@ -1,25 +1,24 @@
 """Generator realizations and structure-table verification."""
 
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from galkappa.algfile import loads
 from galkappa.cocycle import jacobi_check
-from galkappa.errors import BadMass, BadRank, BadSpin, GalkappaError, NotCentral
+from galkappa.errors import BadMass, BadRank, BadSpin, NotCentral
 from galkappa.exactscalar import I, Scalar
 from galkappa.galrealize import (
+    CENTRAL_NAME,
     GENERATOR_NAMES,
     GeneratorSet,
-    StructureTable,
-    TableRow,
     central_scalar,
-    default_table,
     extend_lambda,
     extract_kappa,
-    get_table,
     kappa_shift,
-    literal_table,
     make_registry,
+    realization_table,
     realize_levyleblond,
     realize_multispinor,
     realize_schrodinger,
@@ -146,7 +145,7 @@ def test_two_component_rows_print_matrix_texts():
     zero = ScalarDiffOp.zero(reg)
     doubled = GeneratorSet({name: DiffOp(reg, [[op.entry(0, 0), zero], [zero, op.entry(0, 0)]])
                             for name, op in g.gens.items()}, g.meta)
-    rep = verify_structure(doubled, literal_table())
+    rep = verify_structure(doubled, "literal")
     assert rep.kappa.is_zero and rep.mass == reg.symbol("m")
     rows = {(r.lhs, r.rhs): r.to_dict() for r in rep.rows}
     assert rows[("K1", "K2")] == {"pair": "[K1,K2]", "computed": "[0, 0; 0, 0]",
@@ -176,38 +175,84 @@ def test_mass_identity_guard():
         kappa_shift(broken, Scalar(1))
 
 
+def _reference_rows(khp_nonzero):
+    """The realize table as (lhs, rhs, expected), transcribed independently of the files."""
+    i = I
+    return [
+        ("P1", "P2", {}),
+        ("P1", "H", {}),
+        ("P2", "H", {}),
+        ("J", "P1", {"P2": i}),
+        ("J", "P2", {"P1": -i}),
+        ("J", "H", {}),
+        ("J", "K1", {"K2": i}),
+        ("J", "K2", {"K1": -i}),
+        ("K1", "H", {"P1": i} if khp_nonzero else {}),
+        ("K2", "H", {"P2": i} if khp_nonzero else {}),
+        ("K1", "K2", {CENTRAL_NAME: i}),
+        ("K1", "P1", {"M": i}),
+        ("K1", "P2", {}),
+        ("K2", "P1", {}),
+        ("K2", "P2", {"M": i}),
+        ("P1", "M", {}),
+        ("P2", "M", {}),
+        ("H", "M", {}),
+        ("J", "M", {}),
+        ("K1", "M", {}),
+        ("K2", "M", {}),
+    ]
+
+
+def _stated_rows(spec):
+    names = spec.names
+    return [(names[a], names[b], {names[k]: c for k, c in spec.bracket(a, b).items()})
+            for a, b in spec.stated]
+
+
+@pytest.mark.parametrize("name,khp_nonzero", [("corrected", True), ("literal", False)])
+def test_bundled_tables_match_reference_rows(name, khp_nonzero):
+    spec = realization_table(name)
+    assert spec.names == GENERATOR_NAMES + (CENTRAL_NAME,)
+    assert _stated_rows(spec) == _reference_rows(khp_nonzero)
+
+
 def test_tables_are_lie_algebras():
-    for table in (default_table(), literal_table()):
-        assert jacobi_check(table.to_liealgebra_spec()).ok
+    for name in ("corrected", "literal"):
+        res = jacobi_check(realization_table(name))
+        assert res.ok, res.triple
 
 
 def test_corrupted_table_fails_jacobi():
-    rows = [
-        TableRow(r.lhs, r.rhs, {"P1": I} if (r.lhs, r.rhs) == ("J", "P1") else r.expected)
-        for r in default_table().rows
-    ]
-    bad = StructureTable("corrupted", rows)
-    res = jacobi_check(bad.to_liealgebra_spec())
+    text = (resources.files("galkappa.data") / "planar_galilei_central.alg").read_text()
+    assert text.count("[J, P1] = i*P2\n") == 1
+    bad = loads(text.replace("[J, P1] = i*P2\n", "[J, P1] = i*P1\n"))
+    res = jacobi_check(bad)
     assert not res.ok
+    assert (res.triple, res.residual) == (("P1", "J", "K1"), {"M": Scalar(-1)})
     g = realize_schrodinger()
-    with pytest.raises(GalkappaError):
+    with pytest.raises(ValueError):  # only the bundled tables are accepted, by name
         verify_structure(g, bad)
 
 
 def test_literal_table_rows_fail_against_realizations():
-    rep = verify_structure(realize_levyleblond(s=1), literal_table())
+    rep = verify_structure(realize_levyleblond(s=1), "literal")
     assert not rep.overall
     failing = {(r.lhs, r.rhs) for r in rep.failing_rows()}
     assert failing == {("K1", "H"), ("K2", "H")}
     for r in rep.failing_rows():
         assert r.note  # the report explains the variant explicitly
+    # the literal table's note sits on exactly its two boost-time rows
+    assert {(r.lhs, r.rhs) for r in rep.rows if r.note} == {("K1", "H"), ("K2", "H")}
+    assert not any(r.note for r in verify_structure(realize_levyleblond(s=1)).rows)
 
 
-def test_get_table_variants():
-    assert get_table("corrected").name == "corrected"
-    assert get_table("literal").name == "literal"
+def test_unknown_table_name_is_rejected():
+    assert verify_structure(realize_schrodinger(), "corrected").table == "corrected"
+    assert verify_structure(realize_schrodinger(), "literal").table == "literal"
     with pytest.raises(ValueError):
-        get_table("imagined")
+        realization_table("imagined")
+    with pytest.raises(ValueError):
+        verify_structure(realize_schrodinger(), "imagined")
 
 
 def test_boost_time_bracket_is_momentum():

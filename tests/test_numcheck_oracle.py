@@ -13,7 +13,7 @@ must give bitwise the same rows.
 import numpy as np
 import pytest
 
-from galkappa.galrealize import CENTRAL_NAME, MODELS, default_table, literal_table
+from galkappa.galrealize import CENTRAL_NAME, MODELS, realization_table
 from galkappa.numtrunc import build_numeric, low_mode_indices, residual_report
 
 SETTINGS = [(1.0, 0.5), (0.7, 1.3), (2.0, 0.0), (0.25, -2.0)]
@@ -48,17 +48,18 @@ def dense_build(model, m, t, n_max, spin_s, rank):
     }
 
 
-def dense_residuals(ops, table, n_max, low):
+def dense_residuals(ops, spec, n_max, low):
     keep = np.zeros(n_max + 1)
     keep[: low + 1] = 1.0
     proj = np.diag(np.kron(keep, keep)).astype(complex)
     zero = np.zeros_like(ops["P1"])
+    names = spec.names
     out = []
-    for row in table.rows:
-        A, B = ops[row.lhs], ops[row.rhs]
+    for i, j in spec.stated:
+        A, B = ops[names[i]], ops[names[j]]
         rhs = zero
-        for name, coeff in row.expected.items():
-            target = zero if name == "kappa" else ops[name]
+        for k, coeff in spec.bracket(i, j).items():
+            target = zero if names[k] == "kappa" else ops[names[k]]
             rhs = rhs + (complex(coeff.re) + 1j * complex(coeff.im)) * target
         resid = proj @ (A @ B - B @ A - rhs) @ proj
         out.append((float(np.max(np.abs(resid))), bool(np.all(resid == 0.0))))
@@ -78,8 +79,8 @@ def test_evaluated_generators_and_residuals_match_dense_reference(model, spin_s,
         for name, mat in ref.items():
             scale = max(1.0, float(np.max(np.abs(mat))))
             assert np.max(np.abs(ops[name] - mat)) <= 1e-13 * scale, (name, n_max)
-        table = literal_table() if n_max % 3 == 0 else default_table()
-        want = dense_residuals(ref, table, n_max, low)
+        table = "literal" if n_max % 3 == 0 else "corrected"
+        want = dense_residuals(ref, realization_table(table), n_max, low)
         rep = residual_report(ops, table=table, low_cutoff=low, m=m, t=t)
         for row, (residual, exact_zero) in zip(rep.rows, want):
             assert abs(row.residual - residual) <= 1e-13, (row.lhs, row.rhs, n_max)
@@ -88,22 +89,24 @@ def test_evaluated_generators_and_residuals_match_dense_reference(model, spin_s,
         assert np.all(k1k2 == 0.0)
 
 
-def copying_residuals(ops, table, n_max, low, tol=1e-9):
+def copying_residuals(ops, spec, n_max, low, tol=1e-9):
     keep = low_mode_indices(n_max, low)
     block = np.ix_(keep, keep)
+    names = spec.names
     out = []
-    for row in table.rows:
-        A, B = ops[row.lhs], ops[row.rhs]
+    for i, j in spec.stated:
+        a, b = names[i], names[j]
+        A, B = ops[a], ops[b]
         ab = A[keep] @ B[:, keep]
         ba = B[keep] @ A[:, keep]
         rhs = np.zeros_like(ab)
-        for name, coeff in row.expected.items():
-            if name != CENTRAL_NAME:
-                rhs = rhs + (complex(coeff.re) + 1j * complex(coeff.im)) * ops[name][block]
+        for k, coeff in spec.bracket(i, j).items():
+            if names[k] != CENTRAL_NAME:
+                rhs = rhs + (complex(coeff.re) + 1j * complex(coeff.im)) * ops[names[k]][block]
         resid = ab - ba - rhs
         worst = float(np.max(np.abs(resid)))
         scale = max(1.0, *(float(np.max(np.abs(a))) for a in (ab, ba, rhs)))
-        out.append((row.lhs, row.rhs, worst, bool(np.all(resid == 0.0)), worst <= tol * scale))
+        out.append((a, b, worst, bool(np.all(resid == 0.0)), worst <= tol * scale))
     return out
 
 
@@ -112,8 +115,9 @@ def test_whole_space_block_matches_the_copying_path_bitwise(model):
     for n_max in range(6, 13):
         m, t = SETTINGS[n_max % len(SETTINGS)]
         ops = build_numeric(model, m=m, t=t, n_max=n_max, spin_s=1, rank=2)
-        table = literal_table() if n_max % 3 == 0 else default_table()
+        table = "literal" if n_max % 3 == 0 else "corrected"
         for low in (n_max, n_max // 3):
             rep = residual_report(ops, table=table, low_cutoff=low, m=m, t=t)
             got = [(r.lhs, r.rhs, r.residual, r.exact_zero, r.passed) for r in rep.rows]
-            assert got == copying_residuals(ops, table, n_max, low), (n_max, low)
+            assert got == copying_residuals(ops, realization_table(table), n_max, low), \
+                (n_max, low)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from galkappa.errors import BadParameter, BadRank, BadSpin
-from galkappa.galrealize import MODELS, literal_table
+from galkappa.galrealize import MODELS
 from galkappa.numtrunc import (
     build_numeric,
     low_mode_indices,
@@ -77,7 +77,7 @@ def test_no_projection_exposes_the_edge():
 
 def test_literal_table_rows_fail_numerically():
     ops = build_numeric("schrodinger", n_max=12)
-    rep = residual_report(ops, table=literal_table(), low_cutoff=6)
+    rep = residual_report(ops, table="literal", low_cutoff=6)
     failing = {(r.lhs, r.rhs) for r in rep.failing_rows()}
     assert failing == {("K1", "H"), ("K2", "H")}
 
@@ -163,7 +163,7 @@ def test_residual_field_stays_absolute_under_relative_tolerance():
 
 @pytest.mark.parametrize("params", EXTREME)
 def test_literal_table_still_fails_exactly_boost_time_rows(params):
-    rep = run_numeric_check(n_max=12, low=4, table=literal_table(), **params)
+    rep = run_numeric_check(n_max=12, low=4, table="literal", **params)
     failing = {(r.lhs, r.rhs) for r in rep.failing_rows()}
     assert failing == {("K1", "H"), ("K2", "H")}
 

@@ -73,6 +73,8 @@ def _sympy_h2(spec):
         ("planar_galilei", 3),
         ("planar_galilei_literal", 5),
         ("planar_galilei_mass", 2),
+        ("planar_galilei_central", 2),
+        ("planar_galilei_central_literal", 3),
         ("galilei_1d", 2),
         ("so3", 0),
         ("abelian4", 6),
