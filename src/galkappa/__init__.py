@@ -45,14 +45,6 @@ from .galrealize import (
     realize_schrodinger,
     verify_structure,
 )
-from .matspin import (
-    MatExpr,
-    SymBasis,
-    embed_factor,
-    gamma_projector,
-    pauli,
-    restrict_symmetric,
-)
 from .weylop import (
     DiffOp,
     ScalarDiffOp,
@@ -65,8 +57,6 @@ from .weylop import (
 __all__ = [
     "__version__",
     "Scalar", "PolyExpr", "SymbolRegistry", "parse_scalar", "ZERO", "ONE", "I",
-    "MatExpr", "pauli", "gamma_projector", "SymBasis", "embed_factor",
-    "restrict_symmetric",
     "ScalarDiffOp", "DiffOp", "compose", "bracket", "conjugate_phase",
     "conjugate_shift",
     "GeneratorSet", "make_registry", "realize", "realize_schrodinger",

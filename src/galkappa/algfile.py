@@ -32,8 +32,8 @@ _BRACKET = re.compile(r"^\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*=\s*(.+)$")
 _TERM = re.compile(r"[+-]?[^+-]+")
 # The bundled files ship as plain files in the package directory.  A path is
 # used rather than importlib.resources, whose reader for this namespace
-# package lists the directory on every lookup: `realize` loads its bracket
-# table on every call.
+# package lists the directory on every lookup; `load_bundled` reads its file
+# on every call (`realize` keeps the two tables it checks against cached).
 _DATA = Path(__file__).with_name("data")
 
 

@@ -330,32 +330,35 @@ def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
     return ExtensionSpace(spec.names, z, b, h2, reps)
 
 
-def _as_beta_matrix(spec: LieAlgebraSpec, beta) -> List[List[Scalar]]:
+def _beta_vector(spec: LieAlgebraSpec, beta, slot) -> Row:
+    """beta, given by name pairs or as an antisymmetric matrix, as {slot: entry}."""
     n = spec.dim
+    vec: Row = {}
     if isinstance(beta, Mapping):
-        mat = [[ZERO] * n for _ in range(n)]
         for (a, b), coeff in beta.items():
             i, j = spec.index(a), spec.index(b)
             if i == j:
                 raise ValueError("beta entry on a diagonal pair")
             coeff = Scalar.of(coeff)
-            mat[i][j] = mat[i][j] + coeff
-            mat[j][i] = mat[j][i] - coeff
-        return mat
+            accumulate(vec, slot[i][j], coeff if i < j else -coeff)
+        return vec
     mat = [[Scalar.of(e) for e in row] for row in beta]
     for i in range(n):
         for j in range(n):
             if not (mat[i][j] + mat[j][i]).is_zero:
                 raise ValueError("beta matrix is not antisymmetric")
-    return mat
+    return {slot[i][j]: mat[i][j]
+            for i, j in itertools.combinations(range(n), 2) if not mat[i][j].is_zero}
 
 
-def _satisfies_cyclic_identity(f: Structure, mat: List[List[Scalar]]) -> bool:
-    for _, terms in _cyclic_terms(f):
+def _satisfies(rows: List[Row], vec: Row) -> bool:
+    """Does the vector vanish on every row of a linear system?"""
+    for row in rows:
         acc = ZERO
-        for rhs, c in terms:
-            for m, coeff in rhs.items():
-                acc = acc + coeff * mat[m][c]
+        for c, e in row.items():
+            v = vec.get(c)
+            if v is not None:
+                acc = acc + e * v
         if not acc.is_zero:
             return False
     return True
@@ -363,24 +366,21 @@ def _satisfies_cyclic_identity(f: Structure, mat: List[List[Scalar]]) -> bool:
 
 def is_cocycle(spec: LieAlgebraSpec, beta) -> bool:
     """Does beta satisfy the cyclic identity for this algebra?"""
-    return _satisfies_cyclic_identity(_structure(spec), _as_beta_matrix(spec, beta))
+    slot = _slots(spec.dim)
+    return _satisfies(_cocycle_rows(_structure(spec), slot), _beta_vector(spec, beta, slot))
 
 
 def classes_independent(spec: LieAlgebraSpec, betas: Sequence) -> bool:
     """True iff the given cocycles are linearly independent modulo coboundaries."""
     f = _structure(spec)
-    mats = [_as_beta_matrix(spec, b) for b in betas]
-    if not all(_satisfies_cyclic_identity(f, mat) for mat in mats):
-        return False
     n = spec.dim
     slot = _slots(n)
+    vecs = [_beta_vector(spec, b, slot) for b in betas]
+    cocycle_rows = _cocycle_rows(f, slot)
+    if not all(_satisfies(cocycle_rows, vec) for vec in vecs):
+        return False
     P = n * (n - 1) // 2
     cob_rows = _coboundary_rows(f, slot)
     base_rank = _rref_checked(cob_rows, P)[0]
-    stacked = cob_rows + [
-        {slot[i][j]: mat[i][j]
-         for i, j in itertools.combinations(range(n), 2) if not mat[i][j].is_zero}
-        for mat in mats
-    ]
-    full_rank = _rref_checked(stacked, P)[0]
-    return full_rank == base_rank + len(mats)
+    full_rank = _rref_checked(cob_rows + vecs, P)[0]
+    return full_rank == base_rank + len(vecs)

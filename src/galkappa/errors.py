@@ -17,10 +17,6 @@ class ShapeError(GalkappaError):
     """Matrix operands have incompatible shapes."""
 
 
-class NotSymmetricInvariant(GalkappaError):
-    """An operator does not map the symmetric subspace into itself."""
-
-
 class DegreeOverflow(GalkappaError):
     """A normal-form computation exceeded the configured degree guards."""
 
@@ -38,7 +34,7 @@ class BadSpin(GalkappaError):
 
 
 class BadRank(GalkappaError):
-    """Multispinor rank must be a positive integer."""
+    """Multispinor rank must be an integer in 1..4."""
 
 
 class BadMass(GalkappaError):

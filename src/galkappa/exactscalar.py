@@ -15,8 +15,8 @@ construction bugs surface as errors instead of silently growing 1/x terms.
 
 `TermMap` is the canonical sparse map (key -> nonzero coefficient) behind
 polynomials, scalar differential operators and field bilinears;
-`SquareMatrix` is the square matrix over such a ring behind spin matrices
-and matrix differential operators.
+`SquareMatrix` is the square matrix over such a ring behind matrix
+differential operators and the reduced multispinor system.
 """
 
 from __future__ import annotations
@@ -631,10 +631,12 @@ class PolyExpr(TermMap):
 class SquareMatrix:
     """Square matrix over a ring of registry-bound entries.
 
-    Subclasses fix the entry ring through three hooks: `_entry` checks (and
-    may coerce) one entry, `_times` multiplies two entries for the matrix
-    product, and `_bracket` gives the commutator of two entries.  `identity`
-    and `zeros` pass PolyExpr constants through `_entry`.
+    Used as is, the entries are polynomials (the reduced multispinor
+    system).  Subclasses such as `DiffOp` fix another ring through three
+    hooks: `_entry` checks (and may coerce) one entry, `_times` multiplies
+    two entries for the matrix product, and `_bracket` gives the commutator
+    of two entries.  `identity` and `zeros` pass PolyExpr constants through
+    `_entry`.
     """
 
     __slots__ = ("registry", "rows")

@@ -22,13 +22,13 @@ from .exactscalar import (
     ZERO,
     PolyExpr,
     Scalar,
+    SquareMatrix,
     SymbolRegistry,
     TermMap,
     accumulate,
     parse_scalar,
 )
 from .galrealize import check_rank, check_spin, make_registry
-from .matspin import MatExpr, SymBasis, embed_factor, gamma_projector, restrict_symmetric
 from .weylop import DiffOp, ScalarDiffOp, bracket, compose, conjugate_phase, conjugate_shift
 
 PHI = "phi"
@@ -445,11 +445,49 @@ def _poly_scalar_ratio(p: PolyExpr, q: PolyExpr) -> Optional[Scalar]:
     return None
 
 
+def _symmetric_slot_sum(reg: SymbolRegistry, A, F, N: int) -> List[List[PolyExpr]]:
+    """Matrix of sum_s A_(s) (x) F^(x)(N-1) on the symmetric basis v_0..v_N.
+
+    A and F are 2x2 nested lists of PolyExpr; A_(s) acts on slot s and F on
+    every other slot.  v_k is the unnormalised sum of the product states with
+    k lowered slots, so sum_k y^k v_k = (e_0 + y e_1)^(x)N, and F maps e_0 + y e_1
+    to f_0(y) e_0 + f_1(y) e_1 with f_r(y) = F[r][0] + F[r][1] y (a_r likewise).
+    Entry (j, k) is therefore the y^k coefficient of
+    j a_1 f_1^(j-1) f_0^(N-j) + (N-j) a_0 f_1^j f_0^(N-j-1), exact for any A, F.
+    """
+    zero = reg.zero()
+
+    def times(p, q):  # product of coefficient lists in y
+        out = [zero] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            if not a.is_zero:
+                for j, b in enumerate(q):
+                    out[i + j] = out[i + j] + a * b
+        return out
+
+    # f0[e], f1[e] = f_0(y)^e, f_1(y)^e for e = 0..N-1
+    f0, f1 = [[reg.const(ONE)]], [[reg.const(ONE)]]
+    for _ in range(N - 1):
+        f0.append(times(f0[-1], F[0]))
+        f1.append(times(f1[-1], F[1]))
+    rows = []
+    for j in range(N + 1):
+        acc = [zero] * (N + 1)
+        if j > 0:
+            for k, e in enumerate(times(times(A[1], f1[j - 1]), f0[N - j])):
+                acc[k] = acc[k] + e * j
+        if j < N:
+            for k, e in enumerate(times(times(A[0], f1[j]), f0[N - j - 1])):
+                acc[k] = acc[k] + e * (N - j)
+        rows.append(acc)
+    return rows
+
+
 @dataclass
 class MultispinorReduction:
     rank: int
     s: int
-    matrix: MatExpr
+    matrix: SquareMatrix
     row_scale: Scalar
     nullity: int
 
@@ -476,19 +514,16 @@ def multispinor_equations(N: int, s: int = 1) -> MultispinorReduction:
     reg = momentum_registry()
     E, m = reg.symbol("E"), reg.symbol("m")
     p_minus, p_plus = reg.symbol("p_minus"), reg.symbol("p_plus")
-    G = MatExpr(reg, [[E, p_minus], [p_plus, m * Scalar.of(2)]])
-    gamma = gamma_projector(reg)
-    total = None
-    for slot in range(1, N + 1):
-        piece = embed_factor(G, slot, N, filler=gamma)
-        total = piece if total is None else total + piece
-    total = total * Scalar(Fraction(1, N))
-
-    basis = SymBasis(N)
-    reduced = restrict_symmetric(total, basis)
+    G = [[E, p_minus], [p_plus, m * Scalar.of(2)]]
+    zero = reg.zero()
+    gamma = [[reg.const(ONE), zero], [zero, zero]]
+    # the slot sum commutes with every slot permutation: it keeps the symmetric span
+    inv_N = Scalar(Fraction(1, N))
+    reduced = SquareMatrix(
+        reg, [[e * inv_N for e in row] for row in _symmetric_slot_sum(reg, G, gamma, N)]
+    )
 
     n = N + 1
-    zero = reg.zero()
     top_expected = [E, p_minus] + [zero] * (n - 2)
     for cidx in range(n):
         if not (reduced.rows[0][cidx] - top_expected[cidx]).is_zero:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional
 
 from .algfile import load_bundled
@@ -229,8 +230,13 @@ _ROW_NOTES = {
 }
 
 
+@lru_cache(maxsize=None)
 def realization_table(name: str) -> LieAlgebraSpec:
-    """The bundled bracket table named `name` ("corrected" or "literal")."""
+    """The bundled bracket table named `name` ("corrected" or "literal").
+
+    Each table is read and parsed once per process and the same spec is
+    returned on every later call, so callers must not mutate it.
+    """
     if name not in _TABLE_FILES:
         raise ValueError(f"unknown table variant {name!r}")
     return load_bundled(_TABLE_FILES[name])

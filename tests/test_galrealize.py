@@ -255,6 +255,15 @@ def test_unknown_table_name_is_rejected():
         verify_structure(realize_schrodinger(), "imagined")
 
 
+def test_realization_table_is_loaded_once():
+    for name in ("corrected", "literal"):
+        assert realization_table(name) is realization_table(name)
+    assert realization_table("corrected") is not realization_table("literal")
+    for _ in range(2):  # a rejected name is never cached as a table
+        with pytest.raises(ValueError):
+            realization_table("imagined")
+
+
 def test_boost_time_bracket_is_momentum():
     g = realize_schrodinger()
     assert bracket(g["K1"], g["H"]) == g["P1"].scale(I)

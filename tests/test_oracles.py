@@ -15,7 +15,7 @@ sp = pytest.importorskip("sympy")
 
 from galkappa.algfile import load_bundled, loads
 from galkappa.cocycle import central_extensions
-from galkappa.fieldcheck import load_current_terms
+from galkappa.fieldcheck import load_current_terms, multispinor_equations
 from test_conformal_galilei import conformal_galilei_text
 
 
@@ -246,9 +246,26 @@ def _dense_reduction(N):
     return reduced, (E, m, pm, pp)
 
 
+def _sympy_poly(poly):
+    """A package polynomial as a sympy expression in its registry's symbols."""
+    syms = sp.symbols(poly.registry.names)
+    out = sp.Integer(0)
+    for key, coeff in poly.items():
+        term = sp.Rational(coeff.re) + sp.I * sp.Rational(coeff.im)
+        for sym, power in zip(syms, key):
+            term *= sym ** power
+        out += term
+    return out
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_dense_reduction_matches_claim(N):
     reduced, (E, m, pm, pp) = _dense_reduction(N)
+    got = multispinor_equations(N).matrix
+    assert got.dim == N + 1
+    for r in range(N + 1):
+        for c in range(N + 1):
+            assert sp.expand(_sympy_poly(got.rows[r][c]) - reduced[r, c]) == 0, (r, c)
     scale = sp.Rational(1, N)
     assert reduced[0, 0] == E and reduced[0, 1] == pm
     assert sp.simplify(reduced[1, 0] - scale * pp) == 0
