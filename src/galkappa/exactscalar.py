@@ -629,14 +629,13 @@ class PolyExpr(TermMap):
 
 
 class SquareMatrix:
-    """Square matrix over a ring of registry-bound entries.
+    """Checked square container of registry-bound entries.
 
-    Used as is, the entries are polynomials (the reduced multispinor
-    system).  Subclasses such as `DiffOp` fix another ring through three
-    hooks: `_entry` checks (and may coerce) one entry, `_times` multiplies
-    two entries for the matrix product, and `_bracket` gives the commutator
-    of two entries.  `identity` and `zeros` pass PolyExpr constants through
-    `_entry`.
+    It enforces squareness and one registry, and adds entrywise; used as is
+    it holds the reduced multispinor system.  `DiffOp` adds the matrix
+    product and commutator of its ring, and coerces entries through the
+    `_entry` hook, which `identity` and `zeros` also pass PolyExpr
+    constants through.
     """
 
     __slots__ = ("registry", "rows")
@@ -655,14 +654,6 @@ class SquareMatrix:
         if e.registry != self.registry:
             raise ShapeError("entry built over a different registry")
         return e
-
-    @staticmethod
-    def _times(a, b):
-        return a * b
-
-    @staticmethod
-    def _bracket(a, b):
-        return a._make({})  # entries of the default ring (polynomials) commute
 
     @classmethod
     def identity(cls, registry: SymbolRegistry, dim: int, factor=None):
@@ -709,42 +700,6 @@ class SquareMatrix:
             self.registry,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
         )
-
-    def __matmul__(self, other):
-        self._check(other)
-        n = self.dim
-        out = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = self._times(self.rows[r][0], other.rows[0][c])
-                for k in range(1, n):
-                    acc = acc + self._times(self.rows[r][k], other.rows[k][c])
-                row.append(acc)
-            out.append(row)
-        return type(self)(self.registry, out)
-
-    def commutator(self, other):
-        """self @ other - other @ self, entry by entry.
-
-        Entry (r, c) sums A_rk B_kc - B_rk A_kc over k; the summand with
-        r = k = c is the entry bracket [A_rr, B_rr].
-        """
-        self._check(other)
-        A, B, n = self.rows, other.rows, self.dim
-        out = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = self._bracket(A[r][r], B[r][r]) if r == c else None
-                for k in range(n):
-                    if k == r == c:
-                        continue
-                    term = self._times(A[r][k], B[k][c]) - self._times(B[r][k], A[k][c])
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return type(self)(self.registry, out)
 
     def __eq__(self, other) -> bool:
         return (

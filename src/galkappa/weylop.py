@@ -217,7 +217,9 @@ class ScalarDiffOp(TermMap):
 class DiffOp(SquareMatrix):
     """Square matrix of scalar operators; the home of every generator.
 
-    PolyExpr entries are lifted to multiplication operators.
+    PolyExpr entries are lifted to multiplication operators.  The matrix
+    product composes entries, and the commutator takes its diagonal
+    summands from the entry bracket.
     """
 
     __slots__ = ()
@@ -227,13 +229,41 @@ class DiffOp(SquareMatrix):
             e = ScalarDiffOp.coeff(e)
         return super()._entry(e)
 
-    @staticmethod
-    def _times(a: ScalarDiffOp, b: ScalarDiffOp) -> ScalarDiffOp:
-        return a.compose(b)
+    def __matmul__(self, other: "DiffOp") -> "DiffOp":
+        self._check(other)
+        n = self.dim
+        out = []
+        for r in range(n):
+            row = []
+            for c in range(n):
+                acc = self.rows[r][0].compose(other.rows[0][c])
+                for k in range(1, n):
+                    acc = acc + self.rows[r][k].compose(other.rows[k][c])
+                row.append(acc)
+            out.append(row)
+        return DiffOp(self.registry, out)
 
-    @staticmethod
-    def _bracket(a: ScalarDiffOp, b: ScalarDiffOp) -> ScalarDiffOp:
-        return a.bracket(b)
+    def commutator(self, other: "DiffOp") -> "DiffOp":
+        """self @ other - other @ self, entry by entry.
+
+        Entry (r, c) sums A_rk B_kc - B_rk A_kc over k; the summand with
+        r = k = c is the entry bracket [A_rr, B_rr].
+        """
+        self._check(other)
+        A, B, n = self.rows, other.rows, self.dim
+        out = []
+        for r in range(n):
+            row = []
+            for c in range(n):
+                acc = A[r][r].bracket(B[r][r]) if r == c else None
+                for k in range(n):
+                    if k == r == c:
+                        continue
+                    term = A[r][k].compose(B[k][c]) - B[r][k].compose(A[k][c])
+                    acc = term if acc is None else acc + term
+                row.append(acc)
+            out.append(row)
+        return DiffOp(self.registry, out)
 
     @staticmethod
     def scalar(op: ScalarDiffOp) -> "DiffOp":

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from galkappa.errors import NotInvertible, RegistryMismatch
+from galkappa.errors import NotInvertible, RegistryMismatch, ShapeError
 from galkappa.exactscalar import (
     I,
     ONE,
     ZERO,
     PolyExpr,
     Scalar,
+    SquareMatrix,
     SymbolRegistry,
     parse_scalar,
 )
@@ -156,3 +157,12 @@ def test_poly_equality_coercion(reg):
     assert reg.const(2) == 2
     assert reg.zero() == 0
     assert reg.symbol("x") != 0
+
+
+def test_square_matrix_shape_checks(reg):
+    with pytest.raises(ShapeError):
+        SquareMatrix(reg, [[reg.const(1), reg.const(2)]])
+    m2 = SquareMatrix.identity(reg, 2)
+    m3 = SquareMatrix.identity(reg, 3)
+    with pytest.raises(ShapeError):
+        m2 + m3
