@@ -4,19 +4,25 @@ Exit codes are uniform across subcommands: 0 when all requested checks pass,
 1 on a verification failure (a nonzero residual, an unsolvable covariance
 system, a failing table row), 2 on input errors (bad flags, malformed files,
 out-of-range parameters).
+
+Importing this module loads only `errors` and `report` of the package.  Each
+command imports what it runs when it runs: `algebra` loads `algfile`,
+`cocycle` and `exactscalar`; `realize` also `galrealize` and `weylop`;
+`fieldcheck` also `fieldcheck`; `numcheck` also `numtrunc` and numpy.
+argparse is imported only for help, usage and errors, since well-formed
+argv is read from the argument table directly.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from pathlib import Path
-from typing import List, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, List, Optional
 
-from . import algfile, report
-from .cocycle import central_extensions, jacobi_check
+from . import MODELS, report
 from .errors import (
     AlgebraFileError,
     BadMass,
@@ -25,41 +31,13 @@ from .errors import (
     BadSpin,
     GalkappaError,
 )
-from .exactscalar import parse_scalar
-from .fieldcheck import (
-    check_boost_covariance,
-    check_conservation,
-    check_rotation_covariance,
-    multispinor_equations,
-)
-from .galrealize import (
-    MODELS,
-    TABLE_CORRECTED,
-    TABLE_LITERAL,
-    check_rank,
-    check_spin,
-    extend_lambda,
-    kappa_shift,
-    realize,
-    verify_structure,
-)
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose help output lets a failed write through.
-
-    argparse drops an OSError raised while it prints, so help sent into a
-    closed pipe would exit 0 with an unbuffered stdout and 1 with a
-    buffered one, where `main`'s flush meets the error.  Letting the error
-    through gives `main` the same BrokenPipeError in both cases.
-    """
-
-    def print_help(self, file=None):
-        (sys.stdout if file is None else file).write(self.format_help())
 
 
 # Every argument of every command, declared once as the flag (or positional
@@ -125,7 +103,28 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built from the argument table."""
+    """The command-line parser, built from the argument table.
+
+    Only help, usage and errors need it, so argparse (and `algfile`, for the
+    help's list of bundled algebras) is imported here rather than with the
+    module.
+    """
+    import argparse
+
+    from . import algfile
+
+    class _Parser(argparse.ArgumentParser):
+        """ArgumentParser whose help output lets a failed write through.
+
+        argparse drops an OSError raised while it prints, so help sent into a
+        closed pipe would exit 0 with an unbuffered stdout and 1 with a
+        buffered one, where `main`'s flush meets the error.  Letting the error
+        through gives `main` the same BrokenPipeError in both cases.
+        """
+
+        def print_help(self, file=None):
+            (sys.stdout if file is None else file).write(self.format_help())
+
     p = _Parser(
         prog="galkappa",
         description="Exact checks on planar kinematical symmetry and its "
@@ -153,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _parse_direct(argv: List[str]) -> Optional[argparse.Namespace]:
+def _parse_direct(argv: List[str]) -> Optional[SimpleNamespace]:
     """The argv parsed from the argument table alone, or None for argparse.
 
     Taken are a command (for `algebra`, one of its subcommands), then in any
@@ -213,20 +212,28 @@ def _parse_direct(argv: List[str]) -> Optional[argparse.Namespace]:
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
         values[dest] = value
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def _load_algebra(source: str):
-    path = Path(source)
-    if path.exists():
-        return algfile.load(path)
-    return algfile.load_bundled(source)
+    """The algebra in the file `source`, or else the bundled one of that name.
+
+    Errors name `source` as given.  An empty `source` is no path, though
+    `Path("")` is the current directory, so it is looked up as a name.
+    """
+    from .algfile import load, load_bundled
+
+    if source and Path(source).exists():
+        return load(source)
+    return load_bundled(source)
 
 
 def _param_value(registry, text: str):
     """A CLI parameter: an exact scalar literal or a registered symbol name."""
     if text in ("c", "lam"):
         return registry.symbol(text)
+    from .exactscalar import parse_scalar
+
     try:
         return registry.const(parse_scalar(text))
     except ValueError:
@@ -243,6 +250,8 @@ def _emit(name: str, payload: dict) -> None:
 
 
 def _cmd_algebra(args) -> int:
+    from .cocycle import central_extensions, jacobi_check
+
     spec = _load_algebra(args.source)
     if args.subcommand == "verify":
         res = jacobi_check(spec)
@@ -290,6 +299,15 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_realize(args) -> int:
+    from .galrealize import (
+        TABLE_CORRECTED,
+        TABLE_LITERAL,
+        extend_lambda,
+        kappa_shift,
+        realize,
+        verify_structure,
+    )
+
     g = realize(args.model, args.spin_s, args.rank)
     reg = g.registry
     if args.lam is not None:
@@ -335,13 +353,17 @@ def _cmd_realize(args) -> int:
     return EXIT_OK if overall else EXIT_FAIL
 
 
-def _requested_spins(args) -> tuple:
-    """The validated --spin-s label, or both labels when the flag is absent."""
-    return (1, -1) if args.spin_s is None else (check_spin(args.spin_s),)
-
-
 def _cmd_fieldcheck(args) -> int:
-    spins = _requested_spins(args)
+    from .fieldcheck import (
+        check_boost_covariance,
+        check_conservation,
+        check_rotation_covariance,
+        multispinor_equations,
+    )
+    from .galrealize import check_rank, check_spin
+
+    # the validated --spin-s label, or both labels when the flag is absent
+    spins = (1, -1) if args.spin_s is None else (check_spin(args.spin_s),)
     check_rank(args.rank)  # every check takes --rank, though only multispinor-eqs reads it
     if args.check != "conservation":
         for flag, value in (("--index", args.index), ("--variant", args.variant)):

@@ -15,7 +15,6 @@ pairs i < j in lexicographic order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GalkappaError
@@ -121,11 +120,12 @@ def _slots(n: int) -> List[List[Optional[int]]]:
     return slot
 
 
-@dataclass
 class JacobiResult:
-    ok: bool
-    triple: Optional[Tuple[str, str, str]] = None
-    residual: Optional[Dict[str, Scalar]] = None
+    def __init__(self, ok: bool, triple: Optional[Tuple[str, str, str]] = None,
+                 residual: Optional[Dict[str, Scalar]] = None):
+        self.ok = ok
+        self.triple = triple
+        self.residual = residual
 
     def __bool__(self):
         return self.ok
@@ -235,13 +235,14 @@ def _nullspace(pivots: List[int], red: List[Row], ncols: int) -> List[Row]:
     return list(basis.values())
 
 
-@dataclass
 class ExtensionSpace:
-    names: Tuple[str, ...]
-    cocycle_dim: int
-    coboundary_dim: int
-    h2: int
-    representatives: List[List[List[Scalar]]] = field(default_factory=list)
+    def __init__(self, names: Tuple[str, ...], cocycle_dim: int, coboundary_dim: int,
+                 h2: int, representatives: Optional[List[List[List[Scalar]]]] = None):
+        self.names = names
+        self.cocycle_dim = cocycle_dim
+        self.coboundary_dim = coboundary_dim
+        self.h2 = h2
+        self.representatives = [] if representatives is None else representatives
 
     def representative_support(self, r: int) -> Dict[Tuple[str, str], Scalar]:
         out = {}

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
@@ -58,9 +57,13 @@ class Scalar:
         _SET(self, (re.numerator * (d // dr), im.numerator * (d // di), d))
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # loaded only to raise it
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):

@@ -7,10 +7,8 @@ so every verdict is an exact statement about the independent component.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import CovarianceFailure, GalkappaError, RedundancyClaimFailure
@@ -207,6 +205,10 @@ def _term_bilinear(reg, term: dict, i: int, j: Optional[int], s: int) -> FieldPo
 
 
 def load_current_terms(variant: str = "corrected") -> dict:
+    """The bundled current of `variant`, read and parsed on every call."""
+    import json
+    from importlib import resources
+
     fname = {
         "corrected": "boost_current.json",
         "literal": "boost_current_literal.json",
@@ -215,6 +217,12 @@ def load_current_terms(variant: str = "corrected") -> dict:
         raise ValueError(f"unknown conservation variant {variant!r}")
     payload = resources.files("galkappa.data").joinpath(fname).read_text()
     return json.loads(payload)
+
+
+# check_conservation parses each variant once per process and shares the
+# result between its calls, which only read it; load_current_terms gives every
+# other caller a dict of its own
+_shared_current_terms = lru_cache(maxsize=None)(load_current_terms)
 
 
 def check_conservation(
@@ -233,7 +241,8 @@ def check_conservation(
         raise ValueError("free index must be 1 or 2")
     s = check_spin(s)
     reg = registry or make_registry()
-    data = load_current_terms(variant)
+    data = _shared_current_terms(variant)
+    # copies, so that `drop` leaves the shared term lists whole
     flux_terms = list(data["terms"]["flux"])
     density_terms = list(data["terms"]["density"])
     if drop is not None:
@@ -348,10 +357,10 @@ def solve_constant_matrix(lhs: DiffOp, G: DiffOp, s: int) -> List[List[PolyExpr]
     return lam
 
 
-@dataclass
 class BoostCovariance:
-    s: int
-    lam: List[List[PolyExpr]]
+    def __init__(self, s: int, lam: List[List[PolyExpr]]):
+        self.s = s
+        self.lam = lam
 
     def lam_at_zero(self) -> List[List[Scalar]]:
         reg = self.lam[0][0].registry
@@ -386,10 +395,10 @@ def check_boost_covariance(s: int, registry: Optional[SymbolRegistry] = None) ->
     return BoostCovariance(s, lam)
 
 
-@dataclass
 class RotationCovariance:
-    s: int
-    lam: List[List[PolyExpr]]
+    def __init__(self, s: int, lam: List[List[PolyExpr]]):
+        self.s = s
+        self.lam = lam
 
     def to_dict(self):
         return {
@@ -483,13 +492,14 @@ def _symmetric_slot_sum(reg: SymbolRegistry, A, F, N: int) -> List[List[PolyExpr
     return rows
 
 
-@dataclass
 class MultispinorReduction:
-    rank: int
-    s: int
-    matrix: SquareMatrix
-    row_scale: Scalar
-    nullity: int
+    def __init__(self, rank: int, s: int, matrix: SquareMatrix, row_scale: Scalar,
+                 nullity: int):
+        self.rank = rank
+        self.s = s
+        self.matrix = matrix
+        self.row_scale = row_scale
+        self.nullity = nullity
 
     def to_dict(self):
         return {

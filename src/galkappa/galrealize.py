@@ -8,18 +8,17 @@ the explicit time symbol, and every bracket must hold identically in t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional
 
+from . import MODELS
 from .algfile import load_bundled
 from .cocycle import LieAlgebraSpec
 from .errors import BadMass, BadParameter, BadRank, BadSpin, GalkappaError, NotCentral
 from .exactscalar import HALF, I, NEG_I, PolyExpr, Scalar, SymbolRegistry
 from .weylop import DiffOp, ScalarDiffOp, bracket
 
-MODELS = ("schrodinger", "levyleblond", "multispinor")
 GENERATOR_NAMES = ("P1", "P2", "H", "J", "K1", "K2", "M")
 CENTRAL_NAME = "kappa"
 
@@ -242,15 +241,16 @@ def realization_table(name: str) -> LieAlgebraSpec:
     return load_bundled(_TABLE_FILES[name])
 
 
-@dataclass
 class RowResult:
-    lhs: str
-    rhs: str
-    computed: str
-    expected: str
-    residual: str
-    passed: bool
-    note: Optional[str] = None
+    def __init__(self, lhs: str, rhs: str, computed: str, expected: str, residual: str,
+                 passed: bool, note: Optional[str] = None):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.computed = computed
+        self.expected = expected
+        self.residual = residual
+        self.passed = passed
+        self.note = note
 
     def to_dict(self):
         out = {
@@ -265,12 +265,13 @@ class RowResult:
         return out
 
 
-@dataclass
 class StructureReport:
-    table: str
-    rows: List[RowResult] = field(default_factory=list)
-    kappa: Optional[PolyExpr] = None
-    mass: Optional[PolyExpr] = None
+    def __init__(self, table: str, rows: Optional[List[RowResult]] = None,
+                 kappa: Optional[PolyExpr] = None, mass: Optional[PolyExpr] = None):
+        self.table = table
+        self.rows = [] if rows is None else rows
+        self.kappa = kappa
+        self.mass = mass
 
     @property
     def overall(self) -> bool:

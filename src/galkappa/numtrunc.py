@@ -14,8 +14,7 @@ of matrix entries, so the difference is bitwise zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -113,13 +112,13 @@ def low_mode_indices(n_max: int, low: int) -> np.ndarray:
     return (axis[:, None] * (n_max + 1) + axis[None, :]).ravel()
 
 
-@dataclass
 class NumericRow:
-    lhs: str
-    rhs: str
-    residual: float
-    exact_zero: bool
-    passed: bool
+    def __init__(self, lhs: str, rhs: str, residual: float, exact_zero: bool, passed: bool):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.residual = residual
+        self.exact_zero = exact_zero
+        self.passed = passed
 
     def to_dict(self):
         return {
@@ -130,15 +129,16 @@ class NumericRow:
         }
 
 
-@dataclass
 class NumericReport:
-    model: str
-    m: float
-    t: float
-    n_max: int
-    low_cutoff: int
-    tol: float
-    rows: List[NumericRow] = field(default_factory=list)
+    def __init__(self, model: str, m: float, t: float, n_max: int, low_cutoff: int,
+                 tol: float, rows: Optional[List[NumericRow]] = None):
+        self.model = model
+        self.m = m
+        self.t = t
+        self.n_max = n_max
+        self.low_cutoff = low_cutoff
+        self.tol = tol
+        self.rows = [] if rows is None else rows
 
     @property
     def overall(self) -> bool:

@@ -430,13 +430,73 @@ def _child_env(**extra):
     return env
 
 
-def test_exact_commands_leave_numpy_unloaded():
+# One fresh interpreter imports the package, then the CLI, then runs the exact
+# commands from the family that needs the fewest modules to the one that needs
+# the most, and prints the modules loaded after each step.
+EXACT_COMMANDS = [
+    ("algebra", ["algebra", "verify", "so3"]),
+    ("algebra", ["algebra", "cohomology", "planar_galilei"]),
+    ("realize", ["realize", "multispinor", "--rank=4", "--shift=c", "--lambda=1/2"]),
+    ("realize", ["realize", "schrodinger", "--strict-literal-table"]),
+    ("fieldcheck", ["fieldcheck", "conservation"]),
+    ("fieldcheck", ["fieldcheck", "boost"]),
+    ("fieldcheck", ["fieldcheck", "rotation"]),
+    ("fieldcheck", ["fieldcheck", "multispinor-eqs", "--rank", "4"]),
+]
+IMPORT_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "def loaded():\n"
+    "    return sorted(name for name in sys.modules\n"
+    "                  if name.split('.')[0] in ('galkappa', 'numpy', 'argparse',\n"
+    "                                            'dataclasses', 'inspect'))\n"
+    "import galkappa\n"
+    "print(json.dumps(loaded()))\n"
+    "import galkappa.cli\n"
+    "print(json.dumps(loaded()))\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = galkappa.cli.main(argv)\n"
+    "    print(json.dumps([code, loaded()]))\n"
+)
+
+
+def test_commands_load_only_their_modules():
+    argvs = [argv for _, argv in EXACT_COMMANDS]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    package, cli_import, *commands = map(json.loads, proc.stdout.splitlines())
+    assert package == ["galkappa"]  # the package itself is lazy
+    assert cli_import == ["galkappa", "galkappa.cli", "galkappa.errors", "galkappa.report"]
+    assert [code for code, _ in commands] == [0, 0, 0, 1, 0, 0, 0, 0]
+    for (family, argv), (_, modules) in zip(EXACT_COMMANDS, commands):
+        # argparse is for help and errors; inspect comes with dataclasses
+        assert not {"numpy", "argparse", "dataclasses", "inspect"} & set(modules), argv
+        unused = {"algebra": ("weylop", "galrealize", "fieldcheck", "numtrunc"),
+                  "realize": ("fieldcheck", "numtrunc"),
+                  "fieldcheck": ("numtrunc",)}[family]
+        assert not {f"galkappa.{name}" for name in unused} & set(modules), argv
+
+
+def test_help_loads_argparse_and_prints_its_help():
     probe = (
         "import sys\n"
         "import galkappa.cli\n"
-        "assert 'numpy' not in sys.modules\n"
-        "assert galkappa.cli.main(['algebra', 'verify', 'so3']) == 0\n"
-        "assert 'numpy' not in sys.modules\n"
+        "code = galkappa.cli.main(['--help'])\n"
+        "assert 'argparse' in sys.modules and 'numpy' not in sys.modules\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(COLUMNS="80"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "usage: galkappa [-h] {algebra,realize,fieldcheck,numcheck} ...\n")
+    assert "show this help message and exit" in proc.stdout
+
+
+def test_numeric_names_load_numpy_on_first_use():
+    probe = (
+        "import sys\n"
         "import galkappa\n"
         "assert callable(galkappa.build_numeric)\n"
         "assert 'numpy' in sys.modules\n"
@@ -447,6 +507,27 @@ def test_exact_commands_leave_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_are_their_modules_objects():
+    assert set(galkappa.__all__) <= set(dir(galkappa))
+    for name in galkappa.__all__:
+        obj = getattr(galkappa, name)
+        if name == "__version__":
+            continue
+        # classes, functions and the Scalar constants name their module
+        module = sys.modules[obj.__module__]
+        assert module.__name__.startswith("galkappa."), name
+        assert getattr(module, name) is obj, name
+
+
+def test_model_choices_are_the_realization_models():
+    from galkappa import galrealize
+
+    choices = [kwargs["choices"] for _, arguments in cli._COMMANDS.values()
+               for flag, kwargs in arguments if flag in ("model", "--model")]
+    assert len(choices) == 2
+    assert all(c is galrealize.MODELS for c in choices)
 
 
 @pytest.mark.parametrize("buffering", [{}, {"PYTHONUNBUFFERED": "1"}],

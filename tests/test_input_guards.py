@@ -81,3 +81,16 @@ def test_numcheck_over_budget_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(numtrunc, "DENSE_BYTES_BUDGET", dense_bytes(5))
     err = _assert_input_error(main(["numcheck", "--nmax", "6", "--low", "2"]), capsys)
     assert "MiB" in err
+
+
+def test_empty_algebra_source_is_named_as_given(capsys):
+    # Path("") is the current directory, which is no algebra file
+    err = _assert_input_error(main(["algebra", "verify", ""]), capsys)
+    assert "no bundled algebra ''" in err
+    assert "cannot read" not in err
+
+
+def test_directory_source_is_named_as_given(tmp_path, capsys):
+    source = f"{tmp_path}/"
+    err = _assert_input_error(main(["algebra", "cohomology", source]), capsys)
+    assert f"cannot read {source}:" in err
