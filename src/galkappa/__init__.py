@@ -14,6 +14,7 @@ command of ``galkappa.cli``, loads only the modules it uses; in particular
 only the floating-point cross-check loads numpy.
 """
 
+import os
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -21,6 +22,17 @@ __version__ = "0.1.0"
 # The realization models, declared here so that the command-line table can
 # list them without loading `galrealize`, whose MODELS is this same tuple.
 MODELS = ("schrodinger", "levyleblond", "multispinor")
+
+# The directory of the bundled algebra files, and their listing, declared
+# here so that the command-line help can name them without loading
+# `algfile`, whose bundled_names is this same function.
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def bundled_names():
+    """Names of the algebra files shipped inside the package."""
+    return sorted(name[: -len(".alg")] for name in os.listdir(DATA_DIR)
+                  if name.endswith(".alg"))
 
 # Each public name and the module that defines it, in the order of __all__.
 _MODULE_OF = {

@@ -23,6 +23,7 @@ import re
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from . import DATA_DIR, bundled_names
 from .cocycle import LieAlgebraSpec
 from .errors import AlgebraFileError
 from .exactscalar import ONE, Scalar, accumulate, parse_scalar
@@ -34,7 +35,9 @@ _TERM = re.compile(r"[+-]?[^+-]+")
 # used rather than importlib.resources, whose reader for this namespace
 # package lists the directory on every lookup; `load_bundled` reads its file
 # on every call (`realize` keeps the two tables it checks against cached).
-_DATA = Path(__file__).with_name("data")
+# `bundled_names` is defined with the package, so that listing the files
+# loads no parser.
+_DATA = Path(DATA_DIR)
 
 
 def _split_terms(rhs: str) -> List[Tuple[int, str]]:
@@ -155,15 +158,6 @@ def load(path) -> LieAlgebraSpec:
     except OSError as exc:
         raise AlgebraFileError(f"cannot read {path}: {exc.strerror or exc}") from None
     return loads(text)
-
-
-def bundled_names() -> List[str]:
-    """Names of the algebra files shipped inside the package."""
-    return sorted(
-        entry.name[: -len(".alg")]
-        for entry in _DATA.iterdir()
-        if entry.name.endswith(".alg")
-    )
 
 
 def load_bundled(name: str) -> LieAlgebraSpec:

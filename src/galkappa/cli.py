@@ -22,7 +22,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, Optional
 
-from . import MODELS, report
+from . import MODELS, bundled_names, report
 from .errors import (
     AlgebraFileError,
     BadMass,
@@ -105,13 +105,11 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built from the argument table.
 
-    Only help, usage and errors need it, so argparse (and `algfile`, for the
-    help's list of bundled algebras) is imported here rather than with the
-    module.
+    Only help, usage and errors need it, so argparse is imported here rather
+    than with the module.  The help's list of bundled algebras comes from
+    the package itself, so no engine module is loaded for it.
     """
     import argparse
-
-    from . import algfile
 
     class _Parser(argparse.ArgumentParser):
         """ArgumentParser whose help output lets a failed write through.
@@ -138,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                 sp.add_argument(flag, **kwargs)
             continue
         alg_sub = sp.add_subparsers(dest="subcommand", required=True)
-        bundled = ", ".join(algfile.bundled_names())
+        bundled = ", ".join(bundled_names())
         for subcommand, sub_help in _ALGEBRA_SUBCOMMANDS.items():
             s = alg_sub.add_parser(subcommand, help=sub_help)
             for flag, kwargs in arguments:

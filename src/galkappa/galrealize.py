@@ -293,6 +293,8 @@ class StructureReport:
 def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> StructureReport:
     """Check every row the named table states against the realized generators.
 
+    A row is decided by canonical equality: it passes exactly when the
+    computed bracket and the table's right-hand side have equal term maps.
     A failing row in the report is a statement about the realization (or
     about the table variant), never a silently skipped check.  Both tables
     are bundled algebra files, Jacobi-checked by the test suite.
@@ -315,9 +317,9 @@ def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> Structure
     report.kappa = _central_over_i(pair_bracket("K1", "K2"))
     report.mass = _central_over_i(pair_bracket("K1", "P1"))
 
-    # a row passes when its residual is zero, that is when the computed and
-    # expected term maps are equal; then both print alike and the residual
-    # prints as the zero matrix, so only a failing row prints them apart
+    # a row passes when the computed and expected term maps are equal; then
+    # both print alike and the residual is the zero matrix, so the residual
+    # is formed and printed only for a failing row
     zero_text = str(DiffOp.zeros(reg, g.dim))
     for lhs, rhs, row_expected in rows:
         computed = computed_by_pair[(lhs, rhs)]
@@ -336,10 +338,11 @@ def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> Structure
             else:
                 term = g[name].scale(coeff)
             expected = term if expected is None else expected + term
-        residual = computed if expected is None else computed - expected
-        if residual.is_zero:
+        passed = computed.is_zero if expected is None else computed == expected
+        if passed:
             report.rows.append(RowResult(lhs, rhs, text, text, zero_text, True, note))
         else:
+            residual = computed if expected is None else computed - expected
             report.rows.append(RowResult(
                 lhs, rhs, text, zero_text if expected is None else str(expected),
                 str(residual), False, note,

@@ -19,6 +19,18 @@ when ord A + ord B or deg A + deg B is; the bracket raises in exactly those
 cases too.  Every term of a bracket is a term of A o B or of B o A, so a
 bracket that passes this check on its operands is within both guards, and
 it is built without running the guards again.
+
+Work done once per operand: an operator keeps, filled on first use, the
+derivatives of its coefficients that compositions with it on the right
+have needed (once per operand, nonzero derivatives only), and the order
+and degree its bracket check reads.  Neither changes its value.
+
+Trusted results: besides the bracket, `ScalarDiffOp.scale` by a nonzero
+factor free of the coordinates (a product of nonzero polynomials is
+nonzero, and the coordinate degree cannot grow), and the product,
+commutator and `scale` of `DiffOp` (square, one registry, entries already
+checked) build their results without the constructors' checks.  Any other
+factor goes through the constructor, with its guards and errors.
 """
 
 from __future__ import annotations
@@ -46,10 +58,47 @@ MultiIndex = Tuple[int, int, int]
 ZERO_IDX: MultiIndex = (0, 0, 0)
 
 
-class ScalarDiffOp(TermMap):
-    """One scalar operator: sum of coefficient * d1^a1 d2^a2 dt^at terms."""
+def _nonzero_derivatives(g: PolyExpr, reach: MultiIndex, known: dict) -> list:
+    """[(gamma, d^gamma g), ...] for every gamma <= reach with d^gamma g nonzero.
 
-    __slots__ = ()
+    gamma runs in lexicographic order.  d^gamma g is read from `known`, which
+    holds nonzero derivatives only, or else taken from the order one lower
+    (along t, else x2, else x1); a derivative of zero is zero, so each axis
+    stops at its first zero.
+    """
+    out = []
+    d1 = g
+    for g1 in range(reach[0] + 1):
+        if g1:
+            d1 = known.get((g1, 0, 0)) or d1.diff("x1")
+            if d1.is_zero:
+                break
+        d2 = d1
+        for g2 in range(reach[1] + 1):
+            if g2:
+                d2 = known.get((g1, g2, 0)) or d2.diff("x2")
+                if d2.is_zero:
+                    break
+            dt = d2
+            for gt in range(reach[2] + 1):
+                if gt:
+                    dt = known.get((g1, g2, gt)) or dt.diff("t")
+                    if dt.is_zero:
+                        break
+                out.append(((g1, g2, gt), dt))
+    return out
+
+
+class ScalarDiffOp(TermMap):
+    """One scalar operator: sum of coefficient * d1^a1 d2^a2 dt^at terms.
+
+    Two slots are filled on first use and never change the operator's value,
+    so equality, hashing, printing and pickling ignore them: `_derivs`, the
+    nonzero derivatives of each coefficient (see `_derivatives`), and
+    `_ext`, the (order, degree) pair of the bracket's guard check.
+    """
+
+    __slots__ = ("_derivs", "_ext")
 
     def __init__(self, registry: SymbolRegistry, terms: Mapping[MultiIndex, PolyExpr]):
         for c in COORDS:
@@ -71,6 +120,10 @@ class ScalarDiffOp(TermMap):
                 raise DegreeOverflow("coefficient coordinate degree exceeds guard")
             clean[midx] = coeff
         self._terms = clean
+
+    def __getstate__(self):
+        # the memo slots are left out: a copy takes its derivatives anew
+        return None, {"registry": self.registry, "_terms": self._terms}
 
     # -- constructors --------------------------------------------------------
 
@@ -100,56 +153,72 @@ class ScalarDiffOp(TermMap):
         return other
 
     def scale(self, factor) -> "ScalarDiffOp":
-        """Left-multiply by a polynomial or scalar (commutes as a coefficient)."""
+        """Left-multiply by a polynomial or scalar (commutes as a coefficient).
+
+        A nonzero factor free of the coordinates, over this registry, keeps
+        every coefficient nonzero (Gaussian rationals form a field, and the
+        polynomials an integral domain) and its coordinate degree unchanged,
+        so that result is built without the constructor's checks; a scalar
+        multiplies each coefficient's terms directly.  Any other factor goes
+        through the constructor's checks.
+        """
         if not isinstance(factor, PolyExpr):
-            factor = self.registry.const(Scalar.of(factor))
-        return ScalarDiffOp(
-            self.registry, {m: factor * c for m, c in self._terms.items()}
-        )
+            s = Scalar.of(factor)
+            if s.is_zero:
+                return self._make({})
+            return self._make({m: c._make({k: s * v for k, v in c._terms.items()})
+                               for m, c in self._terms.items()})
+        terms = {m: factor * c for m, c in self._terms.items()}
+        if (factor.is_zero or factor.registry != self.registry
+                or factor.uses_symbols(COORDS)):
+            return ScalarDiffOp(self.registry, terms)
+        return self._make(terms)
+
+    def _derivatives(self, reach: MultiIndex) -> Dict[MultiIndex, list]:
+        """{beta: [(gamma, d^gamma g), ...]} for each coefficient g d^beta of this operator.
+
+        Lists every nonzero derivative with gamma <= reach on each axis, in
+        lexicographic order of gamma, so gamma (0, 0, 0) comes first.  The
+        table is built on first use and kept on the operand; a later call
+        that reaches further on some axis extends it and reuses every
+        derivative already taken.
+        """
+        derivs = getattr(self, "_derivs", None)
+        table = {}
+        if derivs is not None:
+            have, table = derivs
+            if reach[0] <= have[0] and reach[1] <= have[1] and reach[2] <= have[2]:
+                return table
+            reach = tuple(map(max, reach, have))
+        table = {beta: _nonzero_derivatives(g, reach, dict(table.get(beta, ())))
+                 for beta, g in self._terms.items()}
+        self._derivs = (reach, table)
+        return table
 
     def _leibniz(self, other: "ScalarDiffOp", terms: dict, sign: int, start: int) -> None:
         """Accumulate sign * C(alpha, gamma) f * (d^gamma g) d^(alpha - gamma + beta).
 
         One term for every f d^alpha of self, g d^beta of other and gamma <=
-        alpha with |gamma| >= start: start 0 gives the whole product
-        self o other, start 1 only its derivative cross terms.
+        alpha with |gamma| >= start and d^gamma g nonzero: start 0 gives the
+        whole product self o other, start 1 only its derivative cross terms.
+        The derivatives come from other's table, in lexicographic order of
+        gamma, which fixes the order in which the terms are met.
         """
-        # derivatives of each right-hand coefficient by order (g1, g2, gt),
-        # each taken once, from the order one lower that the loops met before
-        derivatives = {beta: {ZERO_IDX: g} for beta, g in other._terms.items()}
+        if not self._terms:
+            return
+        derivatives = other._derivatives(tuple(map(max, zip(*self._terms))))
         for alpha, f in self._terms.items():
+            a1, a2, at = alpha
             for beta, by_order in derivatives.items():
-                for g1 in range(alpha[0] + 1):
-                    for g2 in range(alpha[1] + 1):
-                        for gt in range(alpha[2] + 1):
-                            if g1 + g2 + gt < start:
-                                continue
-                            order = (g1, g2, gt)
-                            dg = by_order.get(order)
-                            if dg is None:
-                                if gt:
-                                    dg = by_order[(g1, g2, gt - 1)].diff("t")
-                                elif g2:
-                                    dg = by_order[(g1, g2 - 1, 0)].diff("x2")
-                                else:
-                                    dg = by_order[(g1 - 1, 0, 0)].diff("x1")
-                                by_order[order] = dg
-                            if dg.is_zero:
-                                continue
-                            term = f * dg
-                            w = sign * (
-                                math.comb(alpha[0], g1)
-                                * math.comb(alpha[1], g2)
-                                * math.comb(alpha[2], gt)
-                            )
-                            if w != 1:  # a nonzero integer keeps every coefficient nonzero
-                                term = term._make({k: c * w for k, c in term._terms.items()})
-                            midx = (
-                                alpha[0] - g1 + beta[0],
-                                alpha[1] - g2 + beta[1],
-                                alpha[2] - gt + beta[2],
-                            )
-                            accumulate(terms, midx, term)
+                for (g1, g2, gt), dg in by_order:
+                    if g1 > a1 or g2 > a2 or gt > at or g1 + g2 + gt < start:
+                        continue
+                    term = f * dg
+                    w = sign * math.comb(a1, g1) * math.comb(a2, g2) * math.comb(at, gt)
+                    if w != 1:  # a nonzero integer keeps every coefficient nonzero
+                        term = term._make({k: c * w for k, c in term._terms.items()})
+                    accumulate(terms, (a1 - g1 + beta[0], a2 - g2 + beta[1],
+                                       at - gt + beta[2]), term)
 
     def compose(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
         """Normal-form product: derivatives act through coefficients (Leibniz)."""
@@ -160,11 +229,17 @@ class ScalarDiffOp(TermMap):
         return ScalarDiffOp(self.registry, terms)
 
     def _extent(self) -> Tuple[int, int]:
-        """(derivative order, coefficient coordinate degree) of a nonzero operator."""
-        return (
-            max(map(sum, self._terms)),
-            max(c.max_degree(COORDS) for c in self._terms.values()),
-        )
+        """(derivative order, coefficient coordinate degree) of a nonzero operator.
+
+        Computed once per operand and kept in its `_ext` slot.
+        """
+        ext = getattr(self, "_ext", None)
+        if ext is None:
+            ext = self._ext = (
+                max(map(sum, self._terms)),
+                max(c.max_degree(COORDS) for c in self._terms.values()),
+            )
+        return ext
 
     def bracket(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
         """The commutator self o other - other o self, from its cross terms only.
@@ -219,7 +294,10 @@ class DiffOp(SquareMatrix):
 
     PolyExpr entries are lifted to multiplication operators.  The matrix
     product composes entries, and the commutator takes its diagonal
-    summands from the entry bracket.
+    summands from the entry bracket.  The product, the commutator and
+    `scale` combine the entries of checked operands of one registry and
+    dimension into operators of that registry, so they build their results
+    with `_make`, without checking each entry again.
     """
 
     __slots__ = ()
@@ -228,6 +306,13 @@ class DiffOp(SquareMatrix):
         if isinstance(e, PolyExpr):
             e = ScalarDiffOp.coeff(e)
         return super()._entry(e)
+
+    def _make(self, rows) -> "DiffOp":
+        """A result over this registry, taking square rows of its operators as they are."""
+        out = object.__new__(type(self))
+        out.registry = self.registry
+        out.rows = tuple(map(tuple, rows))
+        return out
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         self._check(other)
@@ -241,7 +326,7 @@ class DiffOp(SquareMatrix):
                     acc = acc + self.rows[r][k].compose(other.rows[k][c])
                 row.append(acc)
             out.append(row)
-        return DiffOp(self.registry, out)
+        return self._make(out)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         """self @ other - other @ self, entry by entry.
@@ -263,14 +348,14 @@ class DiffOp(SquareMatrix):
                     acc = term if acc is None else acc + term
                 row.append(acc)
             out.append(row)
-        return DiffOp(self.registry, out)
+        return self._make(out)
 
     @staticmethod
     def scalar(op: ScalarDiffOp) -> "DiffOp":
         return DiffOp(op.registry, [[op]])
 
     def scale(self, factor) -> "DiffOp":
-        return DiffOp(self.registry, [[e.scale(factor) for e in row] for row in self.rows])
+        return self._make([[e.scale(factor) for e in row] for row in self.rows])
 
 
 def compose(A: DiffOp, B: DiffOp) -> DiffOp:

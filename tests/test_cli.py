@@ -12,7 +12,7 @@ from hypothesis import given, settings
 import galkappa
 import test_golden_reports
 import test_growing_fraction_reports
-from galkappa import cli, report
+from galkappa import algfile, cli, report
 from galkappa.cli import build_parser, main
 from test_exit_codes import _argvs
 
@@ -479,19 +479,34 @@ def test_commands_load_only_their_modules():
 
 
 def test_help_loads_argparse_and_prints_its_help():
+    # the parser lists the bundled algebras without loading the engine
+    engine = ["galkappa.algfile", "galkappa.cocycle", "galkappa.exactscalar"]
     probe = (
         "import sys\n"
         "import galkappa.cli\n"
-        "code = galkappa.cli.main(['--help'])\n"
+        "code = galkappa.cli.main(sys.argv[1:])\n"
         "assert 'argparse' in sys.modules and 'numpy' not in sys.modules\n"
+        f"assert not set({engine!r}) & set(sys.modules), sorted(sys.modules)\n"
         "sys.exit(code)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(COLUMNS="80"),
-                          capture_output=True, text=True, timeout=120)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-c", probe, *argv],
+                              env=_child_env(COLUMNS="80"), capture_output=True, text=True,
+                              timeout=120)
+
+    proc = run("--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(
         "usage: galkappa [-h] {algebra,realize,fieldcheck,numcheck} ...\n")
     assert "show this help message and exit" in proc.stdout
+    proc = run("realize", "bogus")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage: galkappa realize") and "invalid choice" in proc.stderr
+    proc = run("algebra", "verify", "--help")
+    assert proc.returncode == 0, proc.stderr
+    listed = {word.strip(",()") for word in proc.stdout.split()}
+    assert set(algfile.bundled_names()) <= listed
 
 
 def test_numeric_names_load_numpy_on_first_use():

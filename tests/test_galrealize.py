@@ -1,5 +1,6 @@
 """Generator realizations and structure-table verification."""
 
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
@@ -8,7 +9,7 @@ import pytest
 from galkappa.algfile import loads
 from galkappa.cocycle import jacobi_check
 from galkappa.errors import BadMass, BadRank, BadSpin, NotCentral
-from galkappa.exactscalar import I, Scalar
+from galkappa.exactscalar import I, PolyExpr, Scalar
 from galkappa.galrealize import (
     CENTRAL_NAME,
     GENERATOR_NAMES,
@@ -275,3 +276,28 @@ def test_generator_set_accessors():
     assert g.dim == 1
     with pytest.raises(KeyError):
         g["Q"]
+
+
+def test_one_verify_structure_takes_few_derivatives_and_degrees(monkeypatch):
+    # work counts, not timings: each operand keeps its nonzero derivatives and
+    # its guard extent, so repeated brackets of the seven generators reuse them
+    # (a kernel that took them again on every call needed 140 and 97 here)
+    reg = make_registry()
+    g = realize_multispinor(reg, s=1, N=3)
+    g = extend_lambda(kappa_shift(g, reg.symbol("c")), reg.symbol("lam"))
+    counts = Counter()
+
+    def counted(name):
+        original = getattr(PolyExpr, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(PolyExpr, name, wrapper)
+
+    counted("diff")
+    counted("max_degree")
+    report = verify_structure(g)
+    assert report.overall and len(report.rows) == 21
+    assert counts["diff"] <= 59
+    assert counts["max_degree"] <= 15

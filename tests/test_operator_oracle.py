@@ -12,15 +12,17 @@ coefficients, hashes and strings in any insertion order.  The random
 operators stay inside the degree guards; the cases past them are explicit.
 """
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galkappa.errors import DegreeOverflow
+from galkappa.errors import DegreeOverflow, RegistryMismatch
 from galkappa.exactscalar import ONE, PolyExpr, Scalar, SymbolRegistry, accumulate
 from galkappa.weylop import MAX_COEFF_DEGREE, MAX_DERIV_ORDER, DiffOp, ScalarDiffOp
 
@@ -123,12 +125,18 @@ _PARTS = sorted({Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)
 gaussian = st.sampled_from([Scalar(a, b) for a in _PARTS for b in _PARTS if a or b])
 # Exponents of c, m, t, x1, x2 (the registry's sorted order): only m may be
 # negative, and the coordinate degree stays within half the coefficient guard.
-monomials = st.sampled_from([
+_MONOMIALS = [
     key for key in itertools.product(range(2), range(-1, 2), range(3), range(3), range(3))
     if sum(key[2:]) <= MAX_COEFF_DEGREE // 2
-])
+]
+monomials = st.sampled_from(_MONOMIALS)
 term_maps = st.dictionaries(monomials, gaussian, max_size=4)
 polys = term_maps.map(lambda t: PolyExpr(REG, t))
+# Nonzero polynomials in c and m alone, free of the coordinates t, x1, x2.
+coordinate_free_polys = st.dictionaries(
+    st.sampled_from([key for key in _MONOMIALS if not any(key[2:])]), gaussian,
+    min_size=1, max_size=3,
+).map(lambda t: PolyExpr(REG, t))
 # Derivative orders up to 3, so a product stays within the order guard.
 orders = st.sampled_from([
     a for a in itertools.product(range(4), repeat=3) if sum(a) <= MAX_DERIV_ORDER // 2
@@ -257,3 +265,85 @@ def test_operator_sums_and_negations_are_canonical(A, B):
     for result in (A + B, -A, A - B):
         public = ScalarDiffOp(REG, result._terms)
         assert public._terms == result._terms and hash(public) == hash(result)
+
+
+# -- a right operand reused across calls -----------------------------------------
+
+
+def _reach(A: ScalarDiffOp):
+    return tuple(map(max, zip(*A._terms)))
+
+
+def _fresh(B: ScalarDiffOp) -> ScalarDiffOp:
+    return ScalarDiffOp(B.registry, dict(B._terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators, st.lists(operators, min_size=1, max_size=3))
+def test_a_reused_right_operand_matches_a_fresh_one(B, lefts):
+    # per-axis orders rise and then fall, so B's derivative table is built
+    # for a multiplication operator, extended for each further reach, and
+    # then read by smaller left operands
+    lefts = sorted(lefts + [ScalarDiffOp.coeff(REG.symbol("c")),
+                            ScalarDiffOp.deriv(REG, (1, 1, 1))], key=lambda A: sum(_reach(A)))
+    for A in lefts + lefts[::-1]:
+        _same_operator(A.compose(B), ref_compose(A, _fresh(B)))
+        fresh = _fresh(B)
+        _same_operator(A.bracket(B), ref_op_add(ref_compose(A, fresh), -ref_compose(fresh, A)),
+                       ordered=False)
+    assert B._derivs[0] == tuple(map(max, *map(_reach, lefts)))
+
+
+# -- results built without the constructor's checks -------------------------------
+
+
+def _constructor_scale(A: ScalarDiffOp, factor) -> ScalarDiffOp:
+    """A.scale(factor) with every coefficient checked by the constructor."""
+    if not isinstance(factor, PolyExpr):
+        factor = REG.const(Scalar.of(factor))
+    return ScalarDiffOp(REG, {midx: factor * c for midx, c in A._terms.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(operators, st.one_of(st.integers(-3, 3), gaussian, st.just(REG.zero()),
+                            coordinate_free_polys, polys))
+def test_scale_matches_the_constructor(A, factor):
+    _same_operator(A.scale(factor), _constructor_scale(A, factor))
+
+
+def test_scale_keeps_the_degree_guard_and_the_registry_check():
+    x1 = REG.symbol("x1")
+    A = ScalarDiffOp.deriv(REG, (1, 0, 0), x1 ** 5)
+    for scaled in (A.scale, DiffOp.scalar(A).scale):
+        with pytest.raises(DegreeOverflow):
+            scaled(x1 ** (MAX_COEFF_DEGREE - 4))
+        # c over a registry where m is not invertible: coordinate-free, but foreign
+        with pytest.raises(RegistryMismatch):
+            scaled(SymbolRegistry(SYMBOLS).symbol("c"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(operator_matrices(), st.one_of(gaussian, coordinate_free_polys))
+def test_matrix_results_equal_the_constructed_ones(pair, factor):
+    A, B = pair
+    for result in (A.commutator(B), A @ B, A.scale(factor), A + B, A - B):
+        public = DiffOp(REG, result.rows)
+        assert type(result) is DiffOp and all(type(row) is tuple for row in result.rows)
+        assert result == public and hash(result) == hash(public)
+        assert str(result) == str(public)
+
+
+@settings(max_examples=40, deadline=None)
+@given(operators, operators)
+def test_a_filled_memo_leaves_equality_hash_and_pickling_alone(A, B):
+    before = (hash(A), repr(A), pickle.dumps(A))
+    A.bracket(B)
+    B.compose(A)
+    assert hasattr(A, "_ext") and hasattr(A, "_derivs")
+    assert (hash(A), repr(A), pickle.dumps(A)) == before
+    assert A == _fresh(A) and _fresh(A) == A
+    for twin in (pickle.loads(before[2]), copy.deepcopy(A)):
+        assert not hasattr(twin, "_derivs") and not hasattr(twin, "_ext")
+        assert twin == A and hash(twin) == hash(A) and repr(twin) == repr(A)
+        _same_operator(twin.bracket(B), A.bracket(B))
+        _same_operator(B.compose(twin), B.compose(A))
