@@ -465,10 +465,7 @@ def _run(argv: Optional[List[str]]) -> int:
         if args.command == "fieldcheck":
             return _cmd_fieldcheck(args)
         return _cmd_numcheck(args)
-    except (AlgebraFileError, BadSpin, BadRank, BadMass, BadParameter) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (AlgebraFileError, BadSpin, BadRank, BadMass, BadParameter, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GalkappaError as exc:

@@ -104,11 +104,16 @@ def build_numeric(
     return {name: _evaluate(op.entry(0, 0), values, x, p) for name, op in gens.gens.items()}
 
 
-def low_mode_indices(n_max: int, low: int) -> np.ndarray:
-    """Indices of the two-axis states with both axis quanta <= low, ascending."""
+def _low_side(n_max: int, low: int) -> int:
+    """Modes per axis in the low block, low + 1, for a valid cutoff."""
     if not isinstance(low, int) or not 0 <= low <= n_max:
         raise BadParameter(f"low cutoff must be an integer in 0..{n_max}")
-    axis = np.arange(low + 1)
+    return low + 1
+
+
+def low_mode_indices(n_max: int, low: int) -> np.ndarray:
+    """Indices of the two-axis states with both axis quanta <= low, ascending."""
+    axis = np.arange(_low_side(n_max, low))
     return (axis[:, None] * (n_max + 1) + axis[None, :]).ravel()
 
 
@@ -176,18 +181,23 @@ def residual_report(
     """Max-abs commutator residuals on the low block against the named table.
 
     Only the block of states with both axis quanta <= low_cutoff is formed,
-    summing over every intermediate state.  A row passes when its residual is
-    within tol times the largest of 1 and the block entries of AB, BA and the
-    expected value, so rounding of large entries is not a failure.  The
-    central symbol has no matrix realization here, so rows producing it are
-    compared against zero.
+    summing over every intermediate state; it is sliced from each generator
+    viewed as an (n_max+1,)*4 array over the axis quanta of row and column,
+    so it comes in the order of `low_mode_indices`, and the whole space is a
+    view, not a copy.  A row passes when its residual is within tol times
+    the largest of 1 and the block entries of AB, BA and the expected value,
+    so rounding of large entries is not a failure.  The central symbol has no
+    matrix realization here, so rows producing it are compared against zero.
     """
     side = next(iter(ops.values())).shape[0]
     n_max = int(round(np.sqrt(side))) - 1
-    keep = low_mode_indices(n_max, low_cutoff)
-    # a block that is the whole space is the matrices as they are: no copies
-    whole = len(keep) == side
-    block = np.ix_(keep, keep)
+    n, k = n_max + 1, _low_side(n_max, low_cutoff)
+
+    def block(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        """Entries of a whose row quanta are < rows and column quanta < cols."""
+        return a.reshape(n, n, n, n)[:rows, :rows, :cols, :cols].reshape(
+            rows * rows, cols * cols)
+
     spec = realization_table(table)
     names = spec.names
 
@@ -195,16 +205,12 @@ def residual_report(
     for i, j in spec.stated:
         a, b = names[i], names[j]
         A, B = ops[a], ops[b]
-        if whole:
-            ab, ba = A @ B, B @ A
-        else:
-            ab = A[keep] @ B[:, keep]
-            ba = B[keep] @ A[:, keep]
+        ab = block(A, k, n) @ block(B, n, k)
+        ba = block(B, k, n) @ block(A, n, k)
         rhs = np.zeros_like(ab)
-        for k, coeff in spec.bracket(i, j).items():
-            if names[k] != CENTRAL_NAME:
-                target = ops[names[k]] if whole else ops[names[k]][block]
-                rhs += (complex(coeff.re) + 1j * complex(coeff.im)) * target
+        for c, coeff in spec.bracket(i, j).items():
+            if names[c] != CENTRAL_NAME:
+                rhs += (complex(coeff.re) + 1j * complex(coeff.im)) * block(ops[names[c]], k, k)
         resid = ab - ba
         resid -= rhs
         worst = _peak(resid)

@@ -157,3 +157,29 @@ def test_bracket_sign_convention():
     fwd = spec.bracket(j, p1)
     rev = spec.bracket(p1, j)
     assert {k: -v for k, v in fwd.items()} == rev
+
+
+def test_beta_given_as_a_matrix():
+    spec = planar()
+    reps = central_extensions(spec).representatives
+    assert reps
+    for rep in reps:
+        assert is_cocycle(spec, rep)
+    assert classes_independent(spec, reps)
+    # the same classes by name pairs and as matrices agree
+    boost = [[Scalar(0)] * spec.dim for _ in range(spec.dim)]
+    k1, k2 = spec.index("K1"), spec.index("K2")
+    boost[k1][k2], boost[k2][k1] = Scalar(1), Scalar(-1)
+    assert is_cocycle(spec, boost)
+    assert classes_independent(spec, [boost]) == classes_independent(
+        spec, [{("K1", "K2"): Scalar(1)}])
+
+
+def test_beta_matrix_must_be_antisymmetric():
+    spec = planar()
+    bad = [[Scalar(0)] * spec.dim for _ in range(spec.dim)]
+    bad[0][1] = Scalar(1)  # with bad[1][0] still 0
+    with pytest.raises(ValueError, match="antisymmetric"):
+        is_cocycle(spec, bad)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        classes_independent(spec, [bad])

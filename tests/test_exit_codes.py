@@ -1,4 +1,4 @@
-"""Input errors the CLI must report as exit 2 with no traceback."""
+"""Errors the CLI must report as exit 1 or 2, with no traceback."""
 
 import contextlib
 import io
@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galkappa import report
+from galkappa import galrealize, report
 from galkappa.cli import main
+from galkappa.errors import DegreeOverflow, NotCentral
 
 
 @pytest.mark.parametrize(
@@ -80,3 +81,22 @@ def test_any_argv_exits_0_1_or_2_without_traceback(argv):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# -- the exit code of an error raised while a check runs -------------------------
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (NotCentral("[K1, K2] is not central"), 1, "verification failure: "),
+    (DegreeOverflow("derivative order 7 exceeds guard"), 1, "verification failure: "),
+    (ValueError("unknown table variant"), 2, "input error: "),
+])
+def test_errors_inside_a_check_map_to_their_exit_code(monkeypatch, capsys, error, code, prefix):
+    def raising(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(galrealize, "verify_structure", raising)
+    assert main(["realize", "schrodinger"]) == code
+    out, err = capsys.readouterr()
+    assert err == f"{prefix}{error}\n"
+    assert "Traceback" not in out + err

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from galkappa.errors import BadRank, BadSpin, CovarianceFailure
+from galkappa import fieldcheck
+from galkappa.errors import BadRank, BadSpin, CovarianceFailure, RedundancyClaimFailure
 from galkappa.exactscalar import Scalar
 from galkappa.fieldcheck import (
     CHI,
@@ -24,7 +25,7 @@ from galkappa.fieldcheck import (
     solve_constant_matrix,
 )
 from galkappa.galrealize import make_registry
-from galkappa.weylop import bracket, compose
+from galkappa.weylop import DiffOp, ScalarDiffOp, bracket, compose
 
 
 @pytest.fixture
@@ -215,3 +216,63 @@ def test_momentum_registry_names():
     reg = momentum_registry()
     assert set(reg.names) == {"E", "m", "p_minus", "p_plus"}
     assert reg.is_invertible("m")
+
+
+# -- negative controls: each claim is decided by one identity ---------------------
+
+
+def _one_entry(reg, r, c, op):
+    """The 2x2 operator matrix with op at (r, c) and zero elsewhere."""
+    zero = ScalarDiffOp.zero(reg)
+    return DiffOp(reg, [[op if (i, j) == (r, c) else zero for j in range(2)]
+                        for i in range(2)])
+
+
+@pytest.mark.parametrize("r, c, midx, coeff", [
+    (1, 1, (2, 0, 0), "1"),      # an order-2 term
+    (0, 0, (0, 0, 0), "m"),      # a stray multiplication term in column 0
+    (1, 1, (0, 0, 1), "v1"),     # a stray time derivative in column 1
+    (1, 0, (0, 1, 0), "v2"),     # a d2 coefficient inconsistent with d1
+    (0, 1, (0, 0, 0), "3"),      # a column-1 constant that disagrees with column 0
+])
+def test_covariance_perturbation_names_its_residual_entry(reg, r, c, midx, coeff):
+    G = build_wave_operator(reg, 1)
+    lam = check_boost_covariance(1, reg).lam
+    valid = compose(DiffOp(reg, lam), G)
+    assert solve_constant_matrix(valid, G, 1) == lam
+    value = reg.const(Scalar(int(coeff))) if coeff.isdigit() else reg.symbol(coeff)
+    bad = valid + _one_entry(reg, r, c, ScalarDiffOp.deriv(reg, midx, value))
+    with pytest.raises(CovarianceFailure, match=rf"residual entry \({r}, {c}\) is nonzero"):
+        solve_constant_matrix(bad, G, 1)
+
+
+def _perturbed_slot_sum(monkeypatch, r, c, name):
+    """Make the slot sum return its true value plus the symbol `name` at (r, c)."""
+    true_sum = fieldcheck._symmetric_slot_sum
+
+    def perturbed(reg, A, F, N):
+        rows = true_sum(reg, A, F, N)
+        rows[r][c] = rows[r][c] + reg.symbol(name)
+        return rows
+
+    monkeypatch.setattr(fieldcheck, "_symmetric_slot_sum", perturbed)
+
+
+@pytest.mark.parametrize("r, c, name", [
+    (0, 1, "E"),        # a wrong top row
+    (0, 2, "m"),
+    (1, 1, "m"),        # a second row off the scale its first entry sets
+    (1, 3, "p_plus"),
+    (2, 0, "p_minus"),  # a constraint in a lower row
+    (3, 3, "E"),
+])
+def test_multispinor_mismatch_names_row_and_column(monkeypatch, r, c, name):
+    _perturbed_slot_sum(monkeypatch, r, c, name)
+    with pytest.raises(RedundancyClaimFailure, match=rf"^row {r}, column {c}: "):
+        multispinor_equations(3, 1)
+
+
+def test_multispinor_second_row_must_open_with_a_multiple_of_p_plus(monkeypatch):
+    _perturbed_slot_sum(monkeypatch, 1, 0, "E")
+    with pytest.raises(RedundancyClaimFailure, match=r"^row 1, column 0: .* multiple of p_plus"):
+        multispinor_equations(2, 1)

@@ -301,3 +301,40 @@ def test_one_verify_structure_takes_few_derivatives_and_degrees(monkeypatch):
     assert report.overall and len(report.rows) == 21
     assert counts["diff"] <= 59
     assert counts["max_degree"] <= 15
+
+
+def _doubled(g, M=None):
+    """The one-component set as a 2x2 diagonal set, with M replaced if given."""
+    reg = g.registry
+    zero = ScalarDiffOp.zero(reg)
+    gens = {name: DiffOp(reg, [[op.entry(0, 0), zero], [zero, op.entry(0, 0)]])
+            for name, op in g.gens.items()}
+    if M is not None:
+        gens["M"] = DiffOp(reg, M)
+    return GeneratorSet(gens, g.meta)
+
+
+def test_mass_guard_accepts_a_multi_component_set():
+    g = realize_schrodinger()
+    reg = g.registry
+    shifted = kappa_shift(_doubled(g), Scalar(3))
+    assert extract_kappa(shifted) == reg.const(Scalar(-3))  # kappa = -c, as for one component
+    assert verify_structure(shifted).overall
+    assert extend_lambda(_doubled(g), Scalar(1)).meta["lam"] == reg.const(Scalar(1))
+
+
+@pytest.mark.parametrize("case", ["unequal diagonal", "off-diagonal entry", "coordinate factor"])
+def test_mass_guard_rejects_a_multi_component_mass(case):
+    g = realize_schrodinger()
+    reg = g.registry
+    m, zero = reg.symbol("m"), reg.zero()
+    M = {
+        "unequal diagonal": [[m, zero], [zero, m * Scalar(2)]],
+        "off-diagonal entry": [[m, reg.const(Scalar(1))], [zero, m]],
+        "coordinate factor": [[m + reg.symbol("x1"), zero], [zero, m + reg.symbol("x1")]],
+    }[case]
+    broken = _doubled(g, M)
+    with pytest.raises(BadMass):
+        kappa_shift(broken, Scalar(1))
+    with pytest.raises(BadMass):
+        extend_lambda(broken, Scalar(1))

@@ -169,3 +169,17 @@ def test_str_rendering(reg):
     text = str(op)
     assert "d1" in text and "m" in text
     assert str(ScalarDiffOp.zero(reg)) == "0"
+
+
+def test_conjugate_phase_takes_a_multiplication_operator(reg):
+    theta = reg.symbol("m") * (reg.symbol("x1") * reg.symbol("t") + reg.symbol("x2"))
+    A = DiffOp.scalar(ScalarDiffOp(reg, {(1, 0, 0): reg.symbol("x2"), (0, 0, 1): reg.const(I)}))
+    as_op = conjugate_phase(A, ScalarDiffOp.coeff(theta))
+    assert as_op == conjugate_phase(A, theta)
+    assert as_op != A
+
+
+@pytest.mark.parametrize("phase", [3, Scalar(1), "m*x1", None])
+def test_conjugate_phase_rejects_other_phase_types(reg, phase):
+    with pytest.raises(MalformedPhase):
+        conjugate_phase(DiffOp.scalar(d(reg, (1, 0, 0))), phase)
