@@ -353,11 +353,16 @@ class SymbolRegistry:
         return PolyExpr(self, {} if s.is_zero else {(0,) * len(self.names): s})
 
     def symbol(self, name: str, power: int = 1) -> "PolyExpr":
+        """name**power; the key is valid by construction, so it skips the checks."""
         idx = self.index(name)
-        if power < 0 and not self.is_invertible(name):
+        if power < 0 and name not in self.invertible:
             raise NotInvertible(f"symbol {name!r} does not permit negative powers")
-        key = tuple(power if k == idx else 0 for k in range(len(self.names)))
-        return PolyExpr(self, {key: ONE})
+        key = [0] * len(self.names)
+        key[idx] = power
+        out = _new(PolyExpr)
+        out.registry = self
+        out._terms = {tuple(key): ONE}
+        return out
 
 
 def accumulate(terms: dict, key, coeff) -> None:

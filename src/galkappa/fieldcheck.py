@@ -304,15 +304,14 @@ def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
     return compose(S_inv, compose(core, S))
 
 
-def solve_constant_matrix(lhs: DiffOp, G: DiffOp, s: int) -> List[List[PolyExpr]]:
+def solve_constant_matrix(lhs: DiffOp, G: DiffOp) -> List[List[PolyExpr]]:
     """Solve lhs = Lambda o G for a constant 2x2 matrix over the parameters.
 
     Column 0 of Lambda o G is Lambda_r0 (i dt) + Lambda_r1 p_plus, so row r
-    of Lambda is read from the dt and d1 coefficients of lhs in column 0
-    (neither depends on the spin label s of G).  The claim is then one exact
-    identity: Lambda is free of the coordinates and lhs equals Lambda o G.
-    A failure raises CovarianceFailure naming the first nonzero entry of
-    lhs - Lambda o G.
+    of Lambda is read from the dt and d1 coefficients of lhs in column 0.
+    The claim is then one exact identity: Lambda is free of the coordinates
+    and lhs equals Lambda o G.  A failure raises CovarianceFailure naming the
+    first nonzero entry of lhs - Lambda o G.
     """
     lam = [[col0.coefficient((0, 0, 1)) * NEG_I, col0.coefficient((1, 0, 0)) * I]
            for col0, _ in lhs.rows]
@@ -356,7 +355,7 @@ def check_boost_covariance(s: int, registry: Optional[SymbolRegistry] = None) ->
     G = build_wave_operator(reg, s)
     v = (reg.symbol("v1"), reg.symbol("v2"))
     try:
-        lam = solve_constant_matrix(boost_transform(G, s, v), G, s)
+        lam = solve_constant_matrix(boost_transform(G, s, v), G)
     except CovarianceFailure as exc:
         raise CovarianceFailure(
             f"no constant intertwining matrix (convention shift -1, vplus +1): {exc}"
@@ -396,7 +395,7 @@ def check_rotation_covariance(
     reg = registry or make_registry()
     G = build_wave_operator(reg, s)
     J = rotation_generator(reg, s, spin_sign)
-    lam = solve_constant_matrix(bracket(G, J), G, s)
+    lam = solve_constant_matrix(bracket(G, J), G)
     return RotationCovariance(s, lam)
 
 

@@ -1,10 +1,11 @@
 """Floating-point cross-check on a truncated oscillator basis.
 
 The symbolic layer proves identities exactly; this module evaluates the same
-exact generators (from `galrealize.realize`) as finite complex matrices on
-harmonic-oscillator modes per axis, cut at n_max, and measures commutator
-residuals.  Truncation breaks the canonical pair only in the highest mode, so
-residuals are scored on a low-mode block well away from the cut.
+exact generators (from `galrealize.realize`) on harmonic-oscillator modes per
+axis, cut at n_max, each as its terms: pairs (A, B) of single-axis matrices
+whose Kronecker products sum to it.  Truncation breaks the canonical pair only
+in the highest mode, so commutator residuals are scored on a low-mode block
+well away from the cut, from only the slabs of the terms that the block reads.
 
 The boost-boost commutator needs no tolerance at all: the two boosts act on
 different tensor factors, and both product orders multiply the same pairs
@@ -14,7 +15,7 @@ of matrix entries, so the difference is bitwise zero.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,20 +24,28 @@ from .exactscalar import PolyExpr
 from .galrealize import CENTRAL_NAME, TABLE_CORRECTED, realization_table, realize
 from .weylop import ScalarDiffOp
 
-# Every generator is a dense complex matrix of side (n_max+1)**2.  A run holds
-# about 11.5 of them when the low block is the whole space (tracemalloc peak
-# at n_max 12 and 20): the seven generators and one table row's products,
-# right-hand side and residual; at low = n_max/3 the peak, about 8.5, comes
-# while the generators are built.  The bound of 14 is kept, so the refused
-# truncations are the same.  Larger truncations are refused before allocating.
-PEAK_DENSE_MATRICES = 14
-DENSE_BYTES_BUDGET = 2 * 1024**3
+# A check holds at most FACTOR_MATRICES single-axis matrices, BUFFER_BYTES of
+# numpy ufunc buffers and PEAK_SLABS arrays of (low+1)**2 by (n_max+1)**2
+# complex entries: two reused slabs, a term, and a row's products and sums.
+FACTOR_MATRICES = 40
+PEAK_SLABS = 7
+BUFFER_BYTES = 2**19
+BYTES_BUDGET = 2 * 1024**3
+
+Terms = List[Tuple[np.ndarray, np.ndarray]]
 
 
-def dense_bytes(n_max: int) -> int:
-    """Estimated peak bytes of the dense matrices of a check at n_max."""
-    side = (n_max + 1) ** 2
-    return PEAK_DENSE_MATRICES * side * side * np.dtype(complex).itemsize
+def check_bytes(n_max: int, low: int) -> int:
+    """Estimated peak bytes of a check at n_max with low cutoff low."""
+    return (FACTOR_MATRICES + PEAK_SLABS * (low + 1) ** 2) * (n_max + 1) ** 2 * 16 + BUFFER_BYTES
+
+
+def _require_budget(n_max: int, low: int) -> None:
+    """Refuse a check over the budget before anything but the factors is allocated."""
+    if check_bytes(n_max, low) > BYTES_BUDGET:
+        raise BadParameter(f"n_max {n_max} with low cutoff {low} needs about "
+                           f"{check_bytes(n_max, low) / 2**20:,.0f} MiB of complex arrays, "
+                           f"over the budget of {BYTES_BUDGET / 2**20:,.0f} MiB")
 
 
 def _axis(dim: int):
@@ -53,17 +62,18 @@ def xp_defect(dim: int) -> np.ndarray:
     return x @ p - p @ x - 1j * np.eye(dim)
 
 
-def _evaluate(op: ScalarDiffOp, values: Dict[str, float], x, p) -> np.ndarray:
-    """A scalar operator as a two-axis matrix: x_k -> x and d_k -> i p on axis k.
+def _evaluate(op: ScalarDiffOp, values: Dict[str, float], x, p) -> Terms:
+    """A scalar operator as two-axis terms: x_k -> x and d_k -> i p on axis k.
 
-    Each term coeff * x1^a x2^b * d1^d1 d2^d2 becomes
-    number * kron(x^a (i p)^d1, x^b (i p)^d2), where number is the rest of
-    the coefficient evaluated at the supplied symbol values.
+    Each term coeff * x1^a x2^b * d1^d1 d2^d2 becomes the factor pair
+    (number * x^a (i p)^d1, x^b (i p)^d2), where number is the rest of the
+    coefficient evaluated at the supplied symbol values; pairs come in the
+    operator's term order and are never merged.
     """
     reg = op.registry
     i1, i2 = reg.index("x1"), reg.index("x2")
     power, deriv = np.linalg.matrix_power, 1j * p
-    out = np.zeros((x.shape[0] ** 2,) * 2, dtype=complex)
+    terms = []
     for (d1, d2, dt), poly in op.items():
         if dt:
             raise GalkappaError("a time derivative has no truncated-matrix form")
@@ -72,9 +82,9 @@ def _evaluate(op: ScalarDiffOp, values: Dict[str, float], x, p) -> np.ndarray:
             a, b = rest[i1], rest[i2]
             rest[i1] = rest[i2] = 0
             number = PolyExpr(reg, {tuple(rest): coeff}).evaluate(values)
-            out += np.kron(number * (power(x, a) @ power(deriv, d1)),
-                           power(x, b) @ power(deriv, d2))
-    return out
+            terms.append((number * (power(x, a) @ power(deriv, d1)),
+                          power(x, b) @ power(deriv, d2)))
+    return terms
 
 
 def build_numeric(
@@ -84,20 +94,15 @@ def build_numeric(
     n_max: int = 24,
     spin_s: int = 1,
     rank: int = 1,
-) -> Dict[str, np.ndarray]:
-    """The exact generators of the model evaluated on the two-axis truncated mode space."""
+) -> Dict[str, Terms]:
+    """The exact generators of the model as terms on the two-axis truncated mode space."""
     if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 0):
         raise BadParameter(f"mass must be a positive finite number, got {m!r}")
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise BadParameter(f"time must be a finite number, got {t!r}")
     if not isinstance(n_max, int) or n_max < 4:
         raise BadParameter(f"n_max must be an integer >= 4, got {n_max!r}")
-    if dense_bytes(n_max) > DENSE_BYTES_BUDGET:
-        raise BadParameter(
-            f"n_max {n_max} needs about {dense_bytes(n_max) / 2**20:,.0f} MiB of "
-            f"dense matrices ({PEAK_DENSE_MATRICES} complex matrices of side "
-            f"{(n_max + 1) ** 2}), over the budget of {DENSE_BYTES_BUDGET / 2**20:,.0f} MiB"
-        )
+    _require_budget(n_max, 0)
     gens = realize(model, spin_s, rank)
     x, p = _axis(n_max + 1)
     values = {"m": m, "t": t}
@@ -170,7 +175,7 @@ def _peak(a: np.ndarray) -> float:
 
 
 def residual_report(
-    ops: Dict[str, np.ndarray],
+    ops: Dict[str, Terms],
     table: str = TABLE_CORRECTED,
     low_cutoff: int = 8,
     tol: float = 1e-9,
@@ -180,51 +185,47 @@ def residual_report(
 ) -> NumericReport:
     """Max-abs commutator residuals on the low block against the named table.
 
-    Only the block of states with both axis quanta <= low_cutoff is formed,
-    summing over every intermediate state; it is sliced from each generator
-    viewed as an (n_max+1,)*4 array over the axis quanta of row and column,
-    so it comes in the order of `low_mode_indices`, and the whole space is a
-    view, not a copy.  A row passes when its residual is within tol times
-    the largest of 1 and the block entries of AB, BA and the expected value,
-    so rounding of large entries is not a failure.  The central symbol has no
-    matrix realization here, so rows producing it are compared against zero.
+    Only the block of states with both axis quanta <= low_cutoff is scored,
+    summing over every intermediate state: a product is a row slab (row
+    quanta <= low_cutoff, every column) times a column slab.  A block of
+    kron(A, B) is the kron of the same slices of A and B, so each slab and
+    block is summed from zero one term at a time, entry for entry as the
+    whole matrix, in the order of `low_mode_indices`.  A row passes when its
+    residual is within tol times the largest of 1 and the block entries of
+    AB, BA and the expected value, so rounding of large entries is not a
+    failure.  The central symbol has no matrix realization here, so rows
+    producing it are compared against zero.
     """
-    side = next(iter(ops.values())).shape[0]
-    n_max = int(round(np.sqrt(side))) - 1
+    n_max = next(iter(ops.values()))[0][0].shape[0] - 1
     n, k = n_max + 1, _low_side(n_max, low_cutoff)
+    _require_budget(n_max, low_cutoff)
+    slabs = np.empty((2, (k * n) ** 2), dtype=complex)  # a row and a column slab, reused
 
-    def block(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
-        """Entries of a whose row quanta are < rows and column quanta < cols."""
-        return a.reshape(n, n, n, n)[:rows, :rows, :cols, :cols].reshape(
-            rows * rows, cols * cols)
+    def block(terms: Terms, rows: int, cols: int, slot: int) -> np.ndarray:
+        """Entries whose row quanta are < rows and column quanta < cols, in slabs[slot]."""
+        out = slabs[slot, : (rows * cols) ** 2].reshape(rows, rows, cols, cols)
+        out.fill(0)
+        for a, b in terms:  # the entries of kron(a, b), as np.kron multiplies them
+            out += a[:rows, None, :cols, None] * b[None, :rows, None, :cols]
+        return out.reshape(rows * rows, cols * cols)
 
     spec = realization_table(table)
     names = spec.names
-
     report = NumericReport(model, m, t, n_max, low_cutoff, tol)
     for i, j in spec.stated:
         a, b = names[i], names[j]
-        A, B = ops[a], ops[b]
-        ab = block(A, k, n) @ block(B, n, k)
-        ba = block(B, k, n) @ block(A, n, k)
-        rhs = np.zeros_like(ab)
+        ab = block(ops[a], k, n, 0) @ block(ops[b], n, k, 1)
+        ba = block(ops[b], k, n, 0) @ block(ops[a], n, k, 1)
+        rhs = block([], k, k, 1)  # zero, in the column slab's place
         for c, coeff in spec.bracket(i, j).items():
             if names[c] != CENTRAL_NAME:
-                rhs += (complex(coeff.re) + 1j * complex(coeff.im)) * block(ops[names[c]], k, k)
-        resid = ab - ba
-        resid -= rhs
-        worst = _peak(resid)
+                rhs += (complex(coeff.re) + 1j * complex(coeff.im)) * block(ops[names[c]], k, k, 0)
         scale = max(1.0, _peak(ab), _peak(ba), _peak(rhs))
-        report.rows.append(
-            NumericRow(
-                lhs=a,
-                rhs=b,
-                residual=worst,
-                exact_zero=bool(np.all(resid == 0.0)),
-                passed=worst <= tol * scale,
-            )
-        )
-        del ab, ba, rhs, resid  # freed before the next row allocates its own
+        ab -= ba  # ab becomes the residual ab - ba - rhs, in place
+        ab -= rhs
+        worst = _peak(ab)
+        report.rows.append(NumericRow(a, b, worst, bool(np.all(ab == 0.0)), worst <= tol * scale))
+        del ab, ba, rhs  # freed before the next row allocates its own
     return report
 
 
@@ -239,7 +240,7 @@ def run_numeric_check(
     rank: int = 1,
     table: str = TABLE_CORRECTED,
 ) -> NumericReport:
-    """Build the matrices and score every table row in one call.
+    """Build the generator terms and score every table row in one call.
 
     A value of m or t so large (or a mass so small) that the matrices
     overflow double precision is an input error, not a failed check.
@@ -249,9 +250,8 @@ def run_numeric_check(
     try:
         with np.errstate(over="raise", invalid="raise"):
             ops = build_numeric(model, m=m, t=t, n_max=n_max, spin_s=spin_s, rank=rank)
-            return residual_report(
-                ops, table=table, low_cutoff=low, tol=tol, model=model, m=m, t=t
-            )
+            return residual_report(ops, table=table, low_cutoff=low, tol=tol,
+                                   model=model, m=m, t=t)
     except (FloatingPointError, OverflowError) as exc:
         raise BadParameter(
             f"m = {m!r}, t = {t!r} at n_max {n_max} exceed double precision ({exc})"

@@ -18,6 +18,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import List, Optional
 
+from .errors import BadParameter
+
 REPORT_DIR_ENV = "GALKAPPA_REPORT_DIR"
 
 
@@ -69,12 +71,20 @@ def render(payload: dict) -> str:
 
 
 def write(name: str, payload: dict) -> Optional[Path]:
-    """Write payload under $GALKAPPA_REPORT_DIR/name.json if the var is set."""
+    """Write payload under $GALKAPPA_REPORT_DIR/name.json if the var is set.
+
+    A directory that cannot be made or a file that cannot be written is a
+    BadParameter, so the CLI reports an input error.
+    """
     directory = os.environ.get(REPORT_DIR_ENV)
     if not directory:
         return None
     root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
     out = root / f"{name}.json"
-    out.write_text(render(payload))
+    text = render(payload)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
+    except OSError as exc:  # a file in the way, or no permission: the setting is at fault
+        raise BadParameter(f"cannot write report {out}: {exc}") from None
     return out

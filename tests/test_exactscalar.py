@@ -116,6 +116,26 @@ def test_laurent_only_for_invertible(reg):
     assert p.div_symbol("m").coefficient((-1, 1, 0)) == Scalar(Fraction(1, 2))
 
 
+def test_symbol_matches_the_checked_constructor():
+    from galkappa.galrealize import REALIZE_SYMBOLS, make_registry
+
+    reg = make_registry()
+    width = len(reg.names)
+    for name in REALIZE_SYMBOLS:
+        for power in range(-2, 4):
+            if power < 0 and not reg.is_invertible(name):
+                with pytest.raises(NotInvertible):
+                    reg.symbol(name, power)
+                continue
+            key = tuple(power if k == reg.index(name) else 0 for k in range(width))
+            want = PolyExpr(reg, {key: ONE})
+            got = reg.symbol(name, power)
+            assert type(got) is PolyExpr
+            assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    with pytest.raises(KeyError):
+        reg.symbol("z")
+
+
 def test_registry_mismatch_raises(reg):
     other = SymbolRegistry(("x", "y", "m"))  # same names, different flags
     with pytest.raises(RegistryMismatch):

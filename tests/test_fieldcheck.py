@@ -158,7 +158,7 @@ def test_solve_constant_matrix_rejects_wrong_target(reg):
 
     twist = DiffOp.identity(reg, 2, factor=reg.symbol("x1"))
     with pytest.raises(CovarianceFailure):
-        solve_constant_matrix(compose(twist, G), G, 1)
+        solve_constant_matrix(compose(twist, G), G)
 
 
 @pytest.mark.parametrize("s", [1, -1])
@@ -177,7 +177,7 @@ def test_rotation_needs_matching_spin_half(reg):
     G = build_wave_operator(reg, 1)
     J_wrong = rotation_generator(reg, 1, spin_sign=-1)
     with pytest.raises(CovarianceFailure):
-        solve_constant_matrix(bracket(G, J_wrong), G, 1)
+        solve_constant_matrix(bracket(G, J_wrong), G)
 
 
 # -- multispinor ----------------------------------------------------------------
@@ -239,11 +239,11 @@ def test_covariance_perturbation_names_its_residual_entry(reg, r, c, midx, coeff
     G = build_wave_operator(reg, 1)
     lam = check_boost_covariance(1, reg).lam
     valid = compose(DiffOp(reg, lam), G)
-    assert solve_constant_matrix(valid, G, 1) == lam
+    assert solve_constant_matrix(valid, G) == lam
     value = reg.const(Scalar(int(coeff))) if coeff.isdigit() else reg.symbol(coeff)
     bad = valid + _one_entry(reg, r, c, ScalarDiffOp.deriv(reg, midx, value))
     with pytest.raises(CovarianceFailure, match=rf"residual entry \({r}, {c}\) is nonzero"):
-        solve_constant_matrix(bad, G, 1)
+        solve_constant_matrix(bad, G)
 
 
 def _perturbed_slot_sum(monkeypatch, r, c, name):

@@ -1,11 +1,13 @@
 """Flag values and numcheck sizes the CLI must refuse with exit 2."""
 
+import tracemalloc
+
 import pytest
 
-from galkappa import numtrunc
+from galkappa import numtrunc, report
 from galkappa.cli import main
 from galkappa.errors import BadParameter
-from galkappa.numtrunc import DENSE_BYTES_BUDGET, build_numeric, dense_bytes
+from galkappa.numtrunc import BYTES_BUDGET, build_numeric, check_bytes, residual_report
 
 
 def _assert_input_error(code, capsys):
@@ -63,22 +65,48 @@ def test_numcheck_overflow_is_an_input_error(flags, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_dense_size_estimate_admits_nmax_48_and_grows():
-    assert dense_bytes(48) <= DENSE_BYTES_BUDGET
-    sizes = [dense_bytes(n) for n in range(4, 200)]
-    assert sizes == sorted(sizes)
-    assert sizes[-1] > DENSE_BYTES_BUDGET
+def test_size_estimate_admits_every_earlier_size_and_grows():
+    # whole matrices of side (n_max+1)**2 capped n_max at 54 for any cutoff
+    assert all(check_bytes(n, low) <= BYTES_BUDGET for n in range(4, 55) for low in range(n + 1))
+    assert check_bytes(200, 8) <= BYTES_BUDGET
+    assert check_bytes(65, 65) <= BYTES_BUDGET < check_bytes(66, 66)
+    assert check_bytes(469, 8) <= BYTES_BUDGET < check_bytes(470, 8)
+    assert check_bytes(1688, 0) <= BYTES_BUDGET < check_bytes(1689, 0)  # the argv fuzz relies on it
+    for low in (0, 8):
+        sizes = [check_bytes(n, low) for n in range(max(4, low), 2000)]
+        assert sizes == sorted(sizes) and sizes[-1] > BYTES_BUDGET
+    assert [check_bytes(30, low) for low in range(31)] == sorted(
+        check_bytes(30, low) for low in range(31))
 
 
-def test_build_refuses_nmax_over_budget_before_allocating(monkeypatch):
-    monkeypatch.setattr(numtrunc, "DENSE_BYTES_BUDGET", dense_bytes(6))
-    assert set(build_numeric("schrodinger", n_max=6)) == {"P1", "P2", "H", "J", "K1", "K2", "M"}
-    with pytest.raises(BadParameter, match="n_max 7 needs about"):
-        build_numeric("schrodinger", n_max=7)
+def test_check_over_budget_is_refused_before_anything_but_the_factors(monkeypatch):
+    monkeypatch.setattr(numtrunc, "BYTES_BUDGET", check_bytes(20, 2))
+    ops = build_numeric("schrodinger", n_max=20)
+    assert set(ops) == {"P1", "P2", "H", "J", "K1", "K2", "M"}
+    assert residual_report(ops, low_cutoff=2).overall
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParameter, match="n_max 20 with low cutoff 3 needs about"):
+            residual_report(ops, low_cutoff=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4**2 * 21**2  # less than one slab was allocated
+    with pytest.raises(BadParameter, match="n_max 21 with low cutoff 2 needs about"):
+        numtrunc.run_numeric_check(n_max=21, low=2)
+
+
+def test_huge_truncation_is_refused_before_any_factor(monkeypatch):
+    def refuse(dim):
+        raise AssertionError(f"axis operators of side {dim} were built")
+
+    monkeypatch.setattr(numtrunc, "_axis", refuse)
+    with pytest.raises(BadParameter, match="n_max 100000 with low cutoff 0 needs about"):
+        build_numeric("schrodinger", n_max=100000)
 
 
 def test_numcheck_over_budget_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(numtrunc, "DENSE_BYTES_BUDGET", dense_bytes(5))
+    monkeypatch.setattr(numtrunc, "BYTES_BUDGET", check_bytes(6, 1))
     err = _assert_input_error(main(["numcheck", "--nmax", "6", "--low", "2"]), capsys)
     assert "MiB" in err
 
@@ -94,3 +122,26 @@ def test_directory_source_is_named_as_given(tmp_path, capsys):
     source = f"{tmp_path}/"
     err = _assert_input_error(main(["algebra", "cohomology", source]), capsys)
     assert f"cannot read {source}:" in err
+
+
+# One command of each family, with the name its report is written under.
+_REPORTING = [
+    (["algebra", "verify", "planar_galilei"], "algebra-verify"),
+    (["realize", "schrodinger"], "realize-schrodinger"),
+    (["fieldcheck", "rotation"], "fieldcheck-rotation"),
+    (["numcheck", "--nmax", "4", "--low", "2"], "numcheck"),
+]
+
+
+@pytest.mark.parametrize("layout", ["file", "under-a-file", "name-is-a-directory"])
+@pytest.mark.parametrize("argv,name", _REPORTING)
+def test_unwritable_report_is_an_input_error(argv, name, layout, tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    directory = {"file": blocker, "under-a-file": blocker / "reports",
+                 "name-is-a-directory": tmp_path}[layout]
+    if layout == "name-is-a-directory":
+        (tmp_path / f"{name}.json").mkdir()
+    monkeypatch.setenv(report.REPORT_DIR_ENV, str(directory))
+    err = _assert_input_error(main(argv), capsys)
+    assert f"cannot write report {directory / name}.json" in err

@@ -3,11 +3,12 @@
 `dense_build` and `dense_residuals` are the earlier `numtrunc` code, kept
 here as the reference: generators transcribed by hand as full
 (n_max+1)^2 matrices, and residuals projected with a dense 0/1 projector.
-The package now evaluates the exact `galrealize` generators and forms only
-the low-mode block; both must give the same matrices and residuals.
-`copying_residuals` is the block scoring that always copied the block out of
-the generators, even when the block is the whole space; `residual_report`
-must give bitwise the same rows.
+The package now evaluates the exact `galrealize` generators as Kronecker
+factor pairs and forms only the slabs the low-mode block reads; `expand`
+sums the pairs into full matrices here, so both must give the same matrices
+and residuals.  `copying_residuals` is the block scoring that copied the
+block out of full generators; `residual_report` must give bitwise the same
+rows.
 """
 
 import numpy as np
@@ -25,6 +26,11 @@ def spin_constant(model, spin_s, rank):
     if model == "levyleblond":
         return spin_s / 2.0
     return rank * spin_s / 2.0
+
+
+def expand(ops):
+    """Each generator's factor pairs summed, in order, into its full matrix."""
+    return {name: sum(np.kron(a, b) for a, b in terms) for name, terms in ops.items()}
 
 
 def dense_build(model, m, t, n_max, spin_s, rank):
@@ -75,17 +81,18 @@ def test_evaluated_generators_and_residuals_match_dense_reference(model, spin_s,
         low = n_max // 2
         ref = dense_build(model, m, t, n_max, spin_s, rank)
         ops = build_numeric(model, m=m, t=t, n_max=n_max, spin_s=spin_s, rank=rank)
-        assert list(ops) == list(ref)
+        full = expand(ops)
+        assert list(full) == list(ref)
         for name, mat in ref.items():
             scale = max(1.0, float(np.max(np.abs(mat))))
-            assert np.max(np.abs(ops[name] - mat)) <= 1e-13 * scale, (name, n_max)
+            assert np.max(np.abs(full[name] - mat)) <= 1e-13 * scale, (name, n_max)
         table = "literal" if n_max % 3 == 0 else "corrected"
         want = dense_residuals(ref, realization_table(table), n_max, low)
         rep = residual_report(ops, table=table, low_cutoff=low, m=m, t=t)
         for row, (residual, exact_zero) in zip(rep.rows, want):
             assert abs(row.residual - residual) <= 1e-13, (row.lhs, row.rhs, n_max)
             assert row.exact_zero == exact_zero, (row.lhs, row.rhs, n_max)
-        k1k2 = ops["K1"] @ ops["K2"] - ops["K2"] @ ops["K1"]
+        k1k2 = full["K1"] @ full["K2"] - full["K2"] @ full["K1"]
         assert np.all(k1k2 == 0.0)
 
 
@@ -119,5 +126,5 @@ def test_whole_space_block_matches_the_copying_path_bitwise(model):
         for low in (n_max, n_max // 3):
             rep = residual_report(ops, table=table, low_cutoff=low, m=m, t=t)
             got = [(r.lhs, r.rhs, r.residual, r.exact_zero, r.passed) for r in rep.rows]
-            assert got == copying_residuals(ops, realization_table(table), n_max, low), \
-                (n_max, low)
+            assert got == copying_residuals(expand(ops), realization_table(table), n_max,
+                                            low), (n_max, low)

@@ -9,11 +9,13 @@ from galkappa.errors import BadParameter, BadRank, BadSpin
 from galkappa.galrealize import MODELS
 from galkappa.numtrunc import (
     build_numeric,
+    check_bytes,
     low_mode_indices,
     residual_report,
     run_numeric_check,
     xp_defect,
 )
+from test_numcheck_oracle import expand
 
 
 def test_xp_defect_lives_at_the_cut():
@@ -28,25 +30,50 @@ def test_xp_defect_lives_at_the_cut():
 
 
 def test_boost_commutator_is_bitwise_zero():
-    ops = build_numeric("schrodinger", n_max=10)
+    ops = expand(build_numeric("schrodinger", n_max=10))
     comm = ops["K1"] @ ops["K2"] - ops["K2"] @ ops["K1"]
     assert np.all(comm == 0.0)
 
 
-@pytest.mark.parametrize("n_max", [12, 20])
-def test_whole_space_block_makes_no_copies_of_the_generators(n_max):
-    # the row's two products, its right-hand side and its residual: with a
-    # copy of A and B for each product the peak was 7 matrices
-    ops = build_numeric("schrodinger", n_max=n_max)
-    matrix_bytes = ops["P1"].nbytes
+def _traced_peak(**kwargs):
     tracemalloc.start()
     try:
-        rep = residual_report(ops, low_cutoff=n_max)
+        rep = run_numeric_check(**kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(rep.rows) == 21
-    assert peak <= 5 * matrix_bytes, peak / matrix_bytes
+    return peak
+
+
+def test_size_estimate_bounds_the_traced_peak():
+    # warmed up first, so the exact layer's cached tables, which the
+    # estimate does not cover, are not counted
+    for model in MODELS:
+        run_numeric_check(model=model, n_max=4, low=2, rank=4)
+    for n_max in (6, 9, 12, 15, 20):
+        for low in sorted({0, n_max // 3, n_max}):
+            for model in MODELS:
+                peak = _traced_peak(model=model, n_max=n_max, low=low, rank=4)
+                assert peak <= check_bytes(n_max, low), (model, n_max, low)
+
+
+@pytest.mark.parametrize("n_max", [12, 20])
+def test_whole_space_check_holds_few_whole_matrices(n_max):
+    # two reused slabs (one later holds the right-hand side), the row's two
+    # products (one becomes the residual) and a term being summed, about 5.1
+    # to 5.6; with seven prebuilt dense generators the peak was about 11.5
+    run_numeric_check(n_max=4, low=2)
+    whole = 16 * (n_max + 1) ** 4
+    peak = _traced_peak(n_max=n_max, low=n_max)
+    assert peak <= 7 * whole, peak / whole
+
+
+def test_truncation_past_the_whole_matrix_cap_passes():
+    # whole matrices of side 101**2 would take 1.6 GB each
+    rep = run_numeric_check(n_max=100, low=4)
+    assert rep.overall
+    assert {(r.lhs, r.rhs): r for r in rep.rows}[("K1", "K2")].exact_zero
 
 
 def test_acceptance_settings_pass_tightly():
@@ -89,9 +116,9 @@ def test_models_share_projective_content(model):
 
 
 def test_internal_constant_shifts_rotation():
-    base = build_numeric("schrodinger", n_max=6)
-    half = build_numeric("levyleblond", n_max=6, spin_s=-1)
-    multi = build_numeric("multispinor", n_max=6, spin_s=1, rank=3)
+    base = expand(build_numeric("schrodinger", n_max=6))
+    half = expand(build_numeric("levyleblond", n_max=6, spin_s=-1))
+    multi = expand(build_numeric("multispinor", n_max=6, spin_s=1, rank=3))
     eye = np.eye(base["J"].shape[0])
     assert np.allclose(half["J"] - base["J"], -0.5 * eye)
     assert np.allclose(multi["J"] - base["J"], 1.5 * eye)
