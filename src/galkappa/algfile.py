@@ -10,9 +10,10 @@ Format, line by line (``#`` starts a comment, blank lines are skipped):
 The first significant line declares the generator names (identifiers; the
 name ``i`` is reserved for the imaginary unit).  Each following line fixes
 one bracket.  Coefficients are exact scalar literals (``3``, ``-1/2``,
-``i``, ``2*i``, ``3/4*i``); a bare name means coefficient 1.  Unstated
-brackets vanish.  Restating a pair in either order is an error, as is a
-self-bracket or an unknown name; errors carry the offending line number.
+``i``, ``2*i``, ``3/4*i``, ASCII digits only); a bare name means
+coefficient 1.  Every sign must precede a term.  Unstated brackets vanish.
+Restating a pair in either order is an error, as is a self-bracket or an
+unknown name; errors carry the offending line number.
 The pairs as the file states them, in its order and orientation and with
 its ``= 0`` lines, are kept in the spec's ``stated``.
 """
@@ -26,11 +27,19 @@ from typing import Dict, List, Tuple
 from . import DATA_DIR, bundled_names
 from .cocycle import LieAlgebraSpec
 from .errors import AlgebraFileError
-from .exactscalar import ONE, Scalar, accumulate, parse_scalar
+from .exactscalar import I, NEG_I, ONE, Scalar, _reduced, accumulate, parse_scalar
 
 _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _BRACKET = re.compile(r"^\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*=\s*(.+)$")
-_TERM = re.compile(r"[+-]?[^+-]+")
+_SIGN = re.compile(r"([+-])")
+# A well-formed term body: an optional coefficient `n`, `n/d`, `n*i`, `n/d*i`
+# or `i`, each followed by `*`, then a name; digits and names are ASCII, and
+# whitespace may surround the body and each `*`, as str.strip() allows.
+_TERM = re.compile(
+    r"\s*(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?\s*\*\s*(?:(?P<imag>i)\s*\*\s*)?"
+    r"|(?P<unit>i)\s*\*\s*)?"
+    r"(?P<name>[A-Za-z][A-Za-z0-9_]*)\s*"
+)
 # The bundled files ship as plain files in the package directory.  A path is
 # used rather than importlib.resources, whose reader for this namespace
 # package lists the directory on every lookup; `load_bundled` reads its file
@@ -38,26 +47,51 @@ _TERM = re.compile(r"[+-]?[^+-]+")
 # `bundled_names` is defined with the package, so that listing the files
 # loads no parser.
 _DATA = Path(DATA_DIR)
+_MINUS_ONE = -ONE
 
 
-def _split_terms(rhs: str) -> List[Tuple[int, str]]:
-    """Split a bracket right-hand side into (sign, body) chunks."""
-    out = []
-    for chunk in _TERM.finditer(rhs):
-        text = chunk.group().strip()
-        if not text:
-            continue
-        sign = 1
-        if text[0] in "+-":
-            sign = -1 if text[0] == "-" else 1
-            text = text[1:].strip()
-        out.append((sign, text))
-    return out
+def _split_terms(rhs: str) -> List[Tuple[str, str]]:
+    """Split a stripped bracket right-hand side into (sign, body) chunks.
+
+    Every sign opens a chunk, so a sign with no term after it leaves an
+    empty body, which `_parse_term` rejects.
+    """
+    parts = _SIGN.split(rhs)
+    head = parts[0]
+    terms = [("", head)] if head else []
+    terms += zip(parts[1::2], parts[2::2])
+    return terms
 
 
-def _parse_term(sign: int, body: str, line_no: int) -> Tuple[Scalar, str]:
+def _parse_term(sign: str, body: str, line_no: int) -> Tuple[Scalar, str]:
+    """The signed coefficient and generator name of one term.
+
+    A well-formed term is read by one match; any other term (and a zero
+    denominator) goes through `_checked_term`, which says what is wrong.
+    """
+    m = _TERM.fullmatch(body)
+    if m is not None:
+        num, den, imag, unit, name = m.groups()
+        negative = sign == "-"
+        if num is None:
+            if unit is None:
+                return (_MINUS_ONE if negative else ONE), name
+            return (NEG_I if negative else I), name
+        n = -int(num) if negative else int(num)
+        d = int(den) if den else 1
+        if d:
+            return (_reduced(0, n, d) if imag else _reduced(n, 0, d)), name
+    return _checked_term(sign, body, line_no)
+
+
+def _checked_term(sign: str, body: str, line_no: int) -> Tuple[Scalar, str]:
+    """`_parse_term` piece by piece: the error names what is wrong with a term."""
+    body = body.strip()
+    if not body:
+        raise AlgebraFileError(f"malformed term {sign!r}: no term after the sign",
+                               line=line_no)
     pieces = [p.strip() for p in body.split("*")]
-    if not pieces or any(not p for p in pieces):
+    if any(not p for p in pieces):
         raise AlgebraFileError(f"malformed term {body!r}", line=line_no)
     name = pieces[-1]
     if len(pieces) == 1:
@@ -70,7 +104,7 @@ def _parse_term(sign: int, body: str, line_no: int) -> Tuple[Scalar, str]:
             raise AlgebraFileError(str(exc), line=line_no) from None
     if not _NAME.match(name):
         raise AlgebraFileError(f"bad generator reference {name!r}", line=line_no)
-    return (-coeff if sign < 0 else coeff, name)
+    return (-coeff if sign == "-" else coeff, name)
 
 
 def loads(text: str) -> LieAlgebraSpec:

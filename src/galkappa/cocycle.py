@@ -3,8 +3,11 @@
 A central extension is classified by an antisymmetric bilinear form beta
 satisfying the cyclic cocycle identity, taken modulo coboundaries (forms of
 the shape beta(X_i, X_j) = f([X_i, X_j])).  Both spaces are computed by
-exact elimination over Gaussian rationals, and every dimension is re-derived
-under a second, independent elimination order as a self-check.
+exact elimination over Gaussian rationals: forward elimination, then
+back-substitution from the last pivot.  Every dimension is re-derived by
+forward elimination alone under the reversed order, as a self-check.  Each
+exact update (a row entry minus a multiple, a Jacobi sum of products) is
+formed over one denominator and reduced once.
 
 Every system is sparse end to end: the structure constants are read from one
 antisymmetric tensor holding only the nonzero brackets, and each row is a
@@ -18,7 +21,7 @@ import itertools
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GalkappaError
-from .exactscalar import ONE, ZERO, Scalar, accumulate
+from .exactscalar import ONE, ZERO, Scalar, _sub_mul, _sum_products, accumulate
 
 Row = Dict[int, Scalar]
 
@@ -133,16 +136,25 @@ class JacobiResult:
 
 def _jacobi(spec: LieAlgebraSpec, f: Structure) -> JacobiResult:
     for (i, j, k), terms in _cyclic_terms(f):
-        acc: Row = {}
+        # the products landing on each target, summed and reduced once
+        products: Dict[int, list] = {}
         for rhs, c in terms:
             for m, coeff in rhs.items():
-                for l, coeff2 in f[m].get(c, {}).items():
-                    accumulate(acc, l, coeff * coeff2)
-        if acc:
+                fmc = f[m].get(c)
+                if fmc:
+                    for l, coeff2 in fmc.items():
+                        pairs = products.get(l)
+                        if pairs is None:
+                            products[l] = [(coeff, coeff2)]
+                        else:
+                            pairs.append((coeff, coeff2))
+        sums = [(l, _sum_products(pairs)) for l, pairs in products.items()]
+        residual = {spec.names[l]: v for l, v in sums if not v.is_zero}
+        if residual:
             return JacobiResult(
                 ok=False,
                 triple=(spec.names[i], spec.names[j], spec.names[k]),
-                residual={spec.names[l]: v for l, v in acc.items()},
+                residual=residual,
             )
     return JacobiResult(ok=True)
 
@@ -155,18 +167,18 @@ def jacobi_check(spec: LieAlgebraSpec) -> JacobiResult:
 # -- exact elimination -------------------------------------------------------
 
 
-def _rref(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
-    """Reduced row echelon form of sparse rows ({column: Scalar}).
+def _forward(rows: List[Row], ncols: int) -> List[Tuple[int, Row]]:
+    """Forward elimination of sparse rows ({column: Scalar}).
 
     Columns are taken in increasing order.  At each, a column -> rows index
     supplies the rows not yet used as pivots that reach it, and the one with
-    the fewest nonzeros becomes the pivot row.  The reduced row echelon form
-    of a row space is unique, so this choice changes the work done, never
-    the result.  A pivot row updates the other rows only on its own support,
-    and entries that cancel are dropped.
+    the fewest nonzeros (ties to the lowest index) becomes the pivot row.  It
+    clears its column from the other unused rows, updating each only on its
+    own support and with one reduction per entry; entries that cancel are
+    dropped.  A pivot row is left unnormalised and is not updated again.
 
-    Returns the rank, the pivot columns in increasing order and the reduced
-    rows in the same order.  The input rows are left as they are.
+    Returns the pivot columns with their rows, in increasing column order;
+    their number is the rank.  The input rows are left as they are.
     """
     work = [{c: e for c, e in r.items() if not e.is_zero} for r in rows]
     at: Dict[int, set] = {}
@@ -174,8 +186,7 @@ def _rref(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
         for c in row:
             at.setdefault(c, set()).add(rid)
     pending = set(range(len(work)))
-    pivots: List[int] = []
-    reduced: List[Row] = []
+    echelon: List[Tuple[int, Row]] = []
     for col in range(ncols):
         if not pending:
             break
@@ -185,37 +196,85 @@ def _rref(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
             continue
         rid = min(candidates, key=lambda r: (len(work[r]), r))
         pending.discard(rid)
+        candidates.discard(rid)
         row = work[rid]
+        echelon.append((col, row))
+        if not candidates:
+            continue
         lead = row[col]
-        if lead != ONE:
-            inv = ONE / lead
-            for c, e in row.items():
-                row[c] = e * inv
-        for oid in hits - {rid}:
+        rest = [(c, e) for c, e in row.items() if c != col]
+        for oid in candidates:
             other = work[oid]
-            factor = other[col]
-            for c, e in row.items():
+            # the pivot column cancels exactly; the index for it is not read again
+            factor = other.pop(col) / lead
+            for c, e in rest:
                 old = other.get(c)
                 if old is None:
                     other[c] = -(factor * e)
                     at.setdefault(c, set()).add(oid)
                 else:
-                    new = old - factor * e
+                    new = _sub_mul(old, factor, e)
                     if new.is_zero:
                         del other[c]
                         at[c].discard(oid)
                     else:
                         other[c] = new
-        reduced.append(row)
-        pivots.append(col)
-    return len(pivots), pivots, reduced
+    return echelon
+
+
+def _clear(v: Row, p: int, row: Row) -> None:
+    """v -= v[p] * row, in place, for a row that is 1 at column p.
+
+    Column p leaves v; every other entry of the row updates v with one
+    reduction, and entries that cancel are dropped.
+    """
+    factor = v.pop(p)
+    for c, e in row.items():
+        if c != p:
+            old = v.get(c)
+            if old is None:
+                v[c] = -(factor * e)
+            else:
+                new = _sub_mul(old, factor, e)
+                if new.is_zero:
+                    del v[c]
+                else:
+                    v[c] = new
+
+
+def _rref(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
+    """Reduced row echelon form of sparse rows ({column: Scalar}).
+
+    `_forward` brings the rows to echelon form; back-substitution then runs
+    from the last pivot up, clearing each pivot row on the later pivot
+    columns (whose rows are already reduced) and normalising its pivot to 1.
+    The reduced row echelon form of a row space is unique, so the pivot rule
+    changes the work done, never the result.
+
+    Returns the rank, the pivot columns in increasing order and the reduced
+    rows in the same order.  The input rows are left as they are.
+    """
+    echelon = _forward(rows, ncols)
+    done: Dict[int, Row] = {}
+    for col, row in reversed(echelon):
+        # a pivot row is zero left of its pivot, so the pivot columns it
+        # holds besides its own are later ones; clearing adds no others
+        for p in [c for c in row if c in done]:
+            _clear(row, p, done[p])
+        lead = row[col]
+        if lead != ONE:
+            inv = ONE / lead
+            for c, e in row.items():
+                row[c] = e * inv
+        done[col] = row
+    return len(echelon), [col for col, _ in echelon], [row for _, row in echelon]
 
 
 def _rref_checked(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
-    """`_rref`, with the rank re-derived under the reversed elimination order."""
+    """`_rref`, with the rank re-derived by `_forward` under the reversed order."""
     result = _rref(rows, ncols)
     flipped = [{ncols - 1 - c: e for c, e in r.items()} for r in reversed(rows)]
-    rank_rev, _, _ = _rref(flipped, ncols)
+    rank_rev = len(_forward(flipped, ncols))
     if result[0] != rank_rev:
         raise GalkappaError(
             f"elimination self-check failed: ranks {result[0]} vs {rank_rev}"
@@ -305,10 +364,8 @@ def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
     reduced = []
     for v in _nullspace(pivots, red, P):
         for p, row in zip(cob_pivots, cob_red):
-            factor = v.get(p)
-            if factor is not None:
-                for c, e in row.items():
-                    accumulate(v, c, -(factor * e))
+            if p in v:
+                _clear(v, p, row)
         if v:
             reduced.append(v)
     _, _, rep_rows = _rref(reduced, P)

@@ -247,6 +247,44 @@ def _quotient(x: Scalar, y: Scalar) -> Scalar:
     return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * norm)
 
 
+# Fused kernels for exact updates: each forms its integer result over one
+# denominator and takes one gcd at the end, where the operator chain would
+# build and reduce a Scalar per step.  The result is the same canonical triple.
+
+
+def _sub_mul(x: Scalar, y: Scalar, z: Scalar) -> Scalar:
+    """x - y*z, reduced once."""
+    a, b, d = x._abd
+    c, e, f = y._abd
+    g, h, k = z._abd
+    p = c * g - e * h
+    q = c * h + e * g
+    m = f * k
+    if m == d:
+        return _reduced(a - p, b - q, d)
+    return _reduced(a * m - p * d, b * m - q * d, d * m)
+
+
+def _sum_products(pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
+    """The sum of y*z over (y, z) pairs, reduced once (ZERO for no pairs)."""
+    a = b = 0
+    d = 1
+    for y, z in pairs:
+        c, e, f = y._abd
+        g, h, k = z._abd
+        p = c * g - e * h
+        q = c * h + e * g
+        m = f * k
+        if m == d:
+            a += p
+            b += q
+        else:
+            a = a * m + p * d
+            b = b * m + q * d
+            d *= m
+    return _reduced(a, b, d)
+
+
 def _ratio(n: int, d: int) -> str:
     """n/d in lowest terms, printed as a Fraction prints."""
     g = gcd(n, d)
@@ -262,11 +300,12 @@ I = Scalar(0, 1)
 HALF = Scalar(Fraction(1, 2))
 NEG_I = Scalar(0, -1)
 
+# digits are ASCII: `\d` and int() would also take any other decimal digit
 _SCALAR_TOKEN = re.compile(
     r"""^\s*(?P<sign>[+-])?\s*
         (?:
             (?P<imag_only>i)
-          | (?P<num>\d+)(?:/(?P<den>\d+))?\s*(?:\*\s*(?P<imag>i))?
+          | (?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?\s*(?:\*\s*(?P<imag>i))?
         )\s*$""",
     re.VERBOSE,
 )

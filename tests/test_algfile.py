@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galkappa import algfile
 from galkappa.algfile import bundled_names, dumps, load, load_bundled, loads
 from galkappa.cocycle import LieAlgebraSpec
 from galkappa.errors import AlgebraFileError
@@ -87,6 +88,17 @@ def test_coefficient_literals():
         ("generators: A B\n[A, B] = B\n[B, A] = -B\n", 3, "already given on line 2"),
         ("generators: A B\n[A, B] = 2**B\n", 2, "malformed term"),
         ("generators: A B\n[A, B] = q*B\n", 2, "q"),
+        # a sign that precedes no term
+        ("generators: A B C\n[A, B] = +\n", 2, "malformed term"),
+        ("generators: A B C\n[A, B] = -\n", 2, "malformed term"),
+        ("generators: A B C\n[A, B] = C +\n", 2, "malformed term"),
+        ("generators: A B C\n[A, B] = C+\n", 2, "malformed term"),
+        ("generators: A B C\n[A, B] = +-C\n", 2, "malformed term"),
+        ("generators: A B C\n[A, B] = --B\n", 2, "malformed term"),
+        # digits are ASCII
+        ("generators: A B\n[A, B] = \u0661*A\n", 2, "malformed scalar literal"),
+        ("generators: A B\n[A, B] = 1/\u0662*A\n", 2, "malformed scalar literal"),
+        ("generators: A B\n[A, B] = 1/0*A\n", 2, "zero denominator"),
     ],
 )
 def test_error_reports_carry_line_numbers(text, line, fragment):
@@ -191,3 +203,59 @@ def test_load_bundled_unknown_lists_choices():
         load_bundled("euclidean_affine")
     msg = str(err.value)
     assert "available" in msg and "planar_galilei" in msg
+
+
+# -- the one-match term reader against the piece-by-piece checks ---------------
+
+_space = st.sampled_from(["", " ", "  ", "\t"])
+_digits = st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(0, 10**6))
+_positive = st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(1, 999))
+_rational = st.one_of(_digits, st.builds(lambda n, d: f"{n}/{d}", _digits, _positive))
+
+
+@st.composite
+def _terms(draw):
+    """A term of the grammar: optional coefficient, then a name, spaced freely."""
+    star = draw(_space) + "*" + draw(_space)
+    coeff = draw(st.one_of(
+        st.just(""),
+        _rational.map(lambda r: r + star),
+        _rational.map(lambda r: r + star + "i" + star),
+        st.just("i" + star),
+    ))
+    name = draw(st.one_of(
+        st.builds(str.__add__, st.sampled_from(_letters + "i"),
+                  st.text(_letters + "0123456789_i", max_size=3)),
+        st.sampled_from(["i2", "iX", "i_", "X"]),
+    ))
+    return draw(_space) + coeff + name + draw(_space)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "+", "-"]), _terms())
+def test_one_match_term_reader_agrees_with_the_checks(sign, body):
+    assert algfile._TERM.fullmatch(body) is not None
+    coeff, name = algfile._parse_term(sign, body, 1)
+    expected = algfile._checked_term(sign, body, 1)
+    assert (coeff, name) == expected
+    assert coeff._abd == expected[0]._abd and hash(coeff) == hash(expected[0])
+
+
+@pytest.mark.parametrize("body, coeff, name", [
+    ("007*C", Scalar(7), "C"),
+    ("3/04*C", Scalar("3/4"), "C"),
+    ("2*i*C", Scalar(0, 2), "C"),
+    ("i*C", Scalar(0, 1), "C"),
+    ("i2", Scalar(1), "i2"),
+    ("0*X", Scalar(0), "X"),
+    (" 2 * C ", Scalar(2), "C"),
+    ("1/2 * i * C", Scalar(0, "1/2"), "C"),
+])
+def test_term_reader_examples(body, coeff, name):
+    assert algfile._parse_term("", body, 1) == (coeff, name)
+    assert algfile._parse_term("-", body, 1) == (-coeff, name)
+
+
+def test_spaced_terms_load():
+    spec = loads("generators: A B C\n[A, B] = 2 * C - 1/2 *i* A\n")
+    assert spec.brackets == {(0, 1): {2: Scalar(2), 0: Scalar(0, "-1/2")}}

@@ -21,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galkappa import algfile, cocycle
+from galkappa.cli import main
 from galkappa.cocycle import _rref, central_extensions
-from galkappa.exactscalar import ONE, ZERO, Scalar
+from galkappa.errors import GalkappaError
+from galkappa.exactscalar import ONE, ZERO, Scalar, _sub_mul, _sum_products
 from galkappa.galrealize import kappa_shift, realize
 
 
@@ -130,16 +132,64 @@ def test_rref_leaves_its_input_rows_alone(matrix):
 
 
 def test_central_extensions_eliminates_five_times(monkeypatch):
+    # three full reductions (cocycle rows, coboundary rows, representatives)
+    # and the two rank-only passes of the reversed-order self-check
     calls = []
+    forward = cocycle._forward
 
     def counting(rows, ncols):
         calls.append(len(rows))
-        return _rref(rows, ncols)
+        return forward(rows, ncols)
 
-    monkeypatch.setattr(cocycle, "_rref", counting)
+    monkeypatch.setattr(cocycle, "_forward", counting)
     ext = central_extensions(algfile.load_bundled("planar_galilei"))
     assert ext.h2 == 3
     assert len(calls) == 5
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_forward_elimination_rank_matches_dense_reference(matrix, rnd):
+    rows, ncols = matrix
+    rank = dense_rref(rows, ncols)[0]
+    assert len(cocycle._forward(to_sparse(rows), ncols)) == rank
+    flipped = [row[::-1] for row in rows]
+    assert len(cocycle._forward(to_sparse(flipped), ncols)) == rank
+    doubled = rows + [rnd.choice(rows) for _ in range(3)] if rows else rows
+    rnd.shuffle(doubled)
+    assert len(cocycle._forward(to_sparse(doubled), ncols)) == rank
+
+
+def _short_reversed_pass(monkeypatch):
+    """Make the reversed pass of the first checked elimination lose a pivot."""
+    forward = cocycle._forward
+    ranks = []
+
+    def short(rows, ncols):
+        echelon = forward(rows, ncols)
+        ranks.append(len(echelon))
+        # the first call is `_rref`'s own pass, the second the reversed one
+        return echelon[:-1] if len(ranks) == 2 else echelon
+
+    monkeypatch.setattr(cocycle, "_forward", short)
+    return ranks
+
+
+def test_reversed_order_self_check_fires(monkeypatch):
+    ranks = _short_reversed_pass(monkeypatch)
+    with pytest.raises(GalkappaError) as err:
+        central_extensions(algfile.load_bundled("planar_galilei"))
+    rank = ranks[0]
+    assert str(err.value) == (
+        f"elimination self-check failed: ranks {rank} vs {rank - 1}")
+
+
+def test_failed_self_check_is_a_verification_failure(monkeypatch, capsys):
+    _short_reversed_pass(monkeypatch)
+    assert main(["algebra", "cohomology", "planar_galilei"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: elimination self-check failed: ranks ")
+    assert "Traceback" not in err
 
 
 pairs = st.tuples(rationals, rationals)
@@ -277,6 +327,34 @@ def test_every_result_is_a_canonical_triple(p, q, r):
     for z in results:
         assert_canonical(z)
     assert Scalar(p[0]) == Scalar.of(p[0])
+
+
+# integer-valued Scalars (d == 1) skip the gcd, so both kinds are drawn
+scalars = st.one_of(st.integers(-(2**40), 2**40).map(Scalar),
+                    st.builds(Scalar, parts, parts))
+
+
+def _same(x: Scalar, y: Scalar) -> None:
+    assert x._abd == y._abd and hash(x) == hash(y) and x == y
+
+
+@settings(max_examples=300)
+@given(scalars, scalars, scalars)
+def test_fused_sub_mul_is_the_operator_chain(x, y, z):
+    _same(_sub_mul(x, y, z), x - y * z)
+    _same(_sub_mul(y * z, y, z), ZERO)
+    _same(_sub_mul(x, y, ZERO), x)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(scalars, scalars), max_size=6))
+def test_fused_sum_of_products_is_the_operator_chain(products):
+    chain = ZERO
+    for y, z in products:
+        chain = chain + y * z
+    _same(_sum_products(products), chain)
+    # each product cancelled by its negative sums to zero
+    _same(_sum_products(products + [(-y, z) for y, z in products]), ZERO)
 
 
 def round_trips(obj):

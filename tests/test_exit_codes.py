@@ -43,6 +43,27 @@ def test_algebra_directory_argument_is_an_input_error(subcommand, tmp_path, caps
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("rhs, fragment", [
+    ("+", "malformed term"),              # a sign that precedes no term
+    ("\u0661*A", "malformed scalar literal"),  # digits are ASCII
+])
+def test_malformed_right_hand_side_is_an_input_error(rhs, fragment, tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_text(f"generators: A B C\n[A, B] = {rhs}\n", encoding="utf-8")
+    code = main(["algebra", "cohomology", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error: ") and "line 2:" in err and fragment in err
+    assert "Traceback" not in err
+
+
+def test_non_ascii_digit_parameter_is_an_input_error(capsys):
+    code = main(["realize", "schrodinger", "--shift=\u0661"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "exact scalar" in err and "Traceback" not in err
+
+
 # -- argv fuzz -------------------------------------------------------------------
 
 _HEADS = [[], ["algebra"], ["algebra", "verify"], ["algebra", "cohomology"], ["realize"],
