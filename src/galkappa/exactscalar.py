@@ -370,6 +370,8 @@ class SymbolRegistry:
         return name in self._index
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, SymbolRegistry)
             and self.names == other.names
@@ -388,8 +390,12 @@ class SymbolRegistry:
         return PolyExpr(self, {})
 
     def const(self, value) -> "PolyExpr":
+        """value as a polynomial; the constant key is valid, so it skips the checks."""
         s = Scalar.of(value)
-        return PolyExpr(self, {} if s.is_zero else {(0,) * len(self.names): s})
+        out = _new(PolyExpr)
+        out.registry = self
+        out._terms = {} if s.is_zero else {(0,) * len(self.names): s}
+        return out
 
     def symbol(self, name: str, power: int = 1) -> "PolyExpr":
         """name**power; the key is valid by construction, so it skips the checks."""
@@ -560,9 +566,22 @@ class PolyExpr(TermMap):
 
     def __mul__(self, other) -> "PolyExpr":
         other = self._coerce(other)
+        mine, theirs = self._terms, other._terms
+        # by a one-term operand the product shifts every key by the same
+        # exponent tuple: distinct keys stay distinct, in the same order, and
+        # a product of nonzero Gaussian rationals is nonzero, so no term meets
+        # another and none is dropped
+        if len(theirs) == 1:
+            ((k2, c2),) = theirs.items()
+            return self._make({tuple(map(operator.add, k1, k2)): c1 * c2
+                               for k1, c1 in mine.items()})
+        if len(mine) == 1:
+            ((k1, c1),) = mine.items()
+            return self._make({tuple(map(operator.add, k1, k2)): c1 * c2
+                               for k2, c2 in theirs.items()})
         terms: Dict[Tuple[int, ...], Scalar] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
+        for k1, c1 in mine.items():
+            for k2, c2 in theirs.items():
                 accumulate(terms, tuple(map(operator.add, k1, k2)), c1 * c2)
         return self._make(terms)
 

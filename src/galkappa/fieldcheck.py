@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
-from .errors import CovarianceFailure, GalkappaError, RedundancyClaimFailure
+from .errors import CovarianceFailure, GalkappaError, RedundancyClaimFailure, RegistryMismatch
 from .exactscalar import (
     HALF,
     I,
@@ -23,6 +24,7 @@ from .exactscalar import (
     SquareMatrix,
     SymbolRegistry,
     TermMap,
+    _sum_products,
     accumulate,
     parse_scalar,
 )
@@ -34,6 +36,9 @@ CHI = "chi"
 
 # term key: (dagger component, dagger derivative index, plain component, plain index)
 TermKey = Tuple[str, Tuple[int, int, int], str, Tuple[int, int, int]]
+
+# derivative coordinate and unit multi-index of each axis (0, 1 space, 2 time)
+_AXES = (("x1", (1, 0, 0)), ("x2", (0, 1, 0)), ("t", (0, 0, 1)))
 
 
 class FieldPoly(TermMap):
@@ -71,15 +76,17 @@ class FieldPoly(TermMap):
 
     def derivative(self, axis: int) -> "FieldPoly":
         """Total coordinate derivative via the Leibniz rule (axis 0,1 space, 2 time)."""
-        coord = ("x1", "x2", "t")[axis]
+        coord, step = _AXES[axis]
         out: Dict[TermKey, PolyExpr] = {}
-        for (dc, dm, kc, km), coeff in self._terms.items():
-            accumulate(out, (dc, dm, kc, km), coeff.diff(coord))
-            dm_up = tuple(a + (1 if i == axis else 0) for i, a in enumerate(dm))
-            accumulate(out, (dc, dm_up, kc, km), coeff)
-            km_up = tuple(a + (1 if i == axis else 0) for i, a in enumerate(km))
-            accumulate(out, (dc, dm, kc, km_up), coeff)
-        return FieldPoly(self.registry, out)
+        for key, coeff in self._terms.items():
+            dc, dm, kc, km = key
+            dcoeff = coeff.diff(coord)
+            if not dcoeff.is_zero:
+                accumulate(out, key, dcoeff)
+            accumulate(out, (dc, tuple(map(add, dm, step)), kc, km), coeff)
+            accumulate(out, (dc, dm, kc, tuple(map(add, km, step))), coeff)
+        # accumulate keeps the map free of zeros, and the keys are valid
+        return self._make(out)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -109,41 +116,98 @@ class EomRules:
         self.dtdag = -half_i_over_m
 
 
-def reduce_on_shell(f: FieldPoly, rules: EomRules) -> FieldPoly:
-    """Eliminate the dependent component and all time derivatives; exact fixpoint.
+def _side_image(images: dict, rules3, comp: str, midx, unit: list) -> list:
+    """On-shell image of one field factor: [(phi multi-index, [(exponent key, Scalar)])].
 
-    Each rewrite strictly removes a dependent-component factor or lowers the
-    time-derivative count, so the loop terminates with a unique normal form.
+    rules3 holds the side's chi coefficients along d1 and d2 and its time
+    coefficient.  chi becomes rule_1 d1 phi + rule_2 d2 phi; a time derivative
+    of phi becomes rule_t (d1^2 + d2^2) phi; phi under space derivatives only
+    is its own image, with the coefficient list `unit` (1 on the constant
+    key).  Each (component, multi-index) is worked out once per `images`
+    table, and its coefficients are summed once per monomial.
+    """
+    found = images.get((comp, midx))
+    if found is not None:
+        return found
+    d1, d2, dt = rules3
+    x, y, t = midx
+    if comp == CHI:
+        steps = ((d1, (x + 1, y, t)), (d2, (x, y + 1, t)))
+    elif t:
+        steps = ((dt, (x + 2, y, t - 1)), (dt, (x, y + 2, t - 1)))
+    else:
+        found = images[(comp, midx)] = [(midx, unit)]
+        return found
+    sums: Dict[Tuple[int, int, int], dict] = {}
+    for rule, sub in steps:
+        for out_midx, coeffs in _side_image(images, rules3, PHI, sub, unit):
+            monomials = sums.setdefault(out_midx, {})
+            for k1, c1 in rule._terms.items():
+                for k2, c2 in coeffs:
+                    monomials.setdefault(tuple(map(add, k1, k2)), []).append((c1, c2))
+    found = images[(comp, midx)] = [(m, list(terms.items())) for m, terms in _collect(sums)]
+    return found
+
+
+def _collect(sums: dict) -> list:
+    """[(key, {exponent key: Scalar})] for each key whose monomials do not all cancel.
+
+    sums maps each key to {exponent key: [(y, z), ...]}; each monomial's
+    coefficient is the sum of its products y*z, reduced once.
+    """
+    out = []
+    for key, monomials in sums.items():
+        terms = {}
+        for k, pairs in monomials.items():
+            c = _sum_products(pairs)
+            if c:
+                terms[k] = c
+        if terms:
+            out.append((key, terms))
+    return out
+
+
+def reduce_on_shell(f: FieldPoly, rules: EomRules) -> FieldPoly:
+    """Eliminate the dependent component and all time derivatives; exact.
+
+    The rules rewrite each factor of a bilinear on its own: chi into space
+    derivatives of phi, and each time derivative of phi into the Laplacian.
+    Every rewrite removes a chi or lowers the time-derivative count, so each
+    factor has a unique image, worked out once per (component, multi-index)
+    and side.  A term's image is its coefficient times the product of its two
+    factors' images.  The coefficient of each output monomial is summed once
+    over all its products, and each output polynomial is formed once, so the
+    result is the unique normal form.
     """
     reg = f.registry
-    work = list(f._terms.items())
-    out: Dict[TermKey, PolyExpr] = {}
-    while work:
-        (dc, dm, kc, km), coeff = work.pop()
-        if kc == CHI:
-            e1 = (km[0] + 1, km[1], km[2])
-            e2 = (km[0], km[1] + 1, km[2])
-            work.append(((dc, dm, PHI, e1), coeff * rules.chi_d1))
-            work.append(((dc, dm, PHI, e2), coeff * rules.chi_d2))
-            continue
-        if dc == CHI:
-            e1 = (dm[0] + 1, dm[1], dm[2])
-            e2 = (dm[0], dm[1] + 1, dm[2])
-            work.append(((PHI, e1, kc, km), coeff * rules.chidag_d1))
-            work.append(((PHI, e2, kc, km), coeff * rules.chidag_d2))
-            continue
-        if km[2] > 0:
-            down = (km[0], km[1], km[2] - 1)
-            work.append(((dc, dm, kc, (down[0] + 2, down[1], down[2])), coeff * rules.dt))
-            work.append(((dc, dm, kc, (down[0], down[1] + 2, down[2])), coeff * rules.dt))
-            continue
-        if dm[2] > 0:
-            down = (dm[0], dm[1], dm[2] - 1)
-            work.append((((PHI), (down[0] + 2, down[1], down[2]), kc, km), coeff * rules.dtdag))
-            work.append((((PHI), (down[0], down[1] + 2, down[2]), kc, km), coeff * rules.dtdag))
-            continue
-        accumulate(out, (dc, dm, kc, km), coeff)
-    return FieldPoly(reg, out)
+    if rules.registry != reg:
+        raise RegistryMismatch("operands built over different symbol registries")
+    unit = [((0,) * len(reg.names), ONE)]
+    dag_rules = (rules.chidag_d1, rules.chidag_d2, rules.dtdag)
+    ket_rules = (rules.chi_d1, rules.chi_d2, rules.dt)
+    dag_images: dict = {}
+    ket_images: dict = {}
+    sums: Dict[TermKey, dict] = {}
+    for (dc, dm, kc, km), coeff in f._terms.items():
+        ket = _side_image(ket_images, ket_rules, kc, km, unit)
+        for a, dag_coeffs in _side_image(dag_images, dag_rules, dc, dm, unit):
+            # the coefficient times the dagger image; a factor already on
+            # shell leaves it as it is
+            left = coeff._terms.items()
+            if dag_coeffs is not unit:
+                left = [(tuple(map(add, k1, k2)), c1 * c2)
+                        for k1, c1 in left for k2, c2 in dag_coeffs]
+            for b, ket_coeffs in ket:
+                monomials = sums.setdefault((PHI, a, PHI, b), {})
+                if ket_coeffs is unit:
+                    for k, c in left:
+                        monomials.setdefault(k, []).append((c, ONE))
+                    continue
+                for k12, c12 in left:
+                    for k3, c3 in ket_coeffs:
+                        monomials.setdefault(tuple(map(add, k12, k3)), []).append((c12, c3))
+    zero = reg.zero()
+    return f._make({key: zero._make(terms) for key, terms in _collect(sums)})
 
 
 # -- conservation law ---------------------------------------------------------
@@ -168,35 +232,47 @@ def _matrix_value(name: str, j: Optional[int], s: int) -> List[List[Scalar]]:
 _EPS = {(1, 2): 1, (2, 1): -1, (1, 1): 0, (2, 2): 0}
 
 
-def _term_bilinear(reg, term: dict, i: int, j: Optional[int], s: int) -> FieldPoly:
-    coeff = parse_scalar(term["coeff"])
-    coeff = coeff * Scalar.of(s ** term.get("spin_power", 0))
+def _term_bilinear(reg, term: dict, i: int, j: Optional[int], s: int,
+                   out: Dict[TermKey, PolyExpr]) -> None:
+    """Add one bundled current term, at free index i, flux index j and spin s, into out.
+
+    Each nonzero matrix entry gives one bilinear term whose coefficient is a
+    single monomial: the term's scalar (coefficient, spin power, eps and the
+    entry) on the exponent key of its factors.
+    """
+    coeff = parse_scalar(term["coeff"]) * s ** term.get("spin_power", 0)
     if term.get("eps"):
         if j is None:
             raise ValueError("eps factor outside a flux term")
-        coeff = coeff * Scalar.of(_EPS[(i, j)])
+        coeff = coeff * _EPS[(i, j)]
     if coeff.is_zero:
-        return FieldPoly.zero(reg)
-    poly = reg.const(coeff)
+        return
+    key = [0] * len(reg.names)
     for factor in term.get("factors", ()):
-        name = {"x_i": f"x{i}"}.get(factor, factor)
-        poly = poly * reg.symbol(name)
+        key[reg.index(f"x{i}" if factor == "x_i" else factor)] += 1
+    key = tuple(key)
     matrix = _matrix_value(term["matrix"], j, s)
     grad = term.get("grad")
     e_i = tuple(1 if axis == i - 1 else 0 for axis in range(3))
     zero_idx = (0, 0, 0)
+    dag_midx = e_i if grad == "dagger" else zero_idx
+    ket_midx = e_i if grad == "field" else zero_idx
     comps = (PHI, CHI)
-    out = FieldPoly.zero(reg)
+    zero = reg.zero()
     for a in range(2):
         for b in range(2):
-            if matrix[a][b].is_zero:
-                continue
-            dag_midx = e_i if grad == "dagger" else zero_idx
-            ket_midx = e_i if grad == "field" else zero_idx
-            out = out + FieldPoly.term(
-                reg, poly * matrix[a][b], comps[a], dag_midx, comps[b], ket_midx
-            )
-    return out
+            entry = matrix[a][b]
+            if not entry.is_zero:
+                accumulate(out, (comps[a], dag_midx, comps[b], ket_midx),
+                           zero._make({key: coeff * entry}))
+
+
+def _current(reg, terms, i: int, j: Optional[int], s: int) -> FieldPoly:
+    """The sum of the current terms at (i, j, s), built in one map."""
+    out: Dict[TermKey, PolyExpr] = {}
+    for term in terms:
+        _term_bilinear(reg, term, i, j, s, out)
+    return FieldPoly.zero(reg)._make(out)
 
 
 def load_current_terms(variant: str = "corrected") -> dict:
@@ -229,8 +305,11 @@ def check_conservation(
 ) -> FieldPoly:
     """Residual of div(flux) + d/dt(density) after on-shell reduction.
 
-    A zero result is the conservation law; `drop` deletes one transcribed
-    term (section, index) to confirm the check is sensitive.
+    Each flux component and the density are built in one term map each (one
+    monomial coefficient per matrix entry of a current term), differentiated
+    once, summed and reduced on shell once.  A zero result is the
+    conservation law; `drop` deletes one transcribed term (section, index) to
+    confirm the check is sensitive.
     """
     if i not in (1, 2):
         raise ValueError("free index must be 1 or 2")
@@ -245,17 +324,11 @@ def check_conservation(
         target = {"flux": flux_terms, "density": density_terms}[section]
         del target[idx]
 
-    expr = FieldPoly.zero(reg)
-    for j in (1, 2):
-        flux = FieldPoly.zero(reg)
-        for term in flux_terms:
-            flux = flux + _term_bilinear(reg, term, i, j, s)
-        expr = expr + flux.derivative(j - 1)
-    density = FieldPoly.zero(reg)
-    for term in density_terms:
-        density = density + _term_bilinear(reg, term, i, None, s)
-    expr = expr + density.derivative(2)
-
+    expr = (
+        _current(reg, flux_terms, i, 1, s).derivative(0)
+        + _current(reg, flux_terms, i, 2, s).derivative(1)
+        + _current(reg, density_terms, i, None, s).derivative(2)
+    )
     return reduce_on_shell(expr, EomRules(reg, s))
 
 

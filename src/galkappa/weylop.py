@@ -377,31 +377,33 @@ def _as_phase_poly(theta) -> PolyExpr:
     raise MalformedPhase(f"cannot interpret {theta!r} as a phase")
 
 
-def _power_compose(base: ScalarDiffOp, n: int, unit: ScalarDiffOp) -> ScalarDiffOp:
-    out = unit
-    for _ in range(n):
-        out = out.compose(base)
-    return out
-
-
 def _map_terms(A: DiffOp, d_ops: Sequence[ScalarDiffOp], coeff_map) -> DiffOp:
-    """Rebuild A with each coefficient mapped and each dK replaced by d_ops[K]."""
+    """Rebuild A with each coefficient mapped and each dK replaced by d_ops[K].
+
+    The substituted derivative power of a multi-index is composed once per
+    call, and each entry's pieces are summed in one map.
+    """
     reg = A.registry
     unit = ScalarDiffOp.coeff(reg.const(ONE))
+    powers: Dict[MultiIndex, ScalarDiffOp] = {}
     out_rows = []
     for row in A.rows:
         out_row = []
         for entry in row:
-            acc = ScalarDiffOp.zero(reg)
+            terms: Dict[MultiIndex, PolyExpr] = {}
             for midx, coeff in entry._terms.items():
-                piece = ScalarDiffOp.coeff(coeff_map(coeff))
-                for axis in range(3):
-                    if midx[axis]:
-                        piece = piece.compose(
-                            _power_compose(d_ops[axis], midx[axis], unit)
-                        )
-                acc = acc + piece
-            out_row.append(acc)
+                power = powers.get(midx)
+                if power is None:
+                    power = unit
+                    for axis in range(3):
+                        for _ in range(midx[axis]):
+                            power = power.compose(d_ops[axis])
+                    powers[midx] = power
+                piece = ScalarDiffOp.coeff(coeff_map(coeff)).compose(power)
+                for key, c in piece._terms.items():
+                    accumulate(terms, key, c)
+            # a sum of checked operators is within the guards
+            out_row.append(unit._make(terms))
         out_rows.append(out_row)
     return DiffOp(reg, out_rows)
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galkappa.errors import NotInvertible, RegistryMismatch, ShapeError
 from galkappa.exactscalar import (
@@ -11,6 +13,7 @@ from galkappa.exactscalar import (
     Scalar,
     SquareMatrix,
     SymbolRegistry,
+    accumulate,
     parse_scalar,
 )
 
@@ -140,6 +143,46 @@ def test_registry_mismatch_raises(reg):
     other = SymbolRegistry(("x", "y", "m"))  # same names, different flags
     with pytest.raises(RegistryMismatch):
         reg.symbol("x") + other.symbol("x")
+
+
+def test_registry_equality_by_identity_and_by_value(reg):
+    assert reg == reg
+    assert reg == SymbolRegistry(("m", "y", "x"), invertible={"m"})
+    assert reg != SymbolRegistry(("x", "y", "m"))
+    assert reg != SymbolRegistry(("x", "y", "n"), invertible={"n"})
+    assert reg != ("m", "x", "y")
+    # equal but distinct registries still mix
+    twin = SymbolRegistry(("x", "y", "m"), invertible={"m"})
+    assert reg.symbol("x") + twin.symbol("x") == reg.symbol("x") * 2
+
+
+def _pairwise_product(p, q):
+    """The product by the pairwise loop, accumulating every term pair."""
+    terms = {}
+    for k1, c1 in p._terms.items():
+        for k2, c2 in q._terms.items():
+            accumulate(terms, tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_term_products_match_the_pairwise_loop(data):
+    reg = SymbolRegistry(("x", "y", "m"), invertible={"m"})
+    gaussian = st.builds(lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+                         st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4))
+    key = st.tuples(st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2))
+    polys = st.dictionaries(key, gaussian, max_size=4).map(lambda t: PolyExpr(reg, t))
+    one_term = st.builds(lambda k, c: PolyExpr(reg, {k: c}), key, gaussian)
+    p = data.draw(polys)
+    for q in (data.draw(one_term), data.draw(polys)):
+        for left, right in ((p, q), (q, p)):
+            want = _pairwise_product(left, right)
+            got = left * right
+            # same terms in the same insertion order
+            assert list(got._terms.items()) == list(want.items())
+    c = data.draw(gaussian)
+    assert list((p * c)._terms.items()) == list(_pairwise_product(p, reg.const(c)).items())
 
 
 def test_poly_diff_and_subs(reg):

@@ -1,11 +1,14 @@
 """Normal-form operator algebra: composition, brackets, conjugations."""
 
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from galkappa.errors import BadParameter, DegreeOverflow, MalformedPhase, ShapeError
 from galkappa.exactscalar import I, ONE, Scalar, SymbolRegistry
+from galkappa import weylop
 from galkappa.weylop import (
     DiffOp,
     ScalarDiffOp,
@@ -183,3 +186,63 @@ def test_conjugate_phase_takes_a_multiplication_operator(reg):
 def test_conjugate_phase_rejects_other_phase_types(reg, phase):
     with pytest.raises(MalformedPhase):
         conjugate_phase(DiffOp.scalar(d(reg, (1, 0, 0))), phase)
+
+
+def per_term_map_terms(A, d_ops, coeff_map):
+    """The earlier `_map_terms`: each term composes its own derivative powers."""
+    reg = A.registry
+    unit = ScalarDiffOp.coeff(reg.const(ONE))
+    out_rows = []
+    for row in A.rows:
+        out_row = []
+        for entry in row:
+            acc = ScalarDiffOp.zero(reg)
+            for midx, coeff in entry._terms.items():
+                piece = ScalarDiffOp.coeff(coeff_map(coeff))
+                for axis in range(3):
+                    power = unit
+                    for _ in range(midx[axis]):
+                        power = power.compose(d_ops[axis])
+                    if midx[axis]:
+                        piece = piece.compose(power)
+                acc = acc + piece
+            out_row.append(acc)
+        out_rows.append(out_row)
+    return DiffOp(reg, out_rows)
+
+
+def _random_matrix(rng, reg, dim):
+    names = ("x1", "x2", "t", "m")
+
+    def poly():
+        total = reg.zero()
+        for _ in range(rng.randint(1, 2)):
+            mono = reg.const(Scalar(rng.randint(-3, 3), rng.randint(-3, 3)))
+            for _ in range(rng.randint(0, 2)):
+                mono = mono * reg.symbol(rng.choice(names))
+            total = total + mono
+        return total
+
+    def op():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            midx = tuple(rng.randint(0, 2) for _ in range(3))
+            terms[midx] = terms.get(midx, reg.zero()) + poly()
+        return ScalarDiffOp(reg, terms)
+
+    return DiffOp(reg, [[op() for _ in range(dim)] for _ in range(dim)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_conjugations_match_the_per_term_reference(reg, seed):
+    rng = random.Random(seed)
+    A = _random_matrix(rng, reg, rng.randint(1, 2))
+    m, x1, x2, t = (reg.symbol(n) for n in ("m", "x1", "x2", "t"))
+    theta = m * (x1 * Scalar(rng.randint(-2, 2)) + x2) + m * m * t * Scalar(Fraction(1, 2))
+    v = (m * Scalar(rng.randint(-2, 2)), reg.const(Scalar(Fraction(rng.randint(-3, 3), 2))))
+    got = (conjugate_phase(A, theta), conjugate_shift(A, v))
+    with mock.patch.object(weylop, "_map_terms", per_term_map_terms):
+        want = (conjugate_phase(A, theta), conjugate_shift(A, v))
+    assert got == want
+    assert [str(e) for op in got for row in op.rows for e in row] == [
+        str(e) for op in want for row in op.rows for e in row]
