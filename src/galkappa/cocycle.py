@@ -3,16 +3,18 @@
 A central extension is classified by an antisymmetric bilinear form beta
 satisfying the cyclic cocycle identity, taken modulo coboundaries (forms of
 the shape beta(X_i, X_j) = f([X_i, X_j])).  Both spaces are computed by
-exact elimination over Gaussian rationals: forward elimination, then
-back-substitution from the last pivot.  Every dimension is re-derived by
-forward elimination alone under the reversed order, as a self-check.  Each
-exact update (a row entry minus a multiple, a Jacobi sum of products) is
-formed over one denominator and reduced once.
+exact elimination over Gaussian rationals: forward elimination, inserting
+the rows one by one, then back-substitution from the last pivot.  Both steps
+update a row only through `_clear`, which subtracts a multiple of a pivot
+row that is 1 at its pivot.  Every dimension is re-derived by forward
+elimination alone under the reversed order, as a self-check.  Each exact
+update (a row entry minus a multiple, a Jacobi sum of products) is formed
+over one denominator and reduced once.
 
-Every system is sparse end to end: the structure constants are read from one
-antisymmetric tensor holding only the nonzero brackets, and each row is a
-``{column: nonzero Scalar}`` dict built straight from them.  Columns are the
-pairs i < j in lexicographic order.
+Every system is sparse end to end: the structure constants are read from
+the antisymmetric tensor each `LieAlgebraSpec` builds once, holding only the
+nonzero brackets, and each row is a ``{column: nonzero Scalar}`` dict built
+straight from them.  Columns are the pairs i < j in lexicographic order.
 """
 
 from __future__ import annotations
@@ -24,13 +26,17 @@ from .errors import GalkappaError
 from .exactscalar import ONE, ZERO, Scalar, _sub_mul, _sum_products, accumulate
 
 Row = Dict[int, Scalar]
+Structure = List[Dict[int, Row]]
 
 
 class LieAlgebraSpec:
     """Generator names plus exact structure constants, stored once per i<j.
 
     ``stated`` lists the pairs a table states, in its order and orientation
-    and with its vanishing pairs; by default the nonzero pairs i < j.
+    and with its vanishing pairs; by default the nonzero pairs i < j.  The
+    antisymmetric structure tensor every check reads is built here once:
+    ``_f[i][j]`` is [X_i, X_j] as {k: coeff}, in both index orders and for
+    the nonzero brackets only; its rows are never written to.
     """
 
     def __init__(
@@ -57,6 +63,10 @@ class LieAlgebraSpec:
             if row:
                 clean[(i, j)] = row
         self.brackets = clean
+        self._f: Structure = [{} for _ in range(n)]
+        for (i, j), rhs in clean.items():
+            self._f[i][j] = rhs
+            self._f[j][i] = {k: -c for k, c in rhs.items()}
         self.stated: Tuple[Tuple[int, int], ...] = tuple(
             sorted(clean) if stated is None else stated)
 
@@ -72,31 +82,11 @@ class LieAlgebraSpec:
 
     def bracket(self, i: int, j: int) -> Dict[int, Scalar]:
         """[X_i, X_j] as {k: coefficient}, any index order."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
+        return dict(self._f[i].get(j, {}))
 
     def pairs(self) -> List[Tuple[int, int]]:
         n = self.dim
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-Structure = List[Dict[int, Row]]
-
-
-def _structure(spec: LieAlgebraSpec) -> Structure:
-    """The antisymmetric structure tensor: f[i][j] is [X_i, X_j] as {k: coeff}.
-
-    Both index orders are present, and only the nonzero brackets; the rows
-    are shared with the spec and are never written to.
-    """
-    f: Structure = [{} for _ in range(spec.dim)]
-    for (i, j), rhs in spec.brackets.items():
-        f[i][j] = rhs
-        f[j][i] = {k: -c for k, c in rhs.items()}
-    return f
 
 
 def _cyclic_terms(f: Structure) -> Iterator[Tuple[Tuple[int, int, int], list]]:
@@ -134,7 +124,8 @@ class JacobiResult:
         return self.ok
 
 
-def _jacobi(spec: LieAlgebraSpec, f: Structure) -> JacobiResult:
+def _jacobi(spec: LieAlgebraSpec) -> JacobiResult:
+    f = spec._f
     for (i, j, k), terms in _cyclic_terms(f):
         # the products landing on each target, summed and reduced once
         products: Dict[int, list] = {}
@@ -161,65 +152,10 @@ def _jacobi(spec: LieAlgebraSpec, f: Structure) -> JacobiResult:
 
 def jacobi_check(spec: LieAlgebraSpec) -> JacobiResult:
     """Verify the cyclic identity on all generator triples; report the first failure."""
-    return _jacobi(spec, _structure(spec))
+    return _jacobi(spec)
 
 
 # -- exact elimination -------------------------------------------------------
-
-
-def _forward(rows: List[Row], ncols: int) -> List[Tuple[int, Row]]:
-    """Forward elimination of sparse rows ({column: Scalar}).
-
-    Columns are taken in increasing order.  At each, a column -> rows index
-    supplies the rows not yet used as pivots that reach it, and the one with
-    the fewest nonzeros (ties to the lowest index) becomes the pivot row.  It
-    clears its column from the other unused rows, updating each only on its
-    own support and with one reduction per entry; entries that cancel are
-    dropped.  A pivot row is left unnormalised and is not updated again.
-
-    Returns the pivot columns with their rows, in increasing column order;
-    their number is the rank.  The input rows are left as they are.
-    """
-    work = [{c: e for c, e in r.items() if not e.is_zero} for r in rows]
-    at: Dict[int, set] = {}
-    for rid, row in enumerate(work):
-        for c in row:
-            at.setdefault(c, set()).add(rid)
-    pending = set(range(len(work)))
-    echelon: List[Tuple[int, Row]] = []
-    for col in range(ncols):
-        if not pending:
-            break
-        hits = at.get(col)
-        candidates = hits & pending if hits else None
-        if not candidates:
-            continue
-        rid = min(candidates, key=lambda r: (len(work[r]), r))
-        pending.discard(rid)
-        candidates.discard(rid)
-        row = work[rid]
-        echelon.append((col, row))
-        if not candidates:
-            continue
-        lead = row[col]
-        rest = [(c, e) for c, e in row.items() if c != col]
-        for oid in candidates:
-            other = work[oid]
-            # the pivot column cancels exactly; the index for it is not read again
-            factor = other.pop(col) / lead
-            for c, e in rest:
-                old = other.get(c)
-                if old is None:
-                    other[c] = -(factor * e)
-                    at.setdefault(c, set()).add(oid)
-                else:
-                    new = _sub_mul(old, factor, e)
-                    if new.is_zero:
-                        del other[c]
-                        at[c].discard(oid)
-                    else:
-                        other[c] = new
-    return echelon
 
 
 def _clear(v: Row, p: int, row: Row) -> None:
@@ -242,14 +178,40 @@ def _clear(v: Row, p: int, row: Row) -> None:
                     v[c] = new
 
 
+def _forward(rows: List[Row], ncols: int) -> List[Tuple[int, Row]]:
+    """Forward elimination of sparse rows ({column: Scalar}), row by row.
+
+    The rows are taken in order of increasing nonzero count.  Each is cleared
+    with `_clear` on the pivots found so far, lowest column first, until its
+    first column is not yet a pivot column or nothing is left; a remainder is
+    scaled to 1 at that column and kept as its pivot.  A pivot row is zero
+    left of its pivot and is not updated again.
+
+    Returns the pivot columns with their rows, in increasing column order;
+    their number is the rank.  The input rows are left as they are.
+    """
+    pivots: Dict[int, Row] = {}
+    for row in sorted(rows, key=len):
+        v = {c: e for c, e in row.items() if not e.is_zero}
+        while v:
+            col = min(v)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = ONE / v[col]
+                pivots[col] = {c: e * inv for c, e in v.items()}
+                break
+            _clear(v, col, pivot)
+    return sorted(pivots.items())
+
+
 def _rref(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
     """Reduced row echelon form of sparse rows ({column: Scalar}).
 
-    `_forward` brings the rows to echelon form; back-substitution then runs
-    from the last pivot up, clearing each pivot row on the later pivot
-    columns (whose rows are already reduced) and normalising its pivot to 1.
-    The reduced row echelon form of a row space is unique, so the pivot rule
-    changes the work done, never the result.
+    `_forward` brings the rows to echelon form, each pivot already 1;
+    back-substitution then runs from the last pivot up, clearing each pivot
+    row with `_clear` on the later pivot columns, whose rows are already
+    reduced.  The reduced row echelon form of a row space is unique, so the
+    order in which rows are taken changes the work done, never the result.
 
     Returns the rank, the pivot columns in increasing order and the reduced
     rows in the same order.  The input rows are left as they are.
@@ -261,11 +223,6 @@ def _rref(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
         # holds besides its own are later ones; clearing adds no others
         for p in [c for c in row if c in done]:
             _clear(row, p, done[p])
-        lead = row[col]
-        if lead != ONE:
-            inv = ONE / lead
-            for c, e in row.items():
-                row[c] = e * inv
         done[col] = row
     return len(echelon), [col for col, _ in echelon], [row for _, row in echelon]
 
@@ -345,8 +302,7 @@ def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
     Requires a valid Lie algebra; run jacobi_check first (and we re-run it
     here, since cohomology of a non-algebra is meaningless).
     """
-    f = _structure(spec)
-    jac = _jacobi(spec, f)
+    jac = _jacobi(spec)
     if not jac.ok:
         raise GalkappaError(
             f"structure constants violate the cyclic identity at {jac.triple}"
@@ -355,10 +311,10 @@ def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
     slot = _slots(n)
     P = n * (n - 1) // 2
 
-    rank, pivots, red = _rref_checked(_cocycle_rows(f, slot), P)
+    rank, pivots, red = _rref_checked(_cocycle_rows(spec._f, slot), P)
     z = P - rank
 
-    b, cob_pivots, cob_red = _rref_checked(_coboundary_rows(f, slot), P)
+    b, cob_pivots, cob_red = _rref_checked(_coboundary_rows(spec._f, slot), P)
 
     # representatives: nullspace basis reduced modulo the coboundary row space
     reduced = []
@@ -425,12 +381,12 @@ def _satisfies(rows: List[Row], vec: Row) -> bool:
 def is_cocycle(spec: LieAlgebraSpec, beta) -> bool:
     """Does beta satisfy the cyclic identity for this algebra?"""
     slot = _slots(spec.dim)
-    return _satisfies(_cocycle_rows(_structure(spec), slot), _beta_vector(spec, beta, slot))
+    return _satisfies(_cocycle_rows(spec._f, slot), _beta_vector(spec, beta, slot))
 
 
 def classes_independent(spec: LieAlgebraSpec, betas: Sequence) -> bool:
     """True iff the given cocycles are linearly independent modulo coboundaries."""
-    f = _structure(spec)
+    f = spec._f
     n = spec.dim
     slot = _slots(n)
     vecs = [_beta_vector(spec, b, slot) for b in betas]

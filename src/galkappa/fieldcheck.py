@@ -29,7 +29,8 @@ from .exactscalar import (
     parse_scalar,
 )
 from .galrealize import check_rank, check_spin, make_registry
-from .weylop import DiffOp, ScalarDiffOp, bracket, compose, conjugate_phase, conjugate_shift
+from .weylop import (
+    COORDS, DiffOp, ScalarDiffOp, bracket, compose, conjugate_phase, conjugate_shift)
 
 PHI = "phi"
 CHI = "chi"
@@ -388,7 +389,7 @@ def solve_constant_matrix(lhs: DiffOp, G: DiffOp) -> List[List[PolyExpr]]:
     """
     lam = [[col0.coefficient((0, 0, 1)) * NEG_I, col0.coefficient((1, 0, 0)) * I]
            for col0, _ in lhs.rows]
-    if any(e.uses_symbols(("x1", "x2", "t")) for row in lam for e in row):
+    if any(e.uses_symbols(COORDS) for row in lam for e in row):
         raise CovarianceFailure("solution is not coordinate-free")
     residual = lhs - compose(DiffOp(lhs.registry, lam), G)
     for r, row in enumerate(residual.rows):

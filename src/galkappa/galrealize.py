@@ -17,7 +17,7 @@ from .algfile import load_bundled
 from .cocycle import LieAlgebraSpec
 from .errors import BadMass, BadParameter, BadRank, BadSpin, GalkappaError, NotCentral
 from .exactscalar import HALF, I, NEG_I, PolyExpr, Scalar, SymbolRegistry
-from .weylop import DiffOp, ScalarDiffOp, bracket
+from .weylop import COORDS, DiffOp, ScalarDiffOp, bracket
 
 GENERATOR_NAMES = ("P1", "P2", "H", "J", "K1", "K2", "M")
 CENTRAL_NAME = "kappa"
@@ -148,7 +148,7 @@ def extend_lambda(g: GeneratorSet, lam) -> GeneratorSet:
     _require_mass_identity(g)
     reg = g.registry
     lam = _coerce_param(reg, lam)
-    if lam.uses_symbols(("x1", "x2", "t")):
+    if lam.uses_symbols(COORDS):
         raise GalkappaError("lambda must be coordinate-free")
     J = g["J"] + DiffOp.identity(reg, g.dim, factor=lam)
     prev = g.meta.get("lam")
@@ -161,7 +161,7 @@ def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
     _require_mass_identity(g)
     reg = g.registry
     c = _coerce_param(reg, c)
-    if c.uses_symbols(("x1", "x2", "t")):
+    if c.uses_symbols(COORDS):
         raise GalkappaError("shift parameter must be coordinate-free")
     factor = (c * HALF).div_symbol("m")
     K1 = g["K1"] + g["P2"].scale(factor)
@@ -192,7 +192,7 @@ def central_scalar(op: DiffOp) -> Optional[PolyExpr]:
                 return None
     if diag is None:
         diag = reg.zero()
-    if diag.uses_symbols(("x1", "x2", "t")):
+    if diag.uses_symbols(COORDS):
         return None
     return diag
 

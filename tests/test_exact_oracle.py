@@ -160,6 +160,23 @@ def test_forward_elimination_rank_matches_dense_reference(matrix, rnd):
     assert len(cocycle._forward(to_sparse(doubled), ncols)) == rank
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_forward_rows_are_normalised_echelon_rows(matrix, rnd):
+    rows, ncols = matrix
+    sparse = to_sparse(rows)
+    echelon = cocycle._forward(sparse, ncols)
+    pivots = [col for col, _ in echelon]
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for col, row in echelon:
+        # 1 at the pivot, zero (absent) left of it, no stored zeros
+        assert row[col] == ONE
+        assert min(row) == col
+        assert all(not e.is_zero for e in row.values())
+    rnd.shuffle(sparse)
+    assert len(cocycle._forward(sparse, ncols)) == len(echelon)
+
+
 def _short_reversed_pass(monkeypatch):
     """Make the reversed pass of the first checked elimination lose a pivot."""
     forward = cocycle._forward
