@@ -178,7 +178,7 @@ def _clear(v: Row, p: int, row: Row) -> None:
                     v[c] = new
 
 
-def _forward(rows: List[Row], ncols: int) -> List[Tuple[int, Row]]:
+def _forward(rows: List[Row]) -> List[Tuple[int, Row]]:
     """Forward elimination of sparse rows ({column: Scalar}), row by row.
 
     The rows are taken in order of increasing nonzero count.  Each is cleared
@@ -214,9 +214,10 @@ def _rref(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
     order in which rows are taken changes the work done, never the result.
 
     Returns the rank, the pivot columns in increasing order and the reduced
-    rows in the same order.  The input rows are left as they are.
+    rows in the same order.  The input rows are left as they are.  `ncols`
+    is not read here; perfbench's tracer reads it from every call.
     """
-    echelon = _forward(rows, ncols)
+    echelon = _forward(rows)
     done: Dict[int, Row] = {}
     for col, row in reversed(echelon):
         # a pivot row is zero left of its pivot, so the pivot columns it
@@ -231,7 +232,7 @@ def _rref_checked(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row
     """`_rref`, with the rank re-derived by `_forward` under the reversed order."""
     result = _rref(rows, ncols)
     flipped = [{ncols - 1 - c: e for c, e in r.items()} for r in reversed(rows)]
-    rank_rev = len(_forward(flipped, ncols))
+    rank_rev = len(_forward(flipped))
     if result[0] != rank_rev:
         raise GalkappaError(
             f"elimination self-check failed: ranks {result[0]} vs {rank_rev}"

@@ -433,9 +433,9 @@ class TermMap:
     validate keys and coefficients in their constructor, check or coerce the
     other operand in `_coerce`, and supply their own calculus and printing.
     Results whose invariants hold by construction (sums, negations, the
-    polynomial product and derivative, and the operator bracket) are built
-    with `_make`, which skips that validation; every other result passes
-    through the constructor.
+    polynomial product and derivative, and the operator product and
+    bracket) are built with `_make`, which skips that validation; every
+    other result passes through the constructor.
     """
 
     __slots__ = ("registry", "_terms")

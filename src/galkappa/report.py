@@ -73,8 +73,10 @@ def render(payload: dict) -> str:
 def write(name: str, payload: dict) -> Optional[Path]:
     """Write payload under $GALKAPPA_REPORT_DIR/name.json if the var is set.
 
-    A directory that cannot be made or a file that cannot be written is a
-    BadParameter, so the CLI reports an input error.
+    The directory is made only when the file cannot be opened for lack of
+    it, so a report into an existing directory costs one open.  A directory
+    that cannot be made or a file that cannot be written is a BadParameter,
+    so the CLI reports an input error.
     """
     directory = os.environ.get(REPORT_DIR_ENV)
     if not directory:
@@ -83,8 +85,11 @@ def write(name: str, payload: dict) -> Optional[Path]:
     out = root / f"{name}.json"
     text = render(payload)
     try:
-        root.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        try:
+            out.write_text(text)
+        except FileNotFoundError:
+            root.mkdir(parents=True, exist_ok=True)
+            out.write_text(text)
     except OSError as exc:  # a file in the way, or no permission: the setting is at fault
         raise BadParameter(f"cannot write report {out}: {exc}") from None
     return out

@@ -3,10 +3,13 @@
 Operators live in coordinates (x1, x2, t) with derivative directions
 (d1, d2, dt).  The canonical normal form keeps every derivative to the right
 of every coefficient; two operators are equal exactly when their normal
-forms coincide.  Composition uses the generalized Leibniz rule with exact
-integer binomials.  The bracket [A, B] is one Leibniz pass over the
-derivative cross terms only: the zero-order products f g d^(alpha+beta) of
-A o B and B o A are equal, because coefficients commute, and are never formed.
+forms coincide.  Composition and the bracket share one kernel, the
+generalized Leibniz rule on monomials: d^gamma of x^q is the falling
+factorial q!/(q - gamma)! times x^(q - gamma), weighted by exact integer
+binomials, and each output coefficient is summed as integer triples and
+reduced once.  The bracket [A, B] takes only the derivative cross terms:
+the zero-order products f g d^(alpha+beta) of A o B and B o A are equal,
+because coefficients commute, and are never formed.
 
 Degree guards: coefficient polynomials may not exceed total coordinate
 degree 8 and derivative monomials may not exceed order 6.  Everything needed
@@ -17,25 +20,29 @@ of a term.  The top parts of A o B are then products of the nonzero top
 parts of A and B, over an integral domain, so A o B is over a guard exactly
 when ord A + ord B or deg A + deg B is; the bracket raises in exactly those
 cases too.  Every term of a bracket is a term of A o B or of B o A, so a
-bracket that passes this check on its operands is within both guards, and
-it is built without running the guards again.
+product or bracket that passes this check on its operands is within both
+guards, and it is built without running the guards again.
 
 Work done once per operand: an operator keeps, filled on first use, the
-derivatives of its coefficients that compositions with it on the right
-have needed (once per operand, nonzero derivatives only), and the order
-and degree its bracket check reads.  Neither changes its value.
+monomials of its coefficients that the kernel reads (derivative
+multi-index, coordinate exponents, exponent key and integer triple of
+each) and the order and degree its guard check reads.  Neither changes its
+value.
 
-Trusted results: besides the bracket, `ScalarDiffOp.scale` by a nonzero
-factor free of the coordinates (a product of nonzero polynomials is
-nonzero, and the coordinate degree cannot grow), and the product,
-commutator and `scale` of `DiffOp` (square, one registry, entries already
-checked) build their results without the constructors' checks.  Any other
-factor goes through the constructor, with its guards and errors.
+Trusted results: `compose` and the bracket (checked on their operands'
+extents, above), `ScalarDiffOp.scale` by a nonzero factor free of the
+coordinates (a product of nonzero polynomials is nonzero, and the
+coordinate degree cannot grow), and the product, commutator and `scale` of
+`DiffOp` (square, one registry, entries already checked) build their
+results without the constructors' checks.  Any other factor goes through
+the constructor, with its guards and errors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import BadParameter, DegreeOverflow, MalformedPhase, ShapeError
@@ -47,6 +54,7 @@ from .exactscalar import (
     SquareMatrix,
     SymbolRegistry,
     TermMap,
+    _reduced,
     accumulate,
 )
 
@@ -58,47 +66,106 @@ MultiIndex = Tuple[int, int, int]
 ZERO_IDX: MultiIndex = (0, 0, 0)
 
 
-def _nonzero_derivatives(g: PolyExpr, reach: MultiIndex, known: dict) -> list:
-    """[(gamma, d^gamma g), ...] for every gamma <= reach with d^gamma g nonzero.
+def _add_triples(terms: dict, items) -> None:
+    """Add each (key, (a, b, d)), the value (a + b*i)/d, into terms in order.
 
-    gamma runs in lexicographic order.  d^gamma g is read from `known`, which
-    holds nonzero derivatives only, or else taken from the order one lower
-    (along t, else x2, else x1); a derivative of zero is zero, so each axis
-    stops at its first zero.
+    The values of terms are unreduced triples too; a sum that is zero
+    removes its key, so a key met again is added at the end.
     """
-    out = []
-    d1 = g
-    for g1 in range(reach[0] + 1):
-        if g1:
-            d1 = known.get((g1, 0, 0)) or d1.diff("x1")
-            if d1.is_zero:
-                break
-        d2 = d1
-        for g2 in range(reach[1] + 1):
-            if g2:
-                d2 = known.get((g1, g2, 0)) or d2.diff("x2")
-                if d2.is_zero:
-                    break
-            dt = d2
-            for gt in range(reach[2] + 1):
-                if gt:
-                    dt = known.get((g1, g2, gt)) or dt.diff("t")
-                    if dt.is_zero:
-                        break
-                out.append(((g1, g2, gt), dt))
-    return out
+    for key, (a, b, d) in items:
+        old = terms.get(key)
+        if old is not None:
+            oa, ob, od = old
+            if od == d:
+                a += oa
+                b += ob
+            else:
+                a, b, d = oa * d + a * od, ob * d + b * od, od * d
+            if not (a or b):
+                del terms[key]
+                continue
+        terms[key] = (a, b, d)
+
+
+def _leibniz(left: list, right: list, positions: Tuple[int, int, int], out: dict,
+             sign: int, start: int) -> None:
+    """Add sign * C(alpha, gamma) f * (d^gamma g) d^(alpha - gamma + beta) into out.
+
+    left and right are the `_monomials` of two operators A and B, and
+    positions the places of x1, x2, t in their registry's keys.  One term
+    for every f d^alpha of A, g d^beta of B and gamma <= alpha with |gamma|
+    >= start and d^gamma g nonzero: start 0, with sign 1, gives the whole
+    product A o B, start 1 only its derivative cross terms.  d^gamma of a
+    monomial x^q is the falling factorial q!/(q - gamma)! times
+    x^(q - gamma), and zero unless gamma <= q, so a pair of terms with no
+    axis where both alpha and the reach of g are positive has no cross term
+    and is skipped before any arithmetic.
+
+    out maps each multi-index to {key: (a, b, d)}, unreduced integer
+    triples that `_finish` reduces once.  Terms are met in the order
+    alpha, beta, gamma (lexicographic), keys of f, keys of g, and each
+    product f * d^gamma g is added as a whole, pruning zeros, so out
+    holds its keys in the order of the sum `old + f * d^gamma g`.
+    """
+    i1, i2, it = positions
+    for (a1, a2, at), alpha_axes, _, _, fm in left:
+        single = len(fm) == 1
+        for (b1, b2, bt), _, (r1, r2, rt), reach_axes, gm in right:
+            if alpha_axes & reach_axes:
+                # past the reach of g on an axis, d^gamma g is zero
+                gammas = itertools.product(range((a1 if a1 < r1 else r1) + 1),
+                                           range((a2 if a2 < r2 else r2) + 1),
+                                           range((at if at < rt else rt) + 1))
+                if start:
+                    next(gammas)
+            elif start:
+                continue
+            else:
+                gammas = (ZERO_IDX,)
+            for g1, g2, gt in gammas:
+                if g1 or g2 or gt:
+                    w = sign * math.comb(a1, g1) * math.comb(a2, g2) * math.comb(at, gt)
+                    dg = []
+                    for key, (c, e, f) in gm:
+                        q1, q2, qt = key[i1], key[i2], key[it]
+                        if q1 >= g1 and q2 >= g2 and qt >= gt:
+                            k = list(key)
+                            k[i1], k[i2], k[it] = q1 - g1, q2 - g2, qt - gt
+                            v = w * math.perm(q1, g1) * math.perm(q2, g2) * math.perm(qt, gt)
+                            dg.append((tuple(k), (c * v, e * v, f)))
+                    if not dg:
+                        continue
+                else:
+                    dg = gm  # gamma 0 is met only in the whole product, at sign 1
+                midx = (a1 - g1 + b1, a2 - g2 + b2, at - gt + bt)
+                terms = out.get(midx)
+                if terms is None:
+                    terms = out[midx] = {}
+                product = [(tuple(map(operator.add, k1, k2)),
+                            (a * c - b * e, a * e + b * c, d * f))
+                           for k1, (a, b, d) in fm for k2, (c, e, f) in dg]
+                if not (single or len(dg) == 1):
+                    # two keys of the product may meet: sum it first, so it
+                    # is added whole; by a one-term factor its keys are distinct
+                    whole = {}
+                    _add_triples(whole, product)
+                    product = whole.items()
+                _add_triples(terms, product)
+                if not terms:
+                    del out[midx]
 
 
 class ScalarDiffOp(TermMap):
     """One scalar operator: sum of coefficient * d1^a1 d2^a2 dt^at terms.
 
     Two slots are filled on first use and never change the operator's value,
-    so equality, hashing, printing and pickling ignore them: `_derivs`, the
-    nonzero derivatives of each coefficient (see `_derivatives`), and
-    `_ext`, the (order, degree) pair of the bracket's guard check.
+    so equality, hashing, printing and pickling ignore them: `_mono`, the
+    monomials of every coefficient that the Leibniz kernel reads (see
+    `_monomials`), and `_ext`, the (order, degree) pair of the guard check
+    of `compose` and `bracket`.
     """
 
-    __slots__ = ("_derivs", "_ext")
+    __slots__ = ("_mono", "_ext")
 
     def __init__(self, registry: SymbolRegistry, terms: Mapping[MultiIndex, PolyExpr]):
         for c in COORDS:
@@ -122,7 +189,7 @@ class ScalarDiffOp(TermMap):
         self._terms = clean
 
     def __getstate__(self):
-        # the memo slots are left out: a copy takes its derivatives anew
+        # the memo slots are left out: a copy lists its monomials anew
         return None, {"registry": self.registry, "_terms": self._terms}
 
     # -- constructors --------------------------------------------------------
@@ -174,72 +241,82 @@ class ScalarDiffOp(TermMap):
             return ScalarDiffOp(self.registry, terms)
         return self._make(terms)
 
-    def _derivatives(self, reach: MultiIndex) -> Dict[MultiIndex, list]:
-        """{beta: [(gamma, d^gamma g), ...]} for each coefficient g d^beta of this operator.
+    def _monomials(self) -> list:
+        """[(alpha, alpha_axes, reach, reach_axes, pairs), ...], one per term f d^alpha.
 
-        Lists every nonzero derivative with gamma <= reach on each axis, in
-        lexicographic order of gamma, so gamma (0, 0, 0) comes first.  The
-        table is built on first use and kept on the operand; a later call
-        that reaches further on some axis extends it and reuses every
-        derivative already taken.
+        `pairs` lists the terms of f as (key, abd), the exponent tuple and
+        the integer triple of the coefficient; `reach` is the largest
+        exponent of each of x1, x2, t in f.  The axis masks have bit 1, 2 or
+        4 set where alpha or reach is positive on x1, x2 or t.  Built on
+        first use and kept in the `_mono` slot, together with the operand's
+        `_extent` in `_ext`.
         """
-        derivs = getattr(self, "_derivs", None)
-        table = {}
-        if derivs is not None:
-            have, table = derivs
-            if reach[0] <= have[0] and reach[1] <= have[1] and reach[2] <= have[2]:
-                return table
-            reach = tuple(map(max, reach, have))
-        table = {beta: _nonzero_derivatives(g, reach, dict(table.get(beta, ())))
-                 for beta, g in self._terms.items()}
-        self._derivs = (reach, table)
-        return table
+        mono = getattr(self, "_mono", None)
+        if mono is None:
+            i1, i2, it = self.registry.positions(COORDS)
+            mono = []
+            order = degree = 0
+            for alpha, coeff in self._terms.items():
+                keys = coeff._terms
+                if len(keys) == 1:
+                    (key,) = keys
+                    reach = (key[i1], key[i2], key[it])
+                    top = sum(reach)
+                else:
+                    most = tuple(map(max, zip(*keys)))
+                    reach = (most[i1], most[i2], most[it])
+                    top = max(key[i1] + key[i2] + key[it] for key in keys)
+                a1, a2, at = alpha
+                r1, r2, rt = reach
+                order = max(order, a1 + a2 + at)
+                degree = max(degree, top)
+                mono.append((alpha, (a1 > 0) | (a2 > 0) << 1 | (at > 0) << 2,
+                             reach, (r1 > 0) | (r2 > 0) << 1 | (rt > 0) << 2,
+                             [(key, c._abd) for key, c in keys.items()]))
+            self._mono = mono
+            self._ext = (order, degree)
+        return mono
 
-    def _leibniz(self, other: "ScalarDiffOp", terms: dict, sign: int, start: int) -> None:
-        """Accumulate sign * C(alpha, gamma) f * (d^gamma g) d^(alpha - gamma + beta).
+    def _extent(self) -> Tuple[int, int]:
+        """(derivative order, coefficient coordinate degree), read off with `_monomials`."""
+        self._monomials()
+        return self._ext
 
-        One term for every f d^alpha of self, g d^beta of other and gamma <=
-        alpha with |gamma| >= start and d^gamma g nonzero: start 0 gives the
-        whole product self o other, start 1 only its derivative cross terms.
-        The derivatives come from other's table, in lexicographic order of
-        gamma, which fixes the order in which the terms are met.
+    def _guarded(self, other: "ScalarDiffOp") -> Tuple[list, list]:
+        """The monomials of two nonzero operands, checked against the guards.
+
+        Raises DegreeOverflow exactly when self o other is over a guard: by
+        the module docstring's top-part argument, when the order sum or the
+        coordinate-degree sum of the operands is over its guard.
         """
-        if not self._terms:
-            return
-        derivatives = other._derivatives(tuple(map(max, zip(*self._terms))))
-        for alpha, f in self._terms.items():
-            a1, a2, at = alpha
-            for beta, by_order in derivatives.items():
-                for (g1, g2, gt), dg in by_order:
-                    if g1 > a1 or g2 > a2 or gt > at or g1 + g2 + gt < start:
-                        continue
-                    term = f * dg
-                    w = sign * math.comb(a1, g1) * math.comb(a2, g2) * math.comb(at, gt)
-                    if w != 1:  # a nonzero integer keeps every coefficient nonzero
-                        term = term._make({k: c * w for k, c in term._terms.items()})
-                    accumulate(terms, (a1 - g1 + beta[0], a2 - g2 + beta[1],
-                                       at - gt + beta[2]), term)
+        left, right = self._monomials(), other._monomials()
+        (order_a, degree_a), (order_b, degree_b) = self._ext, other._ext
+        if order_a + order_b > MAX_DERIV_ORDER:
+            raise DegreeOverflow(f"derivative order {order_a + order_b} exceeds guard")
+        if degree_a + degree_b > MAX_COEFF_DEGREE:
+            raise DegreeOverflow("coefficient coordinate degree exceeds guard")
+        return left, right
+
+    def _finish(self, out: dict) -> "ScalarDiffOp":
+        """The operator of a `_leibniz` map, each coefficient reduced once.
+
+        `_leibniz` keeps no zero, and `_guarded` has bounded every term.
+        """
+        poly = next(iter(self._terms.values()))  # makes polynomials over this registry
+        return self._make({
+            midx: poly._make({key: _reduced(a, b, d) for key, (a, b, d) in terms.items()})
+            for midx, terms in out.items()
+        })
 
     def compose(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
         """Normal-form product: derivatives act through coefficients (Leibniz)."""
         self._coerce(other)
-        terms: Dict[MultiIndex, PolyExpr] = {}
-        self._leibniz(other, terms, 1, 0)
-        # the constructor applies the degree guards to the result
-        return ScalarDiffOp(self.registry, terms)
-
-    def _extent(self) -> Tuple[int, int]:
-        """(derivative order, coefficient coordinate degree) of a nonzero operator.
-
-        Computed once per operand and kept in its `_ext` slot.
-        """
-        ext = getattr(self, "_ext", None)
-        if ext is None:
-            ext = self._ext = (
-                max(map(sum, self._terms)),
-                max(c.max_degree(COORDS) for c in self._terms.values()),
-            )
-        return ext
+        if not (self._terms and other._terms):
+            return self._make({})
+        left, right = self._guarded(other)
+        out: Dict[MultiIndex, dict] = {}
+        _leibniz(left, right, self.registry.positions(COORDS), out, 1, 0)
+        return self._finish(out)
 
     def bracket(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
         """The commutator self o other - other o self, from its cross terms only.
@@ -251,19 +328,14 @@ class ScalarDiffOp(TermMap):
         the module docstring), and so does the bracket.
         """
         self._coerce(other)
-        if self._terms and other._terms:
-            (order_a, degree_a), (order_b, degree_b) = self._extent(), other._extent()
-            if order_a + order_b > MAX_DERIV_ORDER:
-                raise DegreeOverflow(
-                    f"derivative order {order_a + order_b} exceeds guard"
-                )
-            if degree_a + degree_b > MAX_COEFF_DEGREE:
-                raise DegreeOverflow("coefficient coordinate degree exceeds guard")
-        terms: Dict[MultiIndex, PolyExpr] = {}
-        self._leibniz(other, terms, 1, 1)
-        other._leibniz(self, terms, -1, 1)
-        # accumulate dropped every zero, and the check above bounds every term
-        return self._make(terms)
+        if not (self._terms and other._terms):
+            return self._make({})
+        left, right = self._guarded(other)
+        positions = self.registry.positions(COORDS)
+        out: Dict[MultiIndex, dict] = {}
+        _leibniz(left, right, positions, out, 1, 1)
+        _leibniz(right, left, positions, out, -1, 1)
+        return self._finish(out)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -381,7 +453,9 @@ def _map_terms(A: DiffOp, d_ops: Sequence[ScalarDiffOp], coeff_map) -> DiffOp:
     """Rebuild A with each coefficient mapped and each dK replaced by d_ops[K].
 
     The substituted derivative power of a multi-index is composed once per
-    call, and each entry's pieces are summed in one map.
+    call; each piece is that power scaled by the mapped coefficient, which
+    is the product of the coefficient's multiplication operator with it,
+    and each entry's pieces are summed in one map.
     """
     reg = A.registry
     unit = ScalarDiffOp.coeff(reg.const(ONE))
@@ -399,7 +473,7 @@ def _map_terms(A: DiffOp, d_ops: Sequence[ScalarDiffOp], coeff_map) -> DiffOp:
                         for _ in range(midx[axis]):
                             power = power.compose(d_ops[axis])
                     powers[midx] = power
-                piece = ScalarDiffOp.coeff(coeff_map(coeff)).compose(power)
+                piece = power.scale(coeff_map(coeff))
                 for key, c in piece._terms.items():
                     accumulate(terms, key, c)
             # a sum of checked operators is within the guards

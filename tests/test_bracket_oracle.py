@@ -5,9 +5,10 @@ B o A, and `DiffOp.commutator` uses it for the summands with r = k = c.
 The reference is the plain difference of the two products from
 `test_operator_oracle`, with every result rebuilt through the public
 constructors.  The bracket must give the same terms, coefficients, hashes
-and strings, and raise `DegreeOverflow` exactly when a product does.  It
-builds its result without the constructor's checks, so every result must
-also be one the constructor takes unchanged.
+and strings, and it and `compose` raise `DegreeOverflow` exactly when a
+reference product does.  Both build their results without the
+constructor's checks, so every result must also be one the constructor
+takes unchanged.
 """
 
 import random
@@ -139,6 +140,23 @@ def test_bracket_raises_exactly_when_the_products_do():
         assert got_raised == want_raised, (A, B)
         if not got_raised:
             _same_operator(got, want, ordered=False)
+            _assert_canonical(got)
+        raised += got_raised
+    _assert_balanced(raised, 150)
+
+
+def test_compose_raises_exactly_when_the_reference_does():
+    rng = random.Random(20022)
+    raised = 0
+    for _ in range(150):
+        (order_a, degree_a), (order_b, degree_b) = near_guard_extents(rng)
+        A = near_guard_operator(rng, order_a, degree_a)
+        B = near_guard_operator(rng, order_b, degree_b)
+        want_raised, want = _outcome(ref_compose, A, B)
+        got_raised, got = _outcome(A.compose, B)
+        assert got_raised == want_raised, (A, B)
+        if not got_raised:
+            _same_operator(got, want)
             _assert_canonical(got)
         raised += got_raised
     _assert_balanced(raised, 150)

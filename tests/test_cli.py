@@ -392,6 +392,20 @@ def test_report_written_when_env_set(tmp_path, monkeypatch, capsys):
     ]
 
 
+def test_report_directory_is_made_only_when_missing(tmp_path, monkeypatch, capsys):
+    directory = tmp_path / "new" / "reports"
+    monkeypatch.setenv(report.REPORT_DIR_ENV, str(directory))
+    path = directory / "realize-schrodinger.json"
+    for exists in (False, True):
+        if exists:
+            def refuse(*args, **kwargs):
+                raise AssertionError("an existing report directory was made again")
+            monkeypatch.setattr(Path, "mkdir", refuse)
+        code, out, _ = run(capsys, "realize", "schrodinger")
+        assert code == 0 and f"report written: {path}" in out
+        assert json.loads(path.read_text())["passed"] is True
+
+
 def test_report_bytes_are_deterministic(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(report.REPORT_DIR_ENV, str(tmp_path))
     path = tmp_path / "numcheck.json"

@@ -137,9 +137,9 @@ def test_central_extensions_eliminates_five_times(monkeypatch):
     calls = []
     forward = cocycle._forward
 
-    def counting(rows, ncols):
+    def counting(rows):
         calls.append(len(rows))
-        return forward(rows, ncols)
+        return forward(rows)
 
     monkeypatch.setattr(cocycle, "_forward", counting)
     ext = central_extensions(algfile.load_bundled("planar_galilei"))
@@ -152,12 +152,12 @@ def test_central_extensions_eliminates_five_times(monkeypatch):
 def test_forward_elimination_rank_matches_dense_reference(matrix, rnd):
     rows, ncols = matrix
     rank = dense_rref(rows, ncols)[0]
-    assert len(cocycle._forward(to_sparse(rows), ncols)) == rank
+    assert len(cocycle._forward(to_sparse(rows))) == rank
     flipped = [row[::-1] for row in rows]
-    assert len(cocycle._forward(to_sparse(flipped), ncols)) == rank
+    assert len(cocycle._forward(to_sparse(flipped))) == rank
     doubled = rows + [rnd.choice(rows) for _ in range(3)] if rows else rows
     rnd.shuffle(doubled)
-    assert len(cocycle._forward(to_sparse(doubled), ncols)) == rank
+    assert len(cocycle._forward(to_sparse(doubled))) == rank
 
 
 @settings(max_examples=100, deadline=None)
@@ -165,7 +165,7 @@ def test_forward_elimination_rank_matches_dense_reference(matrix, rnd):
 def test_forward_rows_are_normalised_echelon_rows(matrix, rnd):
     rows, ncols = matrix
     sparse = to_sparse(rows)
-    echelon = cocycle._forward(sparse, ncols)
+    echelon = cocycle._forward(sparse)
     pivots = [col for col, _ in echelon]
     assert all(a < b for a, b in zip(pivots, pivots[1:]))
     for col, row in echelon:
@@ -174,7 +174,7 @@ def test_forward_rows_are_normalised_echelon_rows(matrix, rnd):
         assert min(row) == col
         assert all(not e.is_zero for e in row.values())
     rnd.shuffle(sparse)
-    assert len(cocycle._forward(sparse, ncols)) == len(echelon)
+    assert len(cocycle._forward(sparse)) == len(echelon)
 
 
 def _short_reversed_pass(monkeypatch):
@@ -182,8 +182,8 @@ def _short_reversed_pass(monkeypatch):
     forward = cocycle._forward
     ranks = []
 
-    def short(rows, ncols):
-        echelon = forward(rows, ncols)
+    def short(rows):
+        echelon = forward(rows)
         ranks.append(len(echelon))
         # the first call is `_rref`'s own pass, the second the reversed one
         return echelon[:-1] if len(ranks) == 2 else echelon

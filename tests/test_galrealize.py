@@ -279,9 +279,10 @@ def test_generator_set_accessors():
 
 
 def test_one_verify_structure_takes_few_derivatives_and_degrees(monkeypatch):
-    # work counts, not timings: each operand keeps its nonzero derivatives and
-    # its guard extent, so repeated brackets of the seven generators reuse them
-    # (a kernel that took them again on every call needed 140 and 97 here)
+    # work counts, not timings: the bracket kernel differentiates monomials in
+    # closed form, so no polynomial derivative is taken, and each operand reads
+    # its guard extent off its monomials once, with no `max_degree` call
+    # (a kernel that took both again on every call needed 140 and 97 here)
     reg = make_registry()
     g = realize_multispinor(reg, s=1, N=3)
     g = extend_lambda(kappa_shift(g, reg.symbol("c")), reg.symbol("lam"))
@@ -299,7 +300,7 @@ def test_one_verify_structure_takes_few_derivatives_and_degrees(monkeypatch):
     counted("max_degree")
     report = verify_structure(g)
     assert report.overall and len(report.rows) == 21
-    assert counts["diff"] <= 59
+    assert counts["diff"] == 0
     assert counts["max_degree"] <= 15
 
 

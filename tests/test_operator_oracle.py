@@ -2,8 +2,8 @@
 
 `ref_mul`, `ref_diff` and `ref_compose` are the polynomial product,
 derivative and Leibniz composition the package used before results were
-built with the trusted `_make` and before `compose` memoised the
-derivatives of each right-hand coefficient.  They build every result
+built with the trusted `_make` and before `compose` and `bracket` ran
+on the monomials of the coefficients.  They build every result
 through the public constructors, so they also re-check every invariant.
 The current kernel must give the identical term maps (same keys, same
 coefficients, same insertion order), hashes and strings; the bracket, which
@@ -200,6 +200,19 @@ def test_diffop_product_matches_reference(pair):
             _same_operator(got_entry, want_entry)
 
 
+def test_compose_adds_each_leibniz_product_whole():
+    # (1 + (c + m) d1) o (c x1 - m x1 + c m): at d^0 the product (c + m) * (c - m)
+    # adds -c m and then +c m; summed whole it leaves the c m term of 1 * g
+    # where it is, where two single additions would move it to the end
+    c, m, x1 = REG.symbol("c"), REG.symbol("m"), REG.symbol("x1")
+    A = ScalarDiffOp(REG, {(0, 0, 0): REG.const(ONE), (1, 0, 0): c + m})
+    B = ScalarDiffOp.coeff(c * x1 - m * x1 + c * m)
+    got = A.compose(B)
+    _same_operator(got, ref_compose(A, B))
+    assert list(got.coefficient((0, 0, 0))._terms) == list((B.coefficient((0, 0, 0))
+                                                           + c * c - m * m)._terms)
+
+
 def test_compose_result_over_the_coefficient_guard_raises():
     x1, x2 = REG.symbol("x1"), REG.symbol("x2")
     A = ScalarDiffOp.coeff(x1 ** 5)
@@ -281,17 +294,23 @@ def _fresh(B: ScalarDiffOp) -> ScalarDiffOp:
 @settings(max_examples=60, deadline=None)
 @given(operators, st.lists(operators, min_size=1, max_size=3))
 def test_a_reused_right_operand_matches_a_fresh_one(B, lefts):
-    # per-axis orders rise and then fall, so B's derivative table is built
-    # for a multiplication operator, extended for each further reach, and
-    # then read by smaller left operands
+    # per-axis orders rise and then fall, so B's monomials, listed once,
+    # are read by a multiplication operator and by left operands of every reach
     lefts = sorted(lefts + [ScalarDiffOp.coeff(REG.symbol("c")),
                             ScalarDiffOp.deriv(REG, (1, 1, 1))], key=lambda A: sum(_reach(A)))
+    memo = B._monomials()
     for A in lefts + lefts[::-1]:
         _same_operator(A.compose(B), ref_compose(A, _fresh(B)))
         fresh = _fresh(B)
         _same_operator(A.bracket(B), ref_op_add(ref_compose(A, fresh), -ref_compose(fresh, A)),
                        ordered=False)
-    assert B._derivs[0] == tuple(map(max, *map(_reach, lefts)))
+    # never listed again: each term of each coefficient, and the reach of each
+    # coefficient in x1, x2, t
+    assert B._mono is memo
+    coords = [REG.index(name) for name in ("x1", "x2", "t")]
+    assert [(beta, reach, pairs) for beta, _, reach, _, pairs in memo] == [
+        (beta, tuple(max(key[i] for key in g._terms) for i in coords),
+         [(key, c._abd) for key, c in g._terms.items()]) for beta, g in B._terms.items()]
 
 
 # -- results built without the constructor's checks -------------------------------
@@ -339,11 +358,11 @@ def test_a_filled_memo_leaves_equality_hash_and_pickling_alone(A, B):
     before = (hash(A), repr(A), pickle.dumps(A))
     A.bracket(B)
     B.compose(A)
-    assert hasattr(A, "_ext") and hasattr(A, "_derivs")
+    assert hasattr(A, "_ext") and hasattr(A, "_mono")
     assert (hash(A), repr(A), pickle.dumps(A)) == before
     assert A == _fresh(A) and _fresh(A) == A
     for twin in (pickle.loads(before[2]), copy.deepcopy(A)):
-        assert not hasattr(twin, "_derivs") and not hasattr(twin, "_ext")
+        assert not hasattr(twin, "_mono") and not hasattr(twin, "_ext")
         assert twin == A and hash(twin) == hash(A) and repr(twin) == repr(A)
         _same_operator(twin.bracket(B), A.bracket(B))
         _same_operator(B.compose(twin), B.compose(A))
