@@ -2,14 +2,16 @@
 
 A central extension is classified by an antisymmetric bilinear form beta
 satisfying the cyclic cocycle identity, taken modulo coboundaries (forms of
-the shape beta(X_i, X_j) = f([X_i, X_j])).  Both spaces are computed by
-exact elimination over Gaussian rationals: forward elimination, inserting
-the rows one by one, then back-substitution from the last pivot.  Both steps
-update a row only through `_clear`, which subtracts a multiple of a pivot
-row that is 1 at its pivot.  Every dimension is re-derived by forward
-elimination alone under the reversed order, as a self-check.  Each exact
-update (a row entry minus a multiple, a Jacobi sum of products) is formed
-over one denominator and reduced once.
+the shape beta(X_i, X_j) = f([X_i, X_j])).  One walk over the triples
+writes each cyclic identity as a row, and the Jacobi identity, which is the
+same identity with beta replaced by the bracket, is read off those rows.
+Both spaces are computed by exact elimination over Gaussian rationals:
+forward elimination, inserting the rows one by one, then back-substitution
+from the last pivot.  Both steps update a row only through `_clear`, which
+subtracts a multiple of a pivot row that is 1 at its pivot.  Every
+dimension is re-derived by forward elimination alone under the reversed
+order, as a self-check.  Each exact update (a row entry minus a multiple, a
+Jacobi sum of products) is formed over one denominator and reduced once.
 
 Every system is sparse end to end: the structure constants are read from
 the antisymmetric tensor each `LieAlgebraSpec` builds once, holding only the
@@ -20,12 +22,13 @@ straight from them.  Columns are the pairs i < j in lexicographic order.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GalkappaError
 from .exactscalar import ONE, ZERO, Scalar, _sub_mul, _sum_products, accumulate
 
 Row = Dict[int, Scalar]
+Triple = Tuple[int, int, int]
 Structure = List[Dict[int, Row]]
 
 
@@ -89,28 +92,45 @@ class LieAlgebraSpec:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _cyclic_terms(f: Structure) -> Iterator[Tuple[Tuple[int, int, int], list]]:
-    """Each triple i<j<k with a nonzero bracket among its pairs, in
-    lexicographic order, with its terms ([X_a, X_b], c) over the cyclic
-    orders (a, b, c).  A triple without one has no term in any cyclic sum."""
+def _offsets(n: int) -> List[int]:
+    """The column of the pair i < j is offsets[i] + j."""
+    return [i * (2 * n - i - 3) // 2 - 1 for i in range(n)]
+
+
+def _cocycle_rows(f: Structure, off: List[int]) -> Iterator[Tuple[Triple, Row]]:
+    """The one walk over the triples: each i<j<k whose cyclic identity is a
+    nonzero linear form in beta, in lexicographic order, with that form.
+    A term coeff * beta(X_m, X_c) adds into the column of m and c, and sums that
+    cancel are dropped; for m > c, -coeff is read from the reversed bracket."""
     n = len(f)
     for i in range(n):
         fi = f[i]
         for j in range(i + 1, n):
             fij, fj = fi.get(j), f[j]
             for k in range(j + 1, n):
-                terms = [(rhs, c) for rhs, c in ((fij, k), (fj.get(k), i), (f[k].get(i), j))
-                         if rhs]
-                if terms:
-                    yield (i, j, k), terms
-
-
-def _slots(n: int) -> List[List[Optional[int]]]:
-    """slot[i][j] = slot[j][i] = column of the pair i < j."""
-    slot: List[List[Optional[int]]] = [[None] * n for _ in range(n)]
-    for s, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
-        slot[i][j] = slot[j][i] = s
-    return slot
+                fk = f[k]
+                fjk, fki = fj.get(k), fk.get(i)
+                if fij or fjk or fki:
+                    row: Row = {}
+                    for rhs, rev, c in ((fij, fj.get(i), k), (fjk, fk.get(j), i),
+                                        (fki, fi.get(k), j)):
+                        if rhs:
+                            for m, coeff in rhs.items():
+                                if m < c:
+                                    s = off[m] + c
+                                elif m > c:
+                                    s, coeff = off[c] + m, rev[m]
+                                else:
+                                    continue
+                                old = row.get(s)
+                                if old is None:
+                                    row[s] = coeff
+                                elif (coeff := old + coeff).is_zero:
+                                    del row[s]
+                                else:
+                                    row[s] = coeff
+                    if row:
+                        yield (i, j, k), row
 
 
 class JacobiResult:
@@ -124,35 +144,32 @@ class JacobiResult:
         return self.ok
 
 
-def _jacobi(spec: LieAlgebraSpec) -> JacobiResult:
-    f = spec._f
-    for (i, j, k), terms in _cyclic_terms(f):
-        # the products landing on each target, summed and reduced once
+def _jacobi(spec: LieAlgebraSpec, rows: Iterable[Tuple[Triple, Row]]) -> JacobiResult:
+    """The first of the (triple, cocycle row) pairs with a nonzero Jacobi sum:
+    the row with each column s = (a, b) replaced by [X_a, X_b], summed per
+    target and reduced once.  A triple without a row has a zero sum."""
+    column_bracket = [spec.brackets.get(pair) for pair in spec.pairs()]
+    for triple, row in rows:
         products: Dict[int, list] = {}
-        for rhs, c in terms:
-            for m, coeff in rhs.items():
-                fmc = f[m].get(c)
-                if fmc:
-                    for l, coeff2 in fmc.items():
-                        pairs = products.get(l)
-                        if pairs is None:
-                            products[l] = [(coeff, coeff2)]
-                        else:
-                            pairs.append((coeff, coeff2))
-        sums = [(l, _sum_products(pairs)) for l, pairs in products.items()]
-        residual = {spec.names[l]: v for l, v in sums if not v.is_zero}
+        for s, v in row.items():
+            fab = column_bracket[s]
+            if fab:
+                for l, coeff in fab.items():
+                    products.setdefault(l, []).append((v, coeff))
+        residual = {}
+        for l, pairs in products.items():
+            v = _sum_products(pairs)
+            if not v.is_zero:
+                residual[spec.names[l]] = v
         if residual:
-            return JacobiResult(
-                ok=False,
-                triple=(spec.names[i], spec.names[j], spec.names[k]),
-                residual=residual,
-            )
+            return JacobiResult(ok=False, triple=tuple(spec.names[x] for x in triple),
+                                residual=residual)
     return JacobiResult(ok=True)
 
 
 def jacobi_check(spec: LieAlgebraSpec) -> JacobiResult:
     """Verify the cyclic identity on all generator triples; report the first failure."""
-    return _jacobi(spec)
+    return _jacobi(spec, _cocycle_rows(spec._f, _offsets(spec.dim)))
 
 
 # -- exact elimination -------------------------------------------------------
@@ -272,50 +289,38 @@ class ExtensionSpace:
         return out
 
 
-def _cocycle_rows(f: Structure, slot) -> List[Row]:
-    """One row per triple: the cyclic identity as a linear form in beta."""
-    rows = []
-    for _, terms in _cyclic_terms(f):
-        row: Row = {}
-        for rhs, c in terms:
-            for m, coeff in rhs.items():
-                if m != c:
-                    accumulate(row, slot[m][c], coeff if m < c else -coeff)
-        if row:
-            rows.append(row)
-    return rows
-
-
-def _coboundary_rows(f: Structure, slot) -> List[Row]:
+def _coboundary_rows(f: Structure, off: List[int]) -> List[Row]:
     """One row per generator k: the coboundary of the functional dual to X_k."""
     by_target: Dict[int, Row] = {}
     for i, fi in enumerate(f):
         for j, rhs in fi.items():
             if i < j:
                 for k, coeff in rhs.items():
-                    by_target.setdefault(k, {})[slot[i][j]] = coeff
+                    by_target.setdefault(k, {})[off[i] + j] = coeff
     return [by_target[k] for k in sorted(by_target)]
 
 
 def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
     """Dimension and representatives of the central-extension space.
 
-    Requires a valid Lie algebra; run jacobi_check first (and we re-run it
-    here, since cohomology of a non-algebra is meaningless).
+    Requires a valid Lie algebra, since cohomology of a non-algebra is
+    meaningless: the Jacobi identity is checked on the cocycle rows, in
+    triple order, before they are eliminated.
     """
-    jac = _jacobi(spec)
+    n = spec.dim
+    off = _offsets(n)
+    walked = list(_cocycle_rows(spec._f, off))
+    jac = _jacobi(spec, walked)
     if not jac.ok:
         raise GalkappaError(
             f"structure constants violate the cyclic identity at {jac.triple}"
         )
-    n = spec.dim
-    slot = _slots(n)
     P = n * (n - 1) // 2
 
-    rank, pivots, red = _rref_checked(_cocycle_rows(spec._f, slot), P)
+    rank, pivots, red = _rref_checked([row for _, row in walked], P)
     z = P - rank
 
-    b, cob_pivots, cob_red = _rref_checked(_coboundary_rows(spec._f, slot), P)
+    b, cob_pivots, cob_red = _rref_checked(_coboundary_rows(spec._f, off), P)
 
     # representatives: nullspace basis reduced modulo the coboundary row space
     reduced = []
@@ -333,20 +338,19 @@ def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
             f"representative count {len(rep_rows)} disagrees with h2 = {h2}"
         )
 
+    pairs = spec.pairs()
     reps = []
     for vec in rep_rows:
         mat = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = vec.get(slot[i][j], ZERO)
-                mat[i][j] = e
-                mat[j][i] = -e
+        for s, e in vec.items():
+            i, j = pairs[s]
+            mat[i][j], mat[j][i] = e, -e
         reps.append(mat)
     return ExtensionSpace(spec.names, z, b, h2, reps)
 
 
-def _beta_vector(spec: LieAlgebraSpec, beta, slot) -> Row:
-    """beta, given by name pairs or as an antisymmetric matrix, as {slot: entry}."""
+def _beta_vector(spec: LieAlgebraSpec, beta, off: List[int]) -> Row:
+    """beta, given by name pairs or as an antisymmetric matrix, as {column: entry}."""
     n = spec.dim
     vec: Row = {}
     if isinstance(beta, Mapping):
@@ -355,47 +359,42 @@ def _beta_vector(spec: LieAlgebraSpec, beta, slot) -> Row:
             if i == j:
                 raise ValueError("beta entry on a diagonal pair")
             coeff = Scalar.of(coeff)
-            accumulate(vec, slot[i][j], coeff if i < j else -coeff)
+            accumulate(vec, off[min(i, j)] + max(i, j), coeff if i < j else -coeff)
         return vec
     mat = [[Scalar.of(e) for e in row] for row in beta]
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise ValueError(f"beta matrix is not {n}x{n}")
     for i in range(n):
         for j in range(n):
             if not (mat[i][j] + mat[j][i]).is_zero:
                 raise ValueError("beta matrix is not antisymmetric")
-    return {slot[i][j]: mat[i][j]
+    return {off[i] + j: mat[i][j]
             for i, j in itertools.combinations(range(n), 2) if not mat[i][j].is_zero}
 
 
-def _satisfies(rows: List[Row], vec: Row) -> bool:
-    """Does the vector vanish on every row of a linear system?"""
-    for row in rows:
-        acc = ZERO
-        for c, e in row.items():
-            v = vec.get(c)
-            if v is not None:
-                acc = acc + e * v
-        if not acc.is_zero:
-            return False
-    return True
+def _satisfies(walk: Iterable[Tuple[Triple, Row]], vec: Row) -> bool:
+    """Does the vector vanish on every cocycle row?"""
+    return all(_sum_products((e, vec[c]) for c, e in row.items() if c in vec).is_zero
+               for _, row in walk)
 
 
 def is_cocycle(spec: LieAlgebraSpec, beta) -> bool:
     """Does beta satisfy the cyclic identity for this algebra?"""
-    slot = _slots(spec.dim)
-    return _satisfies(_cocycle_rows(spec._f, slot), _beta_vector(spec, beta, slot))
+    off = _offsets(spec.dim)
+    return _satisfies(_cocycle_rows(spec._f, off), _beta_vector(spec, beta, off))
 
 
 def classes_independent(spec: LieAlgebraSpec, betas: Sequence) -> bool:
     """True iff the given cocycles are linearly independent modulo coboundaries."""
     f = spec._f
     n = spec.dim
-    slot = _slots(n)
-    vecs = [_beta_vector(spec, b, slot) for b in betas]
-    cocycle_rows = _cocycle_rows(f, slot)
-    if not all(_satisfies(cocycle_rows, vec) for vec in vecs):
+    off = _offsets(n)
+    vecs = [_beta_vector(spec, b, off) for b in betas]
+    walked = list(_cocycle_rows(f, off))
+    if not all(_satisfies(walked, vec) for vec in vecs):
         return False
     P = n * (n - 1) // 2
-    cob_rows = _coboundary_rows(f, slot)
+    cob_rows = _coboundary_rows(f, off)
     base_rank = _rref_checked(cob_rows, P)[0]
     full_rank = _rref_checked(cob_rows + vecs, P)[0]
     return full_rank == base_rank + len(vecs)

@@ -1,6 +1,11 @@
 """Central-extension analysis: cocycles, coboundaries, class counting."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galkappa import algfile
 from galkappa.cocycle import (
@@ -183,3 +188,75 @@ def test_beta_matrix_must_be_antisymmetric():
         is_cocycle(spec, bad)
     with pytest.raises(ValueError, match="antisymmetric"):
         classes_independent(spec, [bad])
+
+
+def test_beta_matrix_must_be_n_by_n():
+    spec = algfile.load_bundled("so3")
+    small = [[Scalar(0), Scalar(1)], [Scalar(-1), Scalar(0)]]
+    big = [[Scalar(0)] * 4 for _ in range(4)]
+    big[0][3] = Scalar(1)  # outside so3's 3x3, with no antisymmetric partner
+    ragged = [[Scalar(0)] * 3, [Scalar(0)] * 3, [Scalar(0)] * 2]
+    for bad in (small, big, ragged):
+        with pytest.raises(ValueError, match="3x3"):
+            is_cocycle(spec, bad)
+        with pytest.raises(ValueError, match="3x3"):
+            classes_independent(spec, [bad])
+
+
+# -- jacobi_check against a plain-Fraction brute force ------------------------
+
+part = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+gaussian = st.tuples(part, part)  # (re, im)
+
+
+@st.composite
+def structure_constants(draw):
+    """[X_i, X_j] for i < j as {k: (re, im)}, sparse and mostly not a Lie algebra."""
+    n = draw(st.integers(3, 6))
+    brackets = {}
+    for pair in itertools.combinations(range(n), 2):
+        rhs = draw(st.dictionaries(st.integers(0, n - 1), gaussian, max_size=2))
+        if rhs:
+            brackets[pair] = rhs
+    return n, brackets
+
+
+def brute_jacobi(n, brackets):
+    """The first triple i<j<k with a nonzero sum [[X_i,X_j],X_k] + cyclic, and
+    that sum as {target: (re, im)}; None when every triple sums to zero."""
+
+    def bracket(a, b):
+        if a < b:
+            return brackets.get((a, b), {})
+        return {k: (-re, -im) for k, (re, im) in brackets.get((b, a), {}).items()}
+
+    for i, j, k in itertools.combinations(range(n), 3):
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, (xr, xi) in bracket(a, b).items():
+                for target, (yr, yi) in bracket(m, c).items():
+                    re, im = total.get(target, (Fraction(0), Fraction(0)))
+                    total[target] = (re + xr * yr - xi * yi, im + xr * yi + xi * yr)
+        residual = {t: v for t, v in total.items() if v != (0, 0)}
+        if residual:
+            return (i, j, k), residual
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(structure_constants())
+def test_jacobi_check_matches_brute_force(table):
+    n, brackets = table
+    names = tuple(f"X{a}" for a in range(n))
+    spec = LieAlgebraSpec(
+        names, {p: {k: Scalar(re, im) for k, (re, im) in rhs.items()}
+                for p, rhs in brackets.items()})
+    res = jacobi_check(spec)
+    expected = brute_jacobi(n, brackets)
+    if expected is None:
+        assert (res.ok, res.triple, res.residual) == (True, None, None)
+    else:
+        triple, residual = expected
+        assert not res.ok
+        assert res.triple == tuple(names[a] for a in triple)
+        assert res.residual == {names[t]: Scalar(re, im) for t, (re, im) in residual.items()}

@@ -23,7 +23,8 @@ from galkappa.cocycle import central_extensions
 from galkappa.exactscalar import I, ZERO, Scalar
 
 SL2 = {-1: "H", 0: "D", 1: "C"}
-LEVELS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3), Fraction(10), Fraction(20)]
+LEVELS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3), Fraction(10), Fraction(20),
+          Fraction(40)]
 
 
 def vector(k: int, axis: int) -> str:

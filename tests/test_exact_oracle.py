@@ -147,6 +147,26 @@ def test_central_extensions_eliminates_five_times(monkeypatch):
     assert len(calls) == 5
 
 
+def test_central_extensions_walks_the_triples_once():
+    # the Jacobi identity is read off the cocycle rows, so checking the
+    # algebra and building its cocycle system share one walk: the structure
+    # tensor is read exactly as often as by jacobi_check alone
+    reads = []
+
+    class Counting(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return dict.get(self, key, default)
+
+    spec = algfile.load_bundled("planar_galilei")
+    spec._f = [Counting(row) for row in spec._f]
+    assert cocycle.jacobi_check(spec).ok
+    alone = len(reads)
+    reads.clear()
+    assert central_extensions(spec).h2 == 3
+    assert alone and len(reads) == alone
+
+
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices(), st.randoms(use_true_random=False))
 def test_forward_elimination_rank_matches_dense_reference(matrix, rnd):
