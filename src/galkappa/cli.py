@@ -316,7 +316,7 @@ def _cmd_realize(args) -> int:
     table = TABLE_LITERAL if args.strict_literal else TABLE_CORRECTED
     rep = verify_structure(g, table)
 
-    mass_ok = rep.mass is not None and (rep.mass - reg.symbol("m")).is_zero
+    mass_ok = rep.mass == reg.symbol("m")
     checks = [
         report.check_record("structure-table", rep.overall, rep.to_dict()),
         report.check_record(

@@ -38,7 +38,7 @@ class BadRank(GalkappaError):
 
 
 class BadMass(GalkappaError):
-    """Mass parameter must be nonzero."""
+    """The mass generator is not m times the identity."""
 
 
 class BadParameter(GalkappaError):

@@ -1,9 +1,11 @@
 """Free-field generator sets, their check against a bundled bracket table, and kappa.
 
-All realizations here act on the single independent field component, where
-the Hamiltonian is the free quadratic operator.  Spin enters only through
-the additive constant in the rotation generator; the boost generators carry
-the explicit time symbol, and every bracket must hold identically in t.
+`realize(model, s, N)` alone builds generators.  Every model is the free
+field on its single independent component, where the Hamiltonian is the
+free quadratic operator; spin enters only as the constant in the rotation
+generator J: 0 (schrodinger), s/2 (levyleblond) or N*s/2 (multispinor).
+The boosts carry the explicit time symbol, and every bracket must hold
+identically in t.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .algfile import load_bundled
 from .cocycle import LieAlgebraSpec
 from .errors import BadMass, BadParameter, BadRank, BadSpin, GalkappaError, NotCentral
 from .exactscalar import HALF, I, NEG_I, PolyExpr, Scalar, SymbolRegistry
-from .weylop import COORDS, DiffOp, ScalarDiffOp, bracket
+from .weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp, bracket
 
 GENERATOR_NAMES = ("P1", "P2", "H", "J", "K1", "K2", "M")
 CENTRAL_NAME = "kappa"
@@ -46,14 +48,12 @@ def make_registry() -> SymbolRegistry:
 
 
 class GeneratorSet:
-    """Named generators (all the same dimension) plus model metadata."""
+    """Named generators, all of one dimension."""
 
-    def __init__(self, gens: Dict[str, DiffOp], meta: Dict):
-        dims = {op.dim for op in gens.values()}
-        if len(dims) != 1:
+    def __init__(self, gens: Dict[str, DiffOp]):
+        if len({op.dim for op in gens.values()}) != 1:
             raise GalkappaError("generators must share one dimension")
         self.gens = dict(gens)
-        self.meta = dict(meta)
 
     def __getitem__(self, name: str) -> DiffOp:
         return self.gens[name]
@@ -66,12 +66,8 @@ class GeneratorSet:
     def dim(self) -> int:
         return next(iter(self.gens.values())).dim
 
-    def replaced(self, updates: Dict[str, DiffOp], meta_updates: Dict) -> "GeneratorSet":
-        gens = dict(self.gens)
-        gens.update(updates)
-        meta = dict(self.meta)
-        meta.update(meta_updates)
-        return GeneratorSet(gens, meta)
+    def replaced(self, updates: Dict[str, DiffOp]) -> "GeneratorSet":
+        return GeneratorSet({**self.gens, **updates})
 
 
 def _coerce_param(registry: SymbolRegistry, value) -> PolyExpr:
@@ -82,59 +78,47 @@ def _coerce_param(registry: SymbolRegistry, value) -> PolyExpr:
     return registry.const(Scalar.of(value))
 
 
-def _realization(registry: Optional[SymbolRegistry], model: str, s: Optional[int] = None,
-                 N: Optional[int] = None, spin: Fraction = Fraction(0)) -> GeneratorSet:
-    """The free-field generators; the spin enters only as the constant in J."""
-    reg = registry or make_registry()
-    x1, x2, t, m = (reg.symbol(n) for n in ("x1", "x2", "t", "m"))
-    neg_i = reg.const(NEG_I)
-    P1 = DiffOp.scalar(ScalarDiffOp.deriv(reg, (1, 0, 0), neg_i))
-    P2 = DiffOp.scalar(ScalarDiffOp.deriv(reg, (0, 1, 0), neg_i))
-    half_inv_m = (reg.const(HALF)).div_symbol("m")
-    H = DiffOp.scalar(
-        ScalarDiffOp(reg, {(2, 0, 0): -half_inv_m, (0, 2, 0): -half_inv_m})
-    )
-    J = DiffOp.scalar(
-        ScalarDiffOp(reg, {(0, 1, 0): NEG_I * x1, (1, 0, 0): I * x2, (0, 0, 0): reg.const(spin)})
-    )
-    it = reg.const(I) * t
-    K1 = DiffOp.scalar(ScalarDiffOp(reg, {(0, 0, 0): m * x1, (1, 0, 0): it}))
-    K2 = DiffOp.scalar(ScalarDiffOp(reg, {(0, 1, 0): it, (0, 0, 0): m * x2}))
-    M = DiffOp.scalar(ScalarDiffOp.coeff(m))
-    gens = {"P1": P1, "P2": P2, "H": H, "J": J, "K1": K1, "K2": K2, "M": M}
-    return GeneratorSet(gens, {"model": model, "s": s, "rank": N, "lam": None, "shift": None})
-
-
-def realize_schrodinger(registry: Optional[SymbolRegistry] = None) -> GeneratorSet:
-    """Spinless one-component realization."""
-    return _realization(registry, "schrodinger")
-
-
-def realize_levyleblond(registry: Optional[SymbolRegistry] = None, s: int = 1) -> GeneratorSet:
-    """Spin-1/2 realization on the independent component: J gains s/2."""
-    s = check_spin(s)
-    return _realization(registry, "levyleblond", s, spin=Fraction(s, 2))
-
-
-def realize_multispinor(registry: Optional[SymbolRegistry] = None, s: int = 1,
-                        N: int = 1) -> GeneratorSet:
-    """Rank-N symmetric multispinor reduction: J gains N*s/2."""
-    s = check_spin(s)
-    N = check_rank(N)
-    return _realization(registry, "multispinor", s, N, Fraction(N * s, 2))
-
-
 def realize(model: str, s: int, N: int) -> GeneratorSet:
-    """The generators of a named model; spin and rank are checked for every model."""
+    """The generators of a named model; model, spin and rank are checked for every model.
+
+    All models share one set of one-component operators; the spin label s
+    and the rank N enter only as the constant in J.
+    """
     if model not in MODELS:
         raise BadParameter(f"unknown model {model!r}; choose from {MODELS}")
     check_spin(s)
     check_rank(N)
-    if model == "schrodinger":
-        return realize_schrodinger()
-    if model == "levyleblond":
-        return realize_levyleblond(s=s)
-    return realize_multispinor(s=s, N=N)
+    spin = {"schrodinger": 0, "levyleblond": Fraction(s, 2), "multispinor": Fraction(N * s, 2)}
+    reg = make_registry()
+    x1, x2, t, m = (reg.symbol(n) for n in ("x1", "x2", "t", "m"))
+    neg_i = reg.const(NEG_I)
+    P1 = DiffOp.scalar(ScalarDiffOp.deriv(reg, (1, 0, 0), neg_i))
+    P2 = DiffOp.scalar(ScalarDiffOp.deriv(reg, (0, 1, 0), neg_i))
+    half_inv_m = reg.const(HALF).div_symbol("m")
+    H = DiffOp.scalar(ScalarDiffOp(reg, {(2, 0, 0): -half_inv_m, (0, 2, 0): -half_inv_m}))
+    J = DiffOp.scalar(ScalarDiffOp(
+        reg, {(0, 1, 0): NEG_I * x1, (1, 0, 0): I * x2, ZERO_IDX: reg.const(spin[model])}
+    ))
+    it = reg.const(I) * t
+    K1 = DiffOp.scalar(ScalarDiffOp(reg, {ZERO_IDX: m * x1, (1, 0, 0): it}))
+    K2 = DiffOp.scalar(ScalarDiffOp(reg, {(0, 1, 0): it, ZERO_IDX: m * x2}))
+    M = DiffOp.scalar(ScalarDiffOp.coeff(m))
+    return GeneratorSet({"P1": P1, "P2": P2, "H": H, "J": J, "K1": K1, "K2": K2, "M": M})
+
+
+def realize_schrodinger() -> GeneratorSet:
+    """Spinless one-component realization."""
+    return realize("schrodinger", 1, 1)
+
+
+def realize_levyleblond(s: int = 1) -> GeneratorSet:
+    """Spin-1/2 realization on the independent component: J gains s/2."""
+    return realize("levyleblond", s, 1)
+
+
+def realize_multispinor(s: int = 1, N: int = 1) -> GeneratorSet:
+    """Rank-N symmetric multispinor reduction: J gains N*s/2."""
+    return realize("multispinor", s, N)
 
 
 def _require_mass_identity(g: GeneratorSet) -> None:
@@ -150,10 +134,7 @@ def extend_lambda(g: GeneratorSet, lam) -> GeneratorSet:
     lam = _coerce_param(reg, lam)
     if lam.uses_symbols(COORDS):
         raise GalkappaError("lambda must be coordinate-free")
-    J = g["J"] + DiffOp.identity(reg, g.dim, factor=lam)
-    prev = g.meta.get("lam")
-    total = lam if prev is None else prev + lam
-    return g.replaced({"J": J}, {"lam": total})
+    return g.replaced({"J": g["J"] + DiffOp.identity(reg, g.dim, factor=lam)})
 
 
 def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
@@ -164,37 +145,25 @@ def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
     if c.uses_symbols(COORDS):
         raise GalkappaError("shift parameter must be coordinate-free")
     factor = (c * HALF).div_symbol("m")
-    K1 = g["K1"] + g["P2"].scale(factor)
-    K2 = g["K2"] - g["P1"].scale(factor)
-    prev = g.meta.get("shift")
-    total = c if prev is None else prev + c
-    return g.replaced({"K1": K1, "K2": K2}, {"shift": total})
+    return g.replaced({"K1": g["K1"] + g["P2"].scale(factor),
+                       "K2": g["K2"] - g["P1"].scale(factor)})
 
 
 def central_scalar(op: DiffOp) -> Optional[PolyExpr]:
-    """If op == q*Id with q coordinate-free, return q; otherwise None."""
-    reg = op.registry
-    diag: Optional[PolyExpr] = None
-    for r in range(op.dim):
-        for c in range(op.dim):
-            entry = op.entry(r, c)
-            if r != c:
-                if not entry.is_zero:
-                    return None
-                continue
-            for midx, _coeff in entry.items():
-                if midx != (0, 0, 0):
-                    return None
-            q = entry.coefficient((0, 0, 0))
-            if diag is None:
-                diag = q
-            elif not (diag - q).is_zero:
-                return None
-    if diag is None:
-        diag = reg.zero()
-    if diag.uses_symbols(COORDS):
+    """If op == q*Id with q coordinate-free, return q; otherwise None.
+
+    q is the constant term of the corner entry; op equals q*Id exactly
+    when every entry equals q on the diagonal and zero off it.
+    """
+    corner = op.entry(0, 0)
+    q = corner.coefficient(ZERO_IDX)
+    if q.uses_symbols(COORDS):
         return None
-    return diag
+    diag, zero = corner._make({} if q.is_zero else {ZERO_IDX: q}), corner._make({})
+    if all(e == (diag if r == c else zero)
+           for r, row in enumerate(op.rows) for c, e in enumerate(row)):
+        return q
+    return None
 
 
 def _central_over_i(op: DiffOp) -> Optional[PolyExpr]:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galkappa.algfile import loads
 from galkappa.cocycle import jacobi_check
@@ -20,12 +22,13 @@ from galkappa.galrealize import (
     kappa_shift,
     make_registry,
     realization_table,
+    realize,
     realize_levyleblond,
     realize_multispinor,
     realize_schrodinger,
     verify_structure,
 )
-from galkappa.weylop import DiffOp, ScalarDiffOp, bracket
+from galkappa.weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp, bracket
 
 
 def all_models():
@@ -61,7 +64,8 @@ def test_lambda_extension_preserves_everything():
     assert g2["J"] != g["J"]
     # applying again accumulates
     g3 = extend_lambda(g2, Scalar(Fraction(1, 2)))
-    assert g3.meta["lam"] == reg.symbol("lam") + reg.const(Scalar(Fraction(1, 2)))
+    total = reg.symbol("lam") + reg.const(Scalar(Fraction(1, 2)))
+    assert g3["J"] == g["J"] + DiffOp.identity(reg, 1, factor=total)
 
 
 def test_kappa_shift_symbolic_and_round_trip():
@@ -109,7 +113,7 @@ def test_extract_kappa_requires_central_bracket():
     bad_k2 = g["K2"] + DiffOp.scalar(
         ScalarDiffOp.coeff(reg.symbol("x1") * reg.symbol("x2"))
     )
-    broken = g.replaced({"K2": bad_k2}, {})
+    broken = g.replaced({"K2": bad_k2})
     with pytest.raises(NotCentral):
         extract_kappa(broken)
 
@@ -118,7 +122,7 @@ def test_non_central_boost_bracket_has_no_kappa_and_fails_its_row():
     g = realize_schrodinger()
     reg = g.registry
     # K1 + x2: [K1, K2] gains -i*t, a coordinate term, so no kappa exists
-    broken = g.replaced({"K1": g["K1"] + DiffOp.scalar(ScalarDiffOp.coeff(reg.symbol("x2")))}, {})
+    broken = g.replaced({"K1": g["K1"] + DiffOp.scalar(ScalarDiffOp.coeff(reg.symbol("x2")))})
     rep = verify_structure(broken)
     assert rep.kappa is None
     assert rep.mass == reg.symbol("m")
@@ -145,7 +149,7 @@ def test_two_component_rows_print_matrix_texts():
     reg = g.registry
     zero = ScalarDiffOp.zero(reg)
     doubled = GeneratorSet({name: DiffOp(reg, [[op.entry(0, 0), zero], [zero, op.entry(0, 0)]])
-                            for name, op in g.gens.items()}, g.meta)
+                            for name, op in g.gens.items()})
     rep = verify_structure(doubled, "literal")
     assert rep.kappa.is_zero and rep.mass == reg.symbol("m")
     rows = {(r.lhs, r.rhs): r.to_dict() for r in rep.rows}
@@ -171,7 +175,7 @@ def test_central_scalar_rejects_non_central():
 
 def test_mass_identity_guard():
     g = realize_schrodinger()
-    broken = g.replaced({"M": g["P1"]}, {})
+    broken = g.replaced({"M": g["P1"]})
     with pytest.raises(BadMass):
         kappa_shift(broken, Scalar(1))
 
@@ -283,8 +287,8 @@ def test_one_verify_structure_takes_few_derivatives_and_degrees(monkeypatch):
     # closed form, so no polynomial derivative is taken, and each operand reads
     # its guard extent off its monomials once, with no `max_degree` call
     # (a kernel that took both again on every call needed 140 and 97 here)
-    reg = make_registry()
-    g = realize_multispinor(reg, s=1, N=3)
+    g = realize_multispinor(s=1, N=3)
+    reg = g.registry
     g = extend_lambda(kappa_shift(g, reg.symbol("c")), reg.symbol("lam"))
     counts = Counter()
 
@@ -312,7 +316,7 @@ def _doubled(g, M=None):
             for name, op in g.gens.items()}
     if M is not None:
         gens["M"] = DiffOp(reg, M)
-    return GeneratorSet(gens, g.meta)
+    return GeneratorSet(gens)
 
 
 def test_mass_guard_accepts_a_multi_component_set():
@@ -321,7 +325,7 @@ def test_mass_guard_accepts_a_multi_component_set():
     shifted = kappa_shift(_doubled(g), Scalar(3))
     assert extract_kappa(shifted) == reg.const(Scalar(-3))  # kappa = -c, as for one component
     assert verify_structure(shifted).overall
-    assert extend_lambda(_doubled(g), Scalar(1)).meta["lam"] == reg.const(Scalar(1))
+    assert extend_lambda(_doubled(g), Scalar(1))["J"] == _doubled(g)["J"] + DiffOp.identity(reg, 2)
 
 
 @pytest.mark.parametrize("case", ["unequal diagonal", "off-diagonal entry", "coordinate factor"])
@@ -339,3 +343,92 @@ def test_mass_guard_rejects_a_multi_component_mass(case):
         kappa_shift(broken, Scalar(1))
     with pytest.raises(BadMass):
         extend_lambda(broken, Scalar(1))
+
+
+# every valid (model, s, N); the spinless model is built once, at s = 1, N = 1
+SPIN_CASES = ([("schrodinger", 1, 1)] + [("levyleblond", s, 1) for s in (1, -1)]
+              + [("multispinor", s, n) for n in (1, 2, 3, 4) for s in (1, -1)])
+
+
+@pytest.mark.parametrize("model,s,n", SPIN_CASES)
+def test_spin_enters_only_the_constant_in_j(model, s, n):
+    g0, g = realize_schrodinger(), realize(model, s, n)
+    for name in ("P1", "P2", "H", "K1", "K2", "M"):
+        assert g[name] == g0[name], name
+    c = {"schrodinger": 0, "levyleblond": Fraction(s, 2), "multispinor": Fraction(n * s, 2)}[model]
+    reg = g.registry
+    assert g["J"] - g0["J"] == DiffOp.identity(reg, 1, factor=reg.const(Scalar(c)))
+    wrapped = {
+        "schrodinger": realize_schrodinger,
+        "levyleblond": lambda: realize_levyleblond(s=s),
+        "multispinor": lambda: realize_multispinor(s=s, N=n),
+    }[model]()
+    assert wrapped.gens == g.gens
+
+
+def test_spinless_model_ignores_spin_and_rank():
+    g0 = realize_schrodinger()
+    for s in (1, -1):
+        for n in (1, 2, 3, 4):
+            assert realize("schrodinger", s, n).gens == g0.gens
+
+
+def _central_scalar_reference(op):
+    """q when op == q*Id with q coordinate-free, read entry by entry; otherwise None."""
+    diag = None
+    for r in range(op.dim):
+        for c in range(op.dim):
+            entry = op.entry(r, c)
+            if r != c:
+                if not entry.is_zero:
+                    return None
+                continue
+            if any(midx != (0, 0, 0) for midx, _ in entry.items()):
+                return None
+            q = entry.coefficient((0, 0, 0))
+            if diag is None:
+                diag = q
+            elif not (diag - q).is_zero:
+                return None
+    return None if diag.uses_symbols(COORDS) else diag
+
+
+REG = make_registry()
+_m, _x1, _x2, _t = (REG.symbol(n) for n in ("m", "x1", "x2", "t"))
+_CONSTANTS = [REG.zero(), _m, REG.const(Scalar(2)), REG.const(I), REG.symbol("c") * REG.symbol("lam"),
+              _m + REG.const(Scalar(Fraction(1, 2)))]
+_MONOMIALS = [_x1, _x2 * _t, _m * _x1, _t]
+_polys = st.sampled_from(_CONSTANTS + _MONOMIALS)
+_entries = st.one_of(
+    _polys.map(ScalarDiffOp.coeff),
+    st.tuples(_polys, st.sampled_from([REG.const(Scalar(1)), _m, _x2]),
+              st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)])).map(
+        lambda a: ScalarDiffOp(REG, {ZERO_IDX: a[0], a[2]: a[1]})),
+)
+
+
+@st.composite
+def _square_ops(draw):
+    n = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):  # an entry times Id, perhaps with one entry replaced
+        q, zero = draw(_entries), ScalarDiffOp.zero(REG)
+        rows = [[q if r == c else zero for c in range(n)] for r in range(n)]
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_entries)
+    else:
+        rows = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    return DiffOp(REG, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_ops())
+def test_central_scalar_matches_entrywise_reading(op):
+    assert central_scalar(op) == _central_scalar_reference(op)
+
+
+def test_central_scalar_rejects_a_derivative_on_the_diagonal():
+    entry = ScalarDiffOp(REG, {ZERO_IDX: _m, (1, 0, 0): REG.const(Scalar(1))})  # m + d1
+    zero = ScalarDiffOp.zero(REG)
+    for op in (DiffOp(REG, [[entry]]), DiffOp(REG, [[entry, zero], [zero, entry]])):
+        assert central_scalar(op) is None
+        assert _central_scalar_reference(op) is None

@@ -6,8 +6,15 @@ import pytest
 
 from galkappa import numtrunc, report
 from galkappa.cli import main
-from galkappa.errors import BadParameter
-from galkappa.numtrunc import BYTES_BUDGET, build_numeric, check_bytes, residual_report
+from galkappa.errors import BadParameter, BadRank, BadSpin
+from galkappa.galrealize import realize
+from galkappa.numtrunc import (
+    BYTES_BUDGET,
+    build_numeric,
+    check_bytes,
+    residual_report,
+    run_numeric_check,
+)
 
 
 def _assert_input_error(code, capsys):
@@ -145,3 +152,16 @@ def test_unwritable_report_is_an_input_error(argv, name, layout, tmp_path, monke
     monkeypatch.setenv(report.REPORT_DIR_ENV, str(directory))
     err = _assert_input_error(main(argv), capsys)
     assert f"cannot write report {directory / name}.json" in err
+
+
+def test_library_guards_behind_the_cli_choices():
+    # the CLI's `choices` refuse an unknown model before the library sees it;
+    # the library refuses it on its own, and checks spin and rank for every model
+    with pytest.raises(BadParameter, match="unknown model 'dirac'"):
+        realize("dirac", 1, 1)
+    with pytest.raises(BadParameter, match="unknown model 'dirac'"):
+        run_numeric_check(model="dirac")
+    with pytest.raises(BadSpin):
+        realize("schrodinger", 2, 1)
+    with pytest.raises(BadRank):
+        realize("schrodinger", 1, 5)
