@@ -353,8 +353,8 @@ def _cmd_realize(args) -> int:
 
 def _cmd_fieldcheck(args) -> int:
     from .fieldcheck import (
+        _conservation_rows,
         check_boost_covariance,
-        check_conservation,
         check_rotation_covariance,
         multispinor_equations,
     )
@@ -371,19 +371,18 @@ def _cmd_fieldcheck(args) -> int:
         variant = args.variant or "corrected"
         indices = (args.index,) if args.index else (1, 2)
         rows = []
-        for i in indices:
-            for s in spins:
-                resid = check_conservation(i, s, variant=variant)
-                rows.append({
-                    "index": i,
-                    "spin": s,
-                    "residual": str(resid),
-                    "zero": resid.is_zero,
-                })
-                mark = "pass" if resid.is_zero else "FAIL"
-                print(f"  divergence (index {i}, spin {s:+d}): {mark}")
-                if not resid.is_zero:
-                    print(f"    residual: {resid}")
+        # one context for every row: one registry, one on-shell table per spin
+        for i, s, resid in _conservation_rows(indices, spins, variant):
+            rows.append({
+                "index": i,
+                "spin": s,
+                "residual": str(resid),
+                "zero": resid.is_zero,
+            })
+            mark = "pass" if resid.is_zero else "FAIL"
+            print(f"  divergence (index {i}, spin {s:+d}): {mark}")
+            if not resid.is_zero:
+                print(f"    residual: {resid}")
         ok = all(r["zero"] for r in rows)
         payload = report.build_payload(
             "fieldcheck conservation",

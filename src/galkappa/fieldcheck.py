@@ -3,15 +3,23 @@
 Bilinears in the two-component field are reduced on shell (the dependent
 component and all time derivatives eliminated) before testing identities,
 so every verdict is an exact statement about the independent component.
+
+The conservation check writes the divergence of the bundled current into
+one term map and reduces it on shell.  The rows of one command share one
+context: one registry, the current parsed once per process, and one set of
+on-shell rules per spin, whose tables hold each factor's image once for
+every row at that spin.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
+from . import DATA_DIR
 from .errors import CovarianceFailure, GalkappaError, RedundancyClaimFailure, RegistryMismatch
 from .exactscalar import (
     HALF,
@@ -34,6 +42,7 @@ from .weylop import (
 
 PHI = "phi"
 CHI = "chi"
+_COMPS = (PHI, CHI)  # matrix row and column order
 
 # term key: (dagger component, dagger derivative index, plain component, plain index)
 TermKey = Tuple[str, Tuple[int, int, int], str, Tuple[int, int, int]]
@@ -115,6 +124,10 @@ class EomRules:
         self.chidag_d2 = -half_s_over_m
         self.dt = half_i_over_m              # dt phi -> (i/2m) laplacian phi
         self.dtdag = -half_i_over_m
+        # the dagger and plain side tables of on-shell factor images, filled
+        # by reduce_on_shell and shared by every reduction under these rules
+        self._images = ({}, {})
+        self._unit = [((0,) * len(registry.names), ONE)]
 
 
 def _side_image(images: dict, rules3, comp: str, midx, unit: list) -> list:
@@ -174,20 +187,21 @@ def reduce_on_shell(f: FieldPoly, rules: EomRules) -> FieldPoly:
     The rules rewrite each factor of a bilinear on its own: chi into space
     derivatives of phi, and each time derivative of phi into the Laplacian.
     Every rewrite removes a chi or lowers the time-derivative count, so each
-    factor has a unique image, worked out once per (component, multi-index)
-    and side.  A term's image is its coefficient times the product of its two
-    factors' images.  The coefficient of each output monomial is summed once
-    over all its products, and each output polynomial is formed once, so the
-    result is the unique normal form.
+    factor has a unique image.  It is worked out once per (component,
+    multi-index) and side and kept in the tables of `rules`, so every
+    reduction under the same rules reads it from there.  A term's image is
+    its coefficient times the product of its two factors' images.  The
+    coefficient of each output monomial is summed once over all its
+    products, and each output polynomial is formed once, so the result is the
+    unique normal form.
     """
     reg = f.registry
     if rules.registry != reg:
         raise RegistryMismatch("operands built over different symbol registries")
-    unit = [((0,) * len(reg.names), ONE)]
+    unit = rules._unit
     dag_rules = (rules.chidag_d1, rules.chidag_d2, rules.dtdag)
     ket_rules = (rules.chi_d1, rules.chi_d2, rules.dt)
-    dag_images: dict = {}
-    ket_images: dict = {}
+    dag_images, ket_images = rules._images
     sums: Dict[TermKey, dict] = {}
     for (dc, dm, kc, km), coeff in f._terms.items():
         ket = _side_image(ket_images, ket_rules, kc, km, unit)
@@ -214,72 +228,35 @@ def reduce_on_shell(f: FieldPoly, rules: EomRules) -> FieldPoly:
 # -- conservation law ---------------------------------------------------------
 
 
-def _matrix_value(name: str, j: Optional[int], s: int) -> List[List[Scalar]]:
+@lru_cache(maxsize=None)
+def _matrix_value(name: str, j: Optional[int], s: int) -> Tuple[Tuple[Scalar, ...], ...]:
+    """The constant 2x2 matrix of a current term, built once per (name, j, s)."""
     i = I
     if name == "sigma_j":
         if j == 1:
-            return [[ZERO, ONE], [ONE, ZERO]]
+            return ((ZERO, ONE), (ONE, ZERO))
         if j == 2:
             si = Scalar.of(s)
-            return [[ZERO, -i * si], [i * si, ZERO]]
+            return ((ZERO, -i * si), (i * si, ZERO))
         raise ValueError("sigma_j needs a flux index")
     if name == "gamma":
-        return [[ONE, ZERO], [ZERO, ZERO]]
+        return ((ONE, ZERO), (ZERO, ZERO))
     if name == "one_plus_sigma3":
-        return [[Scalar.of(2), ZERO], [ZERO, ZERO]]
+        return ((Scalar.of(2), ZERO), (ZERO, ZERO))
     raise ValueError(f"unknown matrix name {name!r}")
 
 
 _EPS = {(1, 2): 1, (2, 1): -1, (1, 1): 0, (2, 2): 0}
 
 
-def _term_bilinear(reg, term: dict, i: int, j: Optional[int], s: int,
-                   out: Dict[TermKey, PolyExpr]) -> None:
-    """Add one bundled current term, at free index i, flux index j and spin s, into out.
-
-    Each nonzero matrix entry gives one bilinear term whose coefficient is a
-    single monomial: the term's scalar (coefficient, spin power, eps and the
-    entry) on the exponent key of its factors.
-    """
-    coeff = parse_scalar(term["coeff"]) * s ** term.get("spin_power", 0)
-    if term.get("eps"):
-        if j is None:
-            raise ValueError("eps factor outside a flux term")
-        coeff = coeff * _EPS[(i, j)]
-    if coeff.is_zero:
-        return
-    key = [0] * len(reg.names)
-    for factor in term.get("factors", ()):
-        key[reg.index(f"x{i}" if factor == "x_i" else factor)] += 1
-    key = tuple(key)
-    matrix = _matrix_value(term["matrix"], j, s)
-    grad = term.get("grad")
-    e_i = tuple(1 if axis == i - 1 else 0 for axis in range(3))
-    zero_idx = (0, 0, 0)
-    dag_midx = e_i if grad == "dagger" else zero_idx
-    ket_midx = e_i if grad == "field" else zero_idx
-    comps = (PHI, CHI)
-    zero = reg.zero()
-    for a in range(2):
-        for b in range(2):
-            entry = matrix[a][b]
-            if not entry.is_zero:
-                accumulate(out, (comps[a], dag_midx, comps[b], ket_midx),
-                           zero._make({key: coeff * entry}))
-
-
-def _current(reg, terms, i: int, j: Optional[int], s: int) -> FieldPoly:
-    """The sum of the current terms at (i, j, s), built in one map."""
-    out: Dict[TermKey, PolyExpr] = {}
-    for term in terms:
-        _term_bilinear(reg, term, i, j, s, out)
-    return FieldPoly.zero(reg)._make(out)
-
-
 def load_current_terms(variant: str = "corrected") -> dict:
-    """The bundled current of `variant`, read and parsed on every call."""
+    """The bundled current of `variant`, read from the package's data directory.
+
+    The file is read and parsed on every call, so each caller gets a dict of
+    its own.  A plain path is used rather than importlib.resources, which a
+    run would otherwise have to load for this one file.
+    """
     import json
-    from importlib import resources
 
     fname = {
         "corrected": "boost_current.json",
@@ -287,14 +264,105 @@ def load_current_terms(variant: str = "corrected") -> dict:
     }.get(variant)
     if fname is None:
         raise ValueError(f"unknown conservation variant {variant!r}")
-    payload = resources.files("galkappa.data").joinpath(fname).read_text()
-    return json.loads(payload)
+    with open(os.path.join(DATA_DIR, fname), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-# check_conservation parses each variant once per process and shares the
-# result between its calls, which only read it; load_current_terms gives every
-# other caller a dict of its own
-_shared_current_terms = lru_cache(maxsize=None)(load_current_terms)
+@lru_cache(maxsize=None)
+def _parsed_current(variant: str) -> Tuple[tuple, tuple]:
+    """The flux and density terms of `variant`, parsed once per process.
+
+    Each term is (scalar, spin power, eps, factors, matrix name, grad); the
+    tuples are shared between calls, which only read them.
+    """
+    data = load_current_terms(variant)["terms"]
+    return tuple(
+        tuple((parse_scalar(term["coeff"]), term.get("spin_power", 0), bool(term.get("eps")),
+               tuple(term.get("factors", ())), term["matrix"], term.get("grad"))
+              for term in data[section])
+        for section in ("flux", "density"))
+
+
+def _divergence(reg: SymbolRegistry, flux, density, i: int, s: int) -> FieldPoly:
+    """div(flux) + d/dt(density) at free index i and spin s, built in one map.
+
+    Each nonzero matrix entry of a current term is one bilinear whose
+    coefficient is a single monomial c*x^k: the term's scalar (coefficient,
+    spin power, eps and the entry) on the exponent key k of its factors.  Its
+    derivative along the section's axis is written straight in as its three
+    Leibniz pieces: the coefficient's derivative (exponent e lowered by one,
+    times e), the dagger index raised and the field index raised.  The
+    coefficient of each output monomial is summed once, zero sums are
+    dropped, and each coefficient map becomes a polynomial once.
+    """
+    width = len(reg.names)
+    positions = reg.positions(tuple(coord for coord, _ in _AXES))
+    x_i = reg.index(f"x{i}")
+    e_i = _AXES[i - 1][1]
+    zero_idx = (0, 0, 0)
+    sums: Dict[TermKey, dict] = {}
+    for j, terms in ((1, flux), (2, flux), (None, density)):
+        axis = 2 if j is None else j - 1
+        pos, step = positions[axis], _AXES[axis][1]
+        for scalar, spin_power, eps, factors, matrix_name, grad in terms:
+            c = scalar * s ** spin_power
+            if eps:
+                if j is None:
+                    raise ValueError("eps factor outside a flux term")
+                c = c * _EPS[(i, j)]
+            if c.is_zero:
+                continue
+            key = [0] * width
+            for factor in factors:
+                key[x_i if factor == "x_i" else reg.index(factor)] += 1
+            key = tuple(key)
+            e = key[pos]
+            if e:
+                lowered, c_e = key[:pos] + (e - 1,) + key[pos + 1:], c * e
+            dag_midx = e_i if grad == "dagger" else zero_idx
+            ket_midx = e_i if grad == "field" else zero_idx
+            dag_up = tuple(map(add, dag_midx, step))
+            ket_up = tuple(map(add, ket_midx, step))
+            for dc, row in zip(_COMPS, _matrix_value(matrix_name, j, s)):
+                for kc, entry in zip(_COMPS, row):
+                    if not entry:
+                        continue
+                    if e:
+                        sums.setdefault((dc, dag_midx, kc, ket_midx), {}).setdefault(
+                            lowered, []).append((c_e, entry))
+                    sums.setdefault((dc, dag_up, kc, ket_midx), {}).setdefault(
+                        key, []).append((c, entry))
+                    sums.setdefault((dc, dag_midx, kc, ket_up), {}).setdefault(
+                        key, []).append((c, entry))
+    zero = reg.zero()
+    return FieldPoly.zero(reg)._make({key: zero._make(terms) for key, terms in _collect(sums)})
+
+
+def _conservation_rows(indices, spins, variant: str = "corrected",
+                       drop: Optional[Tuple[str, int]] = None,
+                       registry: Optional[SymbolRegistry] = None):
+    """Yield (i, s, residual) for each free index i in `indices` and spin s in `spins`.
+
+    All rows share one context: one registry, the current parsed once per
+    process, and one EomRules per spin, whose on-shell image tables serve
+    every row at that spin.
+    """
+    for i in indices:
+        if i not in (1, 2):
+            raise ValueError("free index must be 1 or 2")
+    spins = [check_spin(s) for s in spins]
+    reg = registry or make_registry()
+    flux, density = _parsed_current(variant)
+    if drop is not None:
+        # copies, so that `drop` leaves the shared term tuples whole
+        sections = {"flux": list(flux), "density": list(density)}
+        section, idx = drop
+        del sections[section][idx]
+        flux, density = sections["flux"], sections["density"]
+    rules = {s: EomRules(reg, s) for s in spins}
+    for i in indices:
+        for s in spins:
+            yield i, s, reduce_on_shell(_divergence(reg, flux, density, i, s), rules[s])
 
 
 def check_conservation(
@@ -306,31 +374,14 @@ def check_conservation(
 ) -> FieldPoly:
     """Residual of div(flux) + d/dt(density) after on-shell reduction.
 
-    Each flux component and the density are built in one term map each (one
-    monomial coefficient per matrix entry of a current term), differentiated
-    once, summed and reduced on shell once.  A zero result is the
-    conservation law; `drop` deletes one transcribed term (section, index) to
-    confirm the check is sensitive.
+    The divergence is written into one term map (three Leibniz pieces per
+    matrix entry of a current term) and reduced on shell once.  A zero
+    result is the conservation law; `drop` deletes one transcribed term
+    (section, index) to confirm the check is sensitive.  The CLI runs all
+    its rows through one shared context; this is that path for one row.
     """
-    if i not in (1, 2):
-        raise ValueError("free index must be 1 or 2")
-    s = check_spin(s)
-    reg = registry or make_registry()
-    data = _shared_current_terms(variant)
-    # copies, so that `drop` leaves the shared term lists whole
-    flux_terms = list(data["terms"]["flux"])
-    density_terms = list(data["terms"]["density"])
-    if drop is not None:
-        section, idx = drop
-        target = {"flux": flux_terms, "density": density_terms}[section]
-        del target[idx]
-
-    expr = (
-        _current(reg, flux_terms, i, 1, s).derivative(0)
-        + _current(reg, flux_terms, i, 2, s).derivative(1)
-        + _current(reg, density_terms, i, None, s).derivative(2)
-    )
-    return reduce_on_shell(expr, EomRules(reg, s))
+    ((_, _, residual),) = _conservation_rows((i,), (s,), variant, drop, registry)
+    return residual
 
 
 # -- covariance ----------------------------------------------------------------

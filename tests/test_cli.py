@@ -492,6 +492,22 @@ def test_commands_load_only_their_modules():
         assert not {f"galkappa.{name}" for name in unused} & set(modules), argv
 
 
+def test_conservation_reads_its_current_without_importlib_resources(tmp_path):
+    # -S skips the site hooks, which may load importlib.resources on their own
+    probe = (
+        "import sys\n"
+        "import galkappa.cli\n"
+        "code = galkappa.cli.main(['fieldcheck', 'conservation'])\n"
+        "assert 'importlib.resources' not in sys.modules, sorted(sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=_child_env(**{report.REPORT_DIR_ENV: str(tmp_path)}),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "divergence (index 2, spin -1): pass" in proc.stdout
+
+
 def test_help_loads_argparse_and_prints_its_help():
     # the parser lists the bundled algebras without loading the engine
     engine = ["galkappa.algfile", "galkappa.cocycle", "galkappa.exactscalar"]

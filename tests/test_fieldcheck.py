@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from galkappa import fieldcheck
+from galkappa import fieldcheck, report
+from galkappa.cli import main
 from galkappa.errors import BadRank, BadSpin, CovarianceFailure, RedundancyClaimFailure
 from galkappa.exactscalar import Scalar
 from galkappa.fieldcheck import (
@@ -108,6 +109,61 @@ def test_conservation_input_validation():
         check_conservation(1, 2)
     with pytest.raises(ValueError):
         check_conservation(1, 1, variant="imagined")
+
+
+# one command's rows share a registry and one on-shell table per spin; each
+# row must still equal a fresh single-row check
+
+
+@pytest.mark.parametrize("variant", ["corrected", "literal"])
+@pytest.mark.parametrize("indices,spins", [((1, 2), (1, -1)), ((2,), (-1,)), ((1,), (1,)),
+                                           ((2, 1), (-1, 1))])
+def test_shared_rows_equal_fresh_checks(variant, indices, spins):
+    rows = list(fieldcheck._conservation_rows(indices, spins, variant))
+    assert [(i, s) for i, s, _ in rows] == [(i, s) for i in indices for s in spins]
+    for i, s, resid in rows:
+        fresh = check_conservation(i, s, variant=variant)
+        assert resid._terms == fresh._terms
+        assert str(resid) == str(fresh)
+
+
+def _run_conservation(monkeypatch, tmp_path, *flags):
+    monkeypatch.setenv(report.REPORT_DIR_ENV, str(tmp_path))
+    return main(["fieldcheck", "conservation", *flags])
+
+
+def test_one_command_makes_one_registry(monkeypatch, tmp_path, capsys):
+    made = []
+
+    def counting():
+        made.append(1)
+        return make_registry()
+
+    monkeypatch.setattr(fieldcheck, "make_registry", counting)
+    assert _run_conservation(monkeypatch, tmp_path) == 0
+    assert "index 2, spin -1): pass" in capsys.readouterr().out
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("flags", [(), ("--variant", "literal")])
+def test_one_command_forms_each_image_once(monkeypatch, tmp_path, capsys, flags):
+    # an image is identified by its side's rules (which fix the spin and the
+    # side), its component and its multi-index
+    formed = []
+    side_image = fieldcheck._side_image
+
+    def counting(images, rules3, comp, midx, unit):
+        if (comp, midx) not in images:
+            formed.append((tuple(map(str, rules3)), comp, midx))
+        return side_image(images, rules3, comp, midx, unit)
+
+    monkeypatch.setattr(fieldcheck, "_side_image", counting)
+    _run_conservation(monkeypatch, tmp_path, *flags)
+    capsys.readouterr()
+    assert formed
+    assert len(formed) == len(set(formed))
+    # both spins and both sides were reached
+    assert len({rules for rules, _, _ in formed}) == 4
 
 
 # -- covariance ----------------------------------------------------------------

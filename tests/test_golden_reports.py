@@ -67,6 +67,8 @@ GOLDEN = {
     "realize multispinor --spin-s -1 --strict-literal-table": (1, "bb8131e22a20c353eff72c7ab286619c4733fae7bd0096c4fc363ebd7e0dcb9f"),
     "fieldcheck conservation": (0, "b26b9b9b0f9f4eeccee3d86255516774242892e0ededc3e1d5a5cb3456b17e42"),
     "fieldcheck conservation --variant literal": (1, "e18843f22bdd7c356c84e102083b3e67a30841532a6ed9d06795a24303128f35"),
+    "fieldcheck conservation --index 2 --spin-s -1": (0, "d4e7f7f93e0f350f7f36dc197064706b2f4ed30a4280eb4f9d16630f08eea80c"),
+    "fieldcheck conservation --variant literal --index 1 --spin-s 1": (1, "93af96f2a1a046b9d9af1942436a75d9c7a25820b2e1588cd6b2945f407f3a74"),
     "fieldcheck boost": (0, "5c7c50087be8716913a4911b9d30fe61f5dafb4bc74382a729068f473769e0b6"),
     "fieldcheck rotation": (0, "eabd168158180968901848a01b7b33dbbdb65c0828268ba583be9b82987d1f8b"),
     "fieldcheck multispinor-eqs --rank 1": (0, "b63d92a5ff83e014ccd605b38e39da1c2d7317c6a9d799b35fbc78e00b1f0d92"),
