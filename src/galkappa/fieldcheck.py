@@ -7,8 +7,9 @@ so every verdict is an exact statement about the independent component.
 The conservation check writes the divergence of the bundled current into
 one term map and reduces it on shell.  The rows of one command share one
 context: one registry, the current parsed once per process, and one set of
-on-shell rules per spin, whose tables hold each factor's image once for
-every row at that spin.
+on-shell rules per spin, whose table holds each factor's image once for
+every row at that spin.  Every symbol is a real parameter, so a dagger
+factor's image is the conjugate of the plain one and is kept beside it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .exactscalar import (
     SymbolRegistry,
     TermMap,
     _sum_products,
-    accumulate,
     parse_scalar,
 )
 from .galrealize import check_rank, check_spin, make_registry
@@ -84,20 +84,6 @@ class FieldPoly(TermMap):
             raise GalkappaError("field expressions over different registries")
         return other
 
-    def derivative(self, axis: int) -> "FieldPoly":
-        """Total coordinate derivative via the Leibniz rule (axis 0,1 space, 2 time)."""
-        coord, step = _AXES[axis]
-        out: Dict[TermKey, PolyExpr] = {}
-        for key, coeff in self._terms.items():
-            dc, dm, kc, km = key
-            dcoeff = coeff.diff(coord)
-            if not dcoeff.is_zero:
-                accumulate(out, key, dcoeff)
-            accumulate(out, (dc, tuple(map(add, dm, step)), kc, km), coeff)
-            accumulate(out, (dc, dm, kc, tuple(map(add, km, step))), coeff)
-        # accumulate keeps the map free of zeros, and the keys are valid
-        return self._make(out)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -120,46 +106,47 @@ class EomRules:
         half_s_over_m = (registry.const(Scalar(Fraction(s, 2)))).div_symbol("m")
         self.chi_d1 = half_i_over_m          # chi -> (i/2m) d1 phi ...
         self.chi_d2 = -half_s_over_m         # ... + (-s/2m) d2 phi
-        self.chidag_d1 = -half_i_over_m      # conjugates
-        self.chidag_d2 = -half_s_over_m
         self.dt = half_i_over_m              # dt phi -> (i/2m) laplacian phi
-        self.dtdag = -half_i_over_m
-        # the dagger and plain side tables of on-shell factor images, filled
-        # by reduce_on_shell and shared by every reduction under these rules
-        self._images = ({}, {})
+        # the on-shell images of each factor, (plain, dagger), filled by
+        # reduce_on_shell and shared by every reduction under these rules
+        self._images = {}
         self._unit = [((0,) * len(registry.names), ONE)]
 
 
-def _side_image(images: dict, rules3, comp: str, midx, unit: list) -> list:
-    """On-shell image of one field factor: [(phi multi-index, [(exponent key, Scalar)])].
+def _side_image(rules: EomRules, comp: str, midx) -> tuple:
+    """On-shell images of one field factor as (plain, dagger).
 
-    rules3 holds the side's chi coefficients along d1 and d2 and its time
-    coefficient.  chi becomes rule_1 d1 phi + rule_2 d2 phi; a time derivative
-    of phi becomes rule_t (d1^2 + d2^2) phi; phi under space derivatives only
-    is its own image, with the coefficient list `unit` (1 on the constant
-    key).  Each (component, multi-index) is worked out once per `images`
-    table, and its coefficients are summed once per monomial.
+    Each image is [(phi multi-index, [(exponent key, Scalar)])].  chi becomes
+    chi_d1 d1 phi + chi_d2 d2 phi; a time derivative of phi becomes
+    dt (d1^2 + d2^2) phi; phi under space derivatives only is its own image,
+    with the coefficient list `rules._unit` (1 on the constant key).  The
+    dagger image is the plain one with every coefficient conjugated, since
+    every symbol is real.  Each (component, multi-index) is worked out once
+    per `rules`, and its coefficients are summed once per monomial.
     """
+    images = rules._images
     found = images.get((comp, midx))
     if found is not None:
         return found
-    d1, d2, dt = rules3
     x, y, t = midx
     if comp == CHI:
-        steps = ((d1, (x + 1, y, t)), (d2, (x, y + 1, t)))
+        steps = ((rules.chi_d1, (x + 1, y, t)), (rules.chi_d2, (x, y + 1, t)))
     elif t:
-        steps = ((dt, (x + 2, y, t - 1)), (dt, (x, y + 2, t - 1)))
+        steps = ((rules.dt, (x + 2, y, t - 1)), (rules.dt, (x, y + 2, t - 1)))
     else:
-        found = images[(comp, midx)] = [(midx, unit)]
+        plain = [(midx, rules._unit)]
+        found = images[(comp, midx)] = (plain, plain)
         return found
     sums: Dict[Tuple[int, int, int], dict] = {}
     for rule, sub in steps:
-        for out_midx, coeffs in _side_image(images, rules3, PHI, sub, unit):
+        for out_midx, coeffs in _side_image(rules, PHI, sub)[0]:
             monomials = sums.setdefault(out_midx, {})
             for k1, c1 in rule._terms.items():
                 for k2, c2 in coeffs:
                     monomials.setdefault(tuple(map(add, k1, k2)), []).append((c1, c2))
-    found = images[(comp, midx)] = [(m, list(terms.items())) for m, terms in _collect(sums)]
+    plain = [(m, list(terms.items())) for m, terms in _collect(sums)]
+    dagger = [(m, [(k, c.conj()) for k, c in terms]) for m, terms in plain]
+    found = images[(comp, midx)] = (plain, dagger)
     return found
 
 
@@ -188,24 +175,21 @@ def reduce_on_shell(f: FieldPoly, rules: EomRules) -> FieldPoly:
     derivatives of phi, and each time derivative of phi into the Laplacian.
     Every rewrite removes a chi or lowers the time-derivative count, so each
     factor has a unique image.  It is worked out once per (component,
-    multi-index) and side and kept in the tables of `rules`, so every
-    reduction under the same rules reads it from there.  A term's image is
-    its coefficient times the product of its two factors' images.  The
-    coefficient of each output monomial is summed once over all its
-    products, and each output polynomial is formed once, so the result is the
-    unique normal form.
+    multi-index), with its conjugate for the dagger factor, and kept in the
+    table of `rules`, so every reduction under the same rules reads it from
+    there.  A term's image is its coefficient times the product of its two
+    factors' images.  The coefficient of each output monomial is summed once
+    over all its products, and each output polynomial is formed once, so the
+    result is the unique normal form.
     """
     reg = f.registry
     if rules.registry != reg:
         raise RegistryMismatch("operands built over different symbol registries")
     unit = rules._unit
-    dag_rules = (rules.chidag_d1, rules.chidag_d2, rules.dtdag)
-    ket_rules = (rules.chi_d1, rules.chi_d2, rules.dt)
-    dag_images, ket_images = rules._images
     sums: Dict[TermKey, dict] = {}
     for (dc, dm, kc, km), coeff in f._terms.items():
-        ket = _side_image(ket_images, ket_rules, kc, km, unit)
-        for a, dag_coeffs in _side_image(dag_images, dag_rules, dc, dm, unit):
+        ket = _side_image(rules, kc, km)[0]
+        for a, dag_coeffs in _side_image(rules, dc, dm)[1]:
             # the coefficient times the dagger image; a factor already on
             # shell leaves it as it is
             left = coeff._terms.items()
@@ -339,25 +323,30 @@ def _divergence(reg: SymbolRegistry, flux, density, i: int, s: int) -> FieldPoly
 
 
 def _conservation_rows(indices, spins, variant: str = "corrected",
-                       drop: Optional[Tuple[str, int]] = None,
-                       registry: Optional[SymbolRegistry] = None):
+                       drop: Optional[Tuple[str, int]] = None):
     """Yield (i, s, residual) for each free index i in `indices` and spin s in `spins`.
 
     All rows share one context: one registry, the current parsed once per
-    process, and one EomRules per spin, whose on-shell image tables serve
+    process, and one EomRules per spin, whose on-shell image table serves
     every row at that spin.
     """
     for i in indices:
         if i not in (1, 2):
             raise ValueError("free index must be 1 or 2")
     spins = [check_spin(s) for s in spins]
-    reg = registry or make_registry()
+    reg = make_registry()
     flux, density = _parsed_current(variant)
     if drop is not None:
         # copies, so that `drop` leaves the shared term tuples whole
         sections = {"flux": list(flux), "density": list(density)}
         section, idx = drop
-        del sections[section][idx]
+        terms = sections.get(section)
+        if terms is None:
+            raise ValueError(f"drop section must be 'flux' or 'density', not {section!r}")
+        if not (isinstance(idx, int) and -len(terms) <= idx < len(terms)):
+            raise ValueError(f"drop index {idx!r} is outside {section}'s "
+                             f"{-len(terms)}..{len(terms) - 1}")
+        del terms[idx]
         flux, density = sections["flux"], sections["density"]
     rules = {s: EomRules(reg, s) for s in spins}
     for i in indices:
@@ -370,7 +359,6 @@ def check_conservation(
     s: int,
     variant: str = "corrected",
     drop: Optional[Tuple[str, int]] = None,
-    registry: Optional[SymbolRegistry] = None,
 ) -> FieldPoly:
     """Residual of div(flux) + d/dt(density) after on-shell reduction.
 
@@ -380,16 +368,15 @@ def check_conservation(
     (section, index) to confirm the check is sensitive.  The CLI runs all
     its rows through one shared context; this is that path for one row.
     """
-    ((_, _, residual),) = _conservation_rows((i,), (s,), variant, drop, registry)
+    ((_, _, residual),) = _conservation_rows((i,), (s,), variant, drop)
     return residual
 
 
 # -- covariance ----------------------------------------------------------------
 
 
-def build_wave_operator(registry: Optional[SymbolRegistry] = None, s: int = 1) -> DiffOp:
+def build_wave_operator(reg: SymbolRegistry, s: int) -> DiffOp:
     """Two-component first-order wave operator for spin label s."""
-    reg = registry or make_registry()
     s = check_spin(s)
     E = ScalarDiffOp.deriv(reg, (0, 0, 1), reg.const(I))
     p_minus = ScalarDiffOp(
@@ -400,15 +387,6 @@ def build_wave_operator(registry: Optional[SymbolRegistry] = None, s: int = 1) -
     )
     two_m = ScalarDiffOp.coeff(reg.symbol("m") * Scalar.of(2))
     return DiffOp(reg, [[E, p_minus], [p_plus, two_m]])
-
-
-def _boost_pieces(reg, s: int, v):
-    vx, vy = v
-    half_vp = (vx + reg.const(I * Scalar.of(s)) * vy) * HALF
-    one, zero = reg.const(ONE), reg.zero()
-    S = DiffOp(reg, [[one, zero], [-half_vp, one]])
-    S_inv = DiffOp(reg, [[one, zero], [half_vp, one]])
-    return S, S_inv
 
 
 def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
@@ -425,7 +403,10 @@ def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
         reg.symbol("m") * (vx * vx + vy * vy) * HALF * reg.symbol("t")
     )
     core = conjugate_phase(conjugate_shift(G, (-vx, -vy)), theta)
-    S, S_inv = _boost_pieces(reg, s, (vx, vy))
+    half_vp = (vx + reg.const(I * Scalar.of(s)) * vy) * HALF
+    one, zero = reg.const(ONE), reg.zero()
+    S = DiffOp(reg, [[one, zero], [-half_vp, one]])
+    S_inv = DiffOp(reg, [[one, zero], [half_vp, one]])
     return compose(S_inv, compose(core, S))
 
 
@@ -473,10 +454,9 @@ class BoostCovariance:
         }
 
 
-def check_boost_covariance(s: int, registry: Optional[SymbolRegistry] = None) -> BoostCovariance:
+def check_boost_covariance(s: int) -> BoostCovariance:
     """Find a constant matrix intertwining the boosted and original operators."""
-    s = check_spin(s)
-    reg = registry or make_registry()
+    reg = make_registry()
     G = build_wave_operator(reg, s)
     v = (reg.symbol("v1"), reg.symbol("v2"))
     try:
@@ -512,14 +492,11 @@ def rotation_generator(registry: SymbolRegistry, s: int, spin_sign: int = 1) -> 
     return DiffOp(reg, [[upper, z], [z, lower]])
 
 
-def check_rotation_covariance(
-    s: int, registry: Optional[SymbolRegistry] = None, spin_sign: int = 1
-) -> RotationCovariance:
+def check_rotation_covariance(s: int) -> RotationCovariance:
     """Infinitesimal rotation covariance: [G, J] must equal Lambda_J * G."""
-    s = check_spin(s)
-    reg = registry or make_registry()
+    reg = make_registry()
     G = build_wave_operator(reg, s)
-    J = rotation_generator(reg, s, spin_sign)
+    J = rotation_generator(reg, s)
     lam = solve_constant_matrix(bracket(G, J), G)
     return RotationCovariance(s, lam)
 

@@ -438,17 +438,6 @@ def bracket(A: DiffOp, B: DiffOp) -> DiffOp:
     return A.commutator(B)
 
 
-def _as_phase_poly(theta) -> PolyExpr:
-    if isinstance(theta, PolyExpr):
-        return theta
-    if isinstance(theta, ScalarDiffOp):
-        for midx in theta._terms:
-            if midx != ZERO_IDX:
-                raise MalformedPhase("phase contains derivative terms")
-        return theta.coefficient(ZERO_IDX)
-    raise MalformedPhase(f"cannot interpret {theta!r} as a phase")
-
-
 def _map_terms(A: DiffOp, d_ops: Sequence[ScalarDiffOp], coeff_map) -> DiffOp:
     """Rebuild A with each coefficient mapped and each dK replaced by d_ops[K].
 
@@ -488,11 +477,12 @@ def conjugate_phase(A: DiffOp, theta) -> DiffOp:
     Exact because the phase is polynomial, so the adjoint series terminates.
     Multiplication operators are untouched.
     """
-    poly = _as_phase_poly(theta)
-    if poly.registry != A.registry:
+    if not isinstance(theta, PolyExpr):
+        raise MalformedPhase(f"cannot interpret {theta!r} as a phase")
+    if theta.registry != A.registry:
         raise ShapeError("phase registry mismatch")
     reg = A.registry
-    grads = [poly.diff(c) for c in COORDS]
+    grads = [theta.diff(c) for c in COORDS]
     d_ops = [
         ScalarDiffOp(
             reg,

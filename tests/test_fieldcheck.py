@@ -70,15 +70,6 @@ def test_reduction_matches_eom_direct(reg):
     assert red == expect
 
 
-def test_field_derivative_leibniz(reg):
-    f = FieldPoly.term(reg, reg.symbol("x1"), PHI, (0, 0, 0), PHI, (0, 0, 0))
-    df = f.derivative(0)
-    keys = {key: c for key, c in df.items()}
-    assert keys[(PHI, (0, 0, 0), PHI, (0, 0, 0))] == reg.const(1)
-    assert keys[(PHI, (1, 0, 0), PHI, (0, 0, 0))] == reg.symbol("x1")
-    assert keys[(PHI, (0, 0, 0), PHI, (1, 0, 0))] == reg.symbol("x1")
-
-
 # -- conservation law ---------------------------------------------------------
 
 
@@ -147,23 +138,38 @@ def test_one_command_makes_one_registry(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [(), ("--variant", "literal")])
 def test_one_command_forms_each_image_once(monkeypatch, tmp_path, capsys, flags):
-    # an image is identified by its side's rules (which fix the spin and the
-    # side), its component and its multi-index
+    # an image is identified by its table (one per spin), its component and
+    # its multi-index; the dagger image is the conjugate of the plain one and
+    # is formed with it
     formed = []
     side_image = fieldcheck._side_image
 
-    def counting(images, rules3, comp, midx, unit):
-        if (comp, midx) not in images:
-            formed.append((tuple(map(str, rules3)), comp, midx))
-        return side_image(images, rules3, comp, midx, unit)
+    def counting(rules, comp, midx):
+        if (comp, midx) not in rules._images:
+            formed.append((id(rules._images), comp, midx))
+        return side_image(rules, comp, midx)
 
     monkeypatch.setattr(fieldcheck, "_side_image", counting)
     _run_conservation(monkeypatch, tmp_path, *flags)
     capsys.readouterr()
-    assert formed
     assert len(formed) == len(set(formed))
-    # both spins and both sides were reached
-    assert len({rules for rules, _, _ in formed}) == 4
+    # one table per spin, 19 factor images in each
+    assert len({table for table, _, _ in formed}) == 2
+    assert len(formed) == 38
+
+
+def test_drop_names_a_bad_section_or_index():
+    with pytest.raises(ValueError, match=r"drop index 4 is outside flux's -4\.\.3"):
+        check_conservation(1, 1, drop=("flux", 4))
+    with pytest.raises(ValueError, match=r"drop index -4 is outside density's -3\.\.2"):
+        check_conservation(1, 1, drop=("density", -4))
+    with pytest.raises(ValueError, match=r"drop index '0' is outside flux's -4\.\.3"):
+        check_conservation(1, 1, drop=("flux", "0"))
+    with pytest.raises(ValueError, match=r"drop section must be 'flux' or 'density', not 'bogus'"):
+        check_conservation(1, 1, drop=("bogus", 0))
+    # a negative index counts from the end, as in `del list[idx]`
+    assert check_conservation(1, 1, drop=("flux", -1)) == check_conservation(
+        1, 1, drop=("flux", 3))
 
 
 # -- covariance ----------------------------------------------------------------
@@ -293,7 +299,7 @@ def _one_entry(reg, r, c, op):
 ])
 def test_covariance_perturbation_names_its_residual_entry(reg, r, c, midx, coeff):
     G = build_wave_operator(reg, 1)
-    lam = check_boost_covariance(1, reg).lam
+    lam = check_boost_covariance(1).lam
     valid = compose(DiffOp(reg, lam), G)
     assert solve_constant_matrix(valid, G) == lam
     value = reg.const(Scalar(int(coeff))) if coeff.isdigit() else reg.symbol(coeff)
