@@ -1,6 +1,7 @@
 """Plain-text algebra files: generator list plus exact structure constants.
 
-Format, line by line (``#`` starts a comment, blank lines are skipped):
+Format of a UTF-8 file (a byte-order mark is skipped), line by line (``#``
+starts a comment, blank lines are skipped):
 
     generators: P1 P2 H J K1 K2
     [J, P1] = i*P2
@@ -10,8 +11,9 @@ Format, line by line (``#`` starts a comment, blank lines are skipped):
 The first significant line declares the generator names (identifiers; the
 name ``i`` is reserved for the imaginary unit).  Each following line fixes
 one bracket.  Coefficients are exact scalar literals (``3``, ``-1/2``,
-``i``, ``2*i``, ``3/4*i``, ASCII digits only); a bare name means
-coefficient 1.  Every sign must precede a term.  Unstated brackets vanish.
+``i``, ``2*i``, ``3/4*i``, ASCII digits only), the one grammar `exactscalar`
+defines; a bare name means coefficient 1.  Every sign must precede a term.
+Unstated brackets vanish.
 Restating a pair in either order is an error, as is a self-bracket or an
 unknown name; errors carry the offending line number.
 The pairs as the file states them, in its order and orientation and with
@@ -27,19 +29,15 @@ from typing import Dict, List, Tuple
 from . import DATA_DIR, bundled_names
 from .cocycle import LieAlgebraSpec
 from .errors import AlgebraFileError
-from .exactscalar import I, NEG_I, ONE, Scalar, _reduced, accumulate, parse_scalar
+from .exactscalar import ONE, Scalar, _LITERAL, _literal_value, accumulate, parse_scalar
 
 _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _BRACKET = re.compile(r"^\[\s*([^\s,\]]+)\s*,\s*([^\s,\]]+)\s*\]\s*=\s*(.+)$")
 _SIGN = re.compile(r"([+-])")
-# A well-formed term body: an optional coefficient `n`, `n/d`, `n*i`, `n/d*i`
-# or `i`, each followed by `*`, then a name; digits and names are ASCII, and
-# whitespace may surround the body and each `*`, as str.strip() allows.
-_TERM = re.compile(
-    r"\s*(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?\s*\*\s*(?:(?P<imag>i)\s*\*\s*)?"
-    r"|(?P<unit>i)\s*\*\s*)?"
-    r"(?P<name>[A-Za-z][A-Za-z0-9_]*)\s*"
-)
+# A well-formed term body: an optional exact literal followed by `*`, then a
+# name; names are ASCII, and whitespace may surround the body and each `*`,
+# as str.strip() allows.
+_TERM = re.compile(r"\s*(?:" + _LITERAL + r"\s*\*\s*)?(?P<name>[A-Za-z][A-Za-z0-9_]*)\s*")
 # The bundled files ship as plain files in the package directory.  A path is
 # used rather than importlib.resources, whose reader for this namespace
 # package lists the directory on every lookup; `load_bundled` reads its file
@@ -72,15 +70,11 @@ def _parse_term(sign: str, body: str, line_no: int) -> Tuple[Scalar, str]:
     m = _TERM.fullmatch(body)
     if m is not None:
         num, den, imag, unit, name = m.groups()
-        negative = sign == "-"
-        if num is None:
-            if unit is None:
-                return (_MINUS_ONE if negative else ONE), name
-            return (NEG_I if negative else I), name
-        n = -int(num) if negative else int(num)
-        d = int(den) if den else 1
-        if d:
-            return (_reduced(0, n, d) if imag else _reduced(n, 0, d)), name
+        if num is None and unit is None:  # a bare name: coefficient 1
+            return (_MINUS_ONE if sign == "-" else ONE), name
+        coeff = _literal_value(sign, num, den, imag)
+        if coeff is not None:
+            return coeff, name
     return _checked_term(sign, body, line_no)
 
 
@@ -186,9 +180,9 @@ def loads(text: str) -> LieAlgebraSpec:
 
 
 def load(path) -> LieAlgebraSpec:
-    """Parse an algebra file from disk."""
+    """Parse an algebra file from disk: UTF-8, with or without a byte-order mark."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise AlgebraFileError(f"cannot read {path}: {exc.strerror or exc}") from None
     return loads(text)
@@ -202,7 +196,7 @@ def load_bundled(name: str) -> LieAlgebraSpec:
         raise AlgebraFileError(
             f"no bundled algebra {name!r}; available: {', '.join(bundled_names())}"
         )
-    return loads(ref.read_text())
+    return load(ref)
 
 
 def dumps(spec: LieAlgebraSpec) -> str:

@@ -3,7 +3,8 @@
 Exit codes are uniform across subcommands: 0 when all requested checks pass,
 1 on a verification failure (a nonzero residual, an unsolvable covariance
 system, a failing table row), 2 on input errors (bad flags, malformed files,
-out-of-range parameters).
+out-of-range parameters).  `_emit` writes each command's report and returns
+0 exactly when it passed.  Numeric flags take ASCII digits only.
 
 Importing this module loads only `errors` and `report` of the package.  Each
 command imports what it runs when it runs: `algebra` loads `algfile`,
@@ -40,6 +41,21 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _ascii(kind):
+    """The flag type `kind` (int or float) on ASCII text only: both read any
+    Unicode decimal digit.  It keeps the name that argparse's errors show."""
+    def read(text: str):
+        if not text.isascii():
+            raise ValueError(text)
+        return kind(text)
+
+    read.__name__ = kind.__name__
+    return read
+
+
+_INT, _FLOAT = _ascii(int), _ascii(float)
+
+
 # Every argument of every command, declared once as the flag (or positional
 # name) and keyword arguments of `add_argument`.  `build_parser` builds
 # argparse from these entries; `_parse_direct` reads the same entries' dest,
@@ -57,9 +73,9 @@ _COMMANDS = {
     )),
     "realize": ("build generators and verify brackets", (
         ("model", {"choices": MODELS}),
-        ("--spin-s", {"dest": "spin_s", "type": int, "default": 1,
+        ("--spin-s", {"dest": "spin_s", "type": _INT, "default": 1,
                       "help": "spin label, +1 or -1"}),
-        ("--rank", {"type": int, "default": 1, "help": "multispinor rank (1..4)"}),
+        ("--rank", {"type": _INT, "default": 1, "help": "multispinor rank (1..4)"}),
         ("--lambda", {"dest": "lam", "default": None, "metavar": "VALUE",
                       "help": "shift the rotation generator by VALUE times the "
                       "identity (exact literal like 1/2 or the symbol lam)"}),
@@ -72,32 +88,32 @@ _COMMANDS = {
     )),
     "fieldcheck": ("field-level identity checks", (
         ("check", {"choices": ("conservation", "boost", "rotation", "multispinor-eqs")}),
-        ("--index", {"type": int, "choices": (1, 2), "default": None,
+        ("--index", {"type": _INT, "choices": (1, 2), "default": None,
                      "help": "restrict the conservation check to one free index; "
                      "the other checks refuse it"}),
-        ("--spin-s", {"dest": "spin_s", "type": int, "default": None,
+        ("--spin-s", {"dest": "spin_s", "type": _INT, "default": None,
                       "help": "restrict to one spin label (+1 or -1); without it "
                       "every check runs both spins, except multispinor-eqs, "
                       "which checks spin +1"}),
         ("--variant", {"choices": ("corrected", "literal"), "default": None,
                        "help": "which transcription of the current the conservation "
                        "check tests (default corrected); the other checks refuse it"}),
-        ("--rank", {"type": int, "default": 1,
+        ("--rank", {"type": _INT, "default": 1,
                     "help": "multispinor rank for multispinor-eqs"}),
     )),
     "numcheck": ("floating-point truncation cross-check", (
         ("--model", {"choices": MODELS, "default": "schrodinger"}),
-        ("--nmax", {"type": int, "default": 24,
+        ("--nmax", {"type": _INT, "default": 24,
                     "help": "highest oscillator mode kept per axis"}),
-        ("--low", {"type": int, "default": 8,
+        ("--low", {"type": _INT, "default": 8,
                    "help": "low-mode block used for residual measurement"}),
-        ("--m", {"type": float, "default": 1.0, "help": "mass value"}),
-        ("--t", {"type": float, "default": 0.5, "help": "time value"}),
-        ("--tol", {"type": float, "default": 1e-9,
+        ("--m", {"type": _FLOAT, "default": 1.0, "help": "mass value"}),
+        ("--t", {"type": _FLOAT, "default": 0.5, "help": "time value"}),
+        ("--tol", {"type": _FLOAT, "default": 1e-9,
                    "help": "residual tolerance, relative to the largest entry "
                    "(at least 1) of the low-block products and expected value"}),
-        ("--spin-s", {"dest": "spin_s", "type": int, "default": 1}),
-        ("--rank", {"type": int, "default": 1}),
+        ("--spin-s", {"dest": "spin_s", "type": _INT, "default": 1}),
+        ("--rank", {"type": _INT, "default": 1}),
     )),
 }
 
@@ -241,10 +257,13 @@ def _param_value(registry, text: str):
         ) from None
 
 
-def _emit(name: str, payload: dict) -> None:
-    path = report.write(name, payload)
+def _emit(command: str, checks: List[dict]) -> int:
+    """Report `command`'s checks, named with hyphens for spaces; 0 exactly when all passed."""
+    payload = report.build_payload(command, checks)
+    path = report.write(command.replace(" ", "-"), payload)
     if path is not None:
         print(f"report written: {path}")
+    return EXIT_OK if payload["passed"] else EXIT_FAIL
 
 
 def _cmd_algebra(args) -> int:
@@ -264,11 +283,8 @@ def _cmd_algebra(args) -> int:
             print(f"jacobi identity: FAIL at {res.triple}")
         else:
             print(f"jacobi identity: PASS ({spec.dim} generators)")
-        payload = report.build_payload(
-            "algebra verify", [report.check_record("jacobi-identity", res.ok, detail)]
-        )
-        _emit("algebra-verify", payload)
-        return EXIT_OK if res.ok else EXIT_FAIL
+        return _emit("algebra verify",
+                     [report.check_record("jacobi-identity", res.ok, detail)])
 
     ext = central_extensions(spec)
     reps = []
@@ -289,11 +305,8 @@ def _cmd_algebra(args) -> int:
     for k, rep_support in enumerate(reps):
         terms = ", ".join(f"b({pair}) = {c}" for pair, c in sorted(rep_support.items()))
         print(f"  class {k + 1}: {terms if terms else '0'}")
-    payload = report.build_payload(
-        "algebra cohomology", [report.check_record("extension-space", True, detail)]
-    )
-    _emit("algebra-cohomology", payload)
-    return EXIT_OK
+    return _emit("algebra cohomology",
+                 [report.check_record("extension-space", True, detail)])
 
 
 def _cmd_realize(args) -> int:
@@ -343,12 +356,9 @@ def _cmd_realize(args) -> int:
             if row.note:
                 line += f"  ({row.note})"
         print(line)
-    overall = rep.overall and rep.kappa is not None and mass_ok
+    overall = all(check["passed"] for check in checks)
     print(f"result: {'PASS' if overall else 'FAIL'}")
-
-    payload = report.build_payload(f"realize {args.model}", checks)
-    _emit(f"realize-{args.model}", payload)
-    return EXIT_OK if overall else EXIT_FAIL
+    return _emit(f"realize {args.model}", checks)
 
 
 def _cmd_fieldcheck(args) -> int:
@@ -384,41 +394,27 @@ def _cmd_fieldcheck(args) -> int:
             if not resid.is_zero:
                 print(f"    residual: {resid}")
         ok = all(r["zero"] for r in rows)
-        payload = report.build_payload(
-            "fieldcheck conservation",
-            [report.check_record("conservation-law",
-                                 ok, {"variant": variant, "rows": rows})],
-        )
-        _emit("fieldcheck-conservation", payload)
-        return EXIT_OK if ok else EXIT_FAIL
+        return _emit("fieldcheck conservation", [report.check_record(
+            "conservation-law", ok, {"variant": variant, "rows": rows})])
 
     if args.check in ("boost", "rotation"):
+        check = check_boost_covariance if args.check == "boost" else check_rotation_covariance
         checks = []
-        anchor = "boost-covariance" if args.check == "boost" else "rotation-covariance"
         for s in spins:
-            if args.check == "boost":
-                res = check_boost_covariance(s)
-            else:
-                res = check_rotation_covariance(s)
-            checks.append(report.check_record(anchor, True, res.to_dict()))
+            res = check(s)
+            checks.append(report.check_record(f"{args.check}-covariance", True, res.to_dict()))
             print(f"spin {s:+d}: intertwining matrix")
             for row in res.lam:
                 print("   [" + ", ".join(str(e) for e in row) + "]")
-        payload = report.build_payload(f"fieldcheck {args.check}", checks)
-        _emit(f"fieldcheck-{args.check}", payload)
-        return EXIT_OK
+        return _emit(f"fieldcheck {args.check}", checks)
 
     # multispinor-eqs
     res = multispinor_equations(args.rank, spins[0])
     print(f"rank {res.rank}: reduced system has 2 distinct equations; "
           f"{res.nullity} symmetric component(s) unconstrained; "
           f"second-row scale {res.row_scale}")
-    payload = report.build_payload(
-        "fieldcheck multispinor-eqs",
-        [report.check_record("multispinor-redundancy", True, res.to_dict())],
-    )
-    _emit("fieldcheck-multispinor-eqs", payload)
-    return EXIT_OK
+    return _emit("fieldcheck multispinor-eqs",
+                 [report.check_record("multispinor-redundancy", True, res.to_dict())])
 
 
 def _cmd_numcheck(args) -> int:
@@ -440,12 +436,8 @@ def _cmd_numcheck(args) -> int:
         print(f"  [{row.lhs},{row.rhs}] residual {tag}  {mark}")
     print(f"result: {'PASS' if rep.overall else 'FAIL'} "
           f"(n_max {rep.n_max}, low block {rep.low_cutoff}, tol {rep.tol:g})")
-    payload = report.build_payload(
-        "numcheck", [report.check_record("numeric-residuals", rep.overall,
-                                         rep.to_dict())]
-    )
-    _emit("numcheck", payload)
-    return EXIT_OK if rep.overall else EXIT_FAIL
+    return _emit("numcheck",
+                 [report.check_record("numeric-residuals", rep.overall, rep.to_dict())])
 
 
 def _run(argv: Optional[List[str]]) -> int:

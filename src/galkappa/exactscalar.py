@@ -6,7 +6,8 @@ imaginary parts (a Gaussian rational), so all verification is equality of
 canonical forms -- there are no tolerances anywhere in the symbolic layer.
 A `Scalar` is one reduced integer triple (a, b, d) for (a + b*i)/d, so its
 arithmetic is integer arithmetic plus one gcd per result; Fractions appear
-only at the public edges (the constructor and the `re`/`im` parts).
+only at the public edges (the constructor and the `re`/`im` parts).  The one
+grammar of an exact literal is here, read by `parse_scalar` and `algfile`.
 
 Polynomials are multivariate over a fixed registry of named symbols.  A
 symbol registered as invertible may carry negative exponents (Laurent terms);
@@ -25,7 +26,7 @@ import operator
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import NotInvertible, RegistryMismatch, ShapeError
 
@@ -300,32 +301,36 @@ I = Scalar(0, 1)
 HALF = Scalar(Fraction(1, 2))
 NEG_I = Scalar(0, -1)
 
-# digits are ASCII: `\d` and int() would also take any other decimal digit
-_SCALAR_TOKEN = re.compile(
-    r"""^\s*(?P<sign>[+-])?\s*
-        (?:
-            (?P<imag_only>i)
-          | (?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?\s*(?:\*\s*(?P<imag>i))?
-        )\s*$""",
-    re.VERBOSE,
-)
+# The exact literal `n`, `n/d`, `n*i`, `n/d*i` or `i`, with whitespace allowed
+# around `*` and ASCII digits only (`\d` and int() take any decimal digit).
+# algfile's term pattern embeds it; `_literal_value` reads its groups.
+_LITERAL = r"(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]+))?(?:\s*\*\s*(?P<imag>i))?|(?P<unit>i))"
+_SCALAR_TOKEN = re.compile(r"\s*(?P<sign>[+-])?\s*" + _LITERAL + r"\s*")
+
+
+def _literal_value(sign, num, den, imag) -> Optional[Scalar]:
+    """A `_LITERAL` after `sign` from its groups (num None for `i`); None for a zero denominator."""
+    if num is None:
+        return NEG_I if sign == "-" else I
+    n = -int(num) if sign == "-" else int(num)
+    if den is None:
+        return _canonical(0, n, 1) if imag else _canonical(n, 0, 1)
+    d = int(den)
+    if not d:
+        return None
+    return _reduced(0, n, d) if imag else _reduced(n, 0, d)
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse one scalar token: '3', '-1/2', 'i', '-i', '2*i', '3/4*i'."""
-    m = _SCALAR_TOKEN.match(text)
+    m = _SCALAR_TOKEN.fullmatch(text)
     if not m:
         raise ValueError(f"malformed scalar literal: {text!r}")
-    sign = -1 if m.group("sign") == "-" else 1
-    if m.group("imag_only"):
-        return _canonical(0, sign, 1)
-    num = sign * int(m.group("num"))
-    den = int(m.group("den") or 1)
-    if den == 0:
+    sign, num, den, imag, _ = m.groups()
+    value = _literal_value(sign, num, den, imag)
+    if value is None:
         raise ValueError(f"zero denominator in scalar literal: {text!r}")
-    if m.group("imag"):
-        return _reduced(0, num, den)
-    return _reduced(num, 0, den)
+    return value
 
 
 class SymbolRegistry:

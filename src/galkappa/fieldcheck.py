@@ -3,6 +3,7 @@
 Bilinears in the two-component field are reduced on shell (the dependent
 component and all time derivatives eliminated) before testing identities,
 so every verdict is an exact statement about the independent component.
+The boost and rotation checks return one result class, `Covariance`.
 
 The conservation check writes the divergence of the bundled current into
 one term map and reduces it on shell.  The rows of one command share one
@@ -431,10 +432,13 @@ def solve_constant_matrix(lhs: DiffOp, G: DiffOp) -> List[List[PolyExpr]]:
     return lam
 
 
-class BoostCovariance:
-    def __init__(self, s: int, lam: List[List[PolyExpr]]):
+class Covariance:
+    """The spin, the intertwining matrix and, for the boost, its sign convention."""
+
+    def __init__(self, s: int, lam: List[List[PolyExpr]], convention: Optional[dict] = None):
         self.s = s
         self.lam = lam
+        self.convention = convention
 
     def lam_at_zero(self) -> List[List[Scalar]]:
         reg = self.lam[0][0].registry
@@ -447,14 +451,16 @@ class BoostCovariance:
         return out
 
     def to_dict(self):
-        return {
+        out = {
             "spin": self.s,
             "matrix": [[str(e) for e in row] for row in self.lam],
-            "convention": {"shift_sign": -1, "vplus_sign": 1},
         }
+        if self.convention is not None:
+            out["convention"] = self.convention
+        return out
 
 
-def check_boost_covariance(s: int) -> BoostCovariance:
+def check_boost_covariance(s: int) -> Covariance:
     """Find a constant matrix intertwining the boosted and original operators."""
     reg = make_registry()
     G = build_wave_operator(reg, s)
@@ -465,19 +471,7 @@ def check_boost_covariance(s: int) -> BoostCovariance:
         raise CovarianceFailure(
             f"no constant intertwining matrix (convention shift -1, vplus +1): {exc}"
         ) from None
-    return BoostCovariance(s, lam)
-
-
-class RotationCovariance:
-    def __init__(self, s: int, lam: List[List[PolyExpr]]):
-        self.s = s
-        self.lam = lam
-
-    def to_dict(self):
-        return {
-            "spin": self.s,
-            "matrix": [[str(e) for e in row] for row in self.lam],
-        }
+    return Covariance(s, lam, {"shift_sign": -1, "vplus_sign": 1})
 
 
 def rotation_generator(registry: SymbolRegistry, s: int, spin_sign: int = 1) -> DiffOp:
@@ -492,13 +486,13 @@ def rotation_generator(registry: SymbolRegistry, s: int, spin_sign: int = 1) -> 
     return DiffOp(reg, [[upper, z], [z, lower]])
 
 
-def check_rotation_covariance(s: int) -> RotationCovariance:
+def check_rotation_covariance(s: int) -> Covariance:
     """Infinitesimal rotation covariance: [G, J] must equal Lambda_J * G."""
     reg = make_registry()
     G = build_wave_operator(reg, s)
     J = rotation_generator(reg, s)
     lam = solve_constant_matrix(bracket(G, J), G)
-    return RotationCovariance(s, lam)
+    return Covariance(s, lam)
 
 
 # -- multispinor redundancy -----------------------------------------------------

@@ -173,6 +173,15 @@ def test_load_from_disk(tmp_path):
     assert spec.names == ("J", "P1", "P2")
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_files_are_utf8_with_an_optional_byte_order_mark(bom, tmp_path, monkeypatch):
+    (tmp_path / "toy.alg").write_bytes(bom + ("# \u00e9\n" + GOOD).encode("utf-8"))
+    monkeypatch.setattr(algfile, "_DATA", tmp_path)
+    for spec in (load(tmp_path / "toy.alg"), load_bundled("toy")):
+        assert spec.names == ("J", "P1", "P2")
+        assert spec.brackets == loads(GOOD).brackets
+
+
 def test_bundled_inventory():
     names = bundled_names()
     for expected in (

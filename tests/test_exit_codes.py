@@ -57,11 +57,30 @@ def test_malformed_right_hand_side_is_an_input_error(rhs, fragment, tmp_path, ca
     assert "Traceback" not in err
 
 
-def test_non_ascii_digit_parameter_is_an_input_error(capsys):
-    code = main(["realize", "schrodinger", "--shift=\u0661"])
+def test_undecodable_algebra_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"generators: A B\n# \xff\n")
+    code = main(["algebra", "verify", str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "exact scalar" in err and "Traceback" not in err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
+# int() and float() read any Unicode decimal digit; every flag takes ASCII digits only
+@pytest.mark.parametrize("argv, fragment", [
+    (["realize", "schrodinger", "--shift=\u0661"], "exact scalar"),
+    (["numcheck", "--nmax", "\u0661\u0662", "--low", "2"], "invalid int value"),
+    (["realize", "multispinor", "--rank", "\u0662"], "invalid int value"),
+    (["fieldcheck", "conservation", "--index", "\u0661"], "invalid int value"),
+    (["fieldcheck", "boost", "--spin-s=\u0661"], "invalid int value"),
+    (["numcheck", "--m", "\u0661.\u0665"], "invalid float value"),
+    (["numcheck", "--tol", "1e-\u0669"], "invalid float value"),
+])
+def test_non_ascii_digit_parameter_is_an_input_error(argv, fragment, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert fragment in err and "Traceback" not in err
 
 
 # -- argv fuzz -------------------------------------------------------------------

@@ -13,6 +13,7 @@ and record why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -86,3 +87,15 @@ def test_report_is_byte_identical(command, tmp_path, monkeypatch, capsys):
     (path,) = tmp_path.glob("*.json")
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert (code, digest) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_exit_status_is_the_reports_verdict(command, tmp_path, monkeypatch, capsys):
+    """Exit 0 exactly when the report passed, written under its command's name."""
+    monkeypatch.setenv(report.REPORT_DIR_ENV, str(tmp_path))
+    code = main(command.split())
+    capsys.readouterr()
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text())
+    assert path.name == payload["command"].replace(" ", "-") + ".json"
+    assert (code == 0) == payload["passed"] and code in (0, 1)
