@@ -40,8 +40,7 @@ _MODULE_OF = {
     for module, names in (
         ("exactscalar", ("Scalar", "PolyExpr", "SymbolRegistry", "parse_scalar",
                          "ZERO", "ONE", "I")),
-        ("weylop", ("ScalarDiffOp", "DiffOp", "compose", "bracket", "conjugate_phase",
-                    "conjugate_shift")),
+        ("weylop", ("ScalarDiffOp", "DiffOp", "conjugate_phase", "conjugate_shift")),
         ("galrealize", ("GeneratorSet", "make_registry", "realize", "realize_schrodinger",
                         "realize_levyleblond", "realize_multispinor", "extend_lambda",
                         "kappa_shift", "extract_kappa", "central_scalar",

@@ -4,7 +4,8 @@ Exit codes are uniform across subcommands: 0 when all requested checks pass,
 1 on a verification failure (a nonzero residual, an unsolvable covariance
 system, a failing table row), 2 on input errors (bad flags, malformed files,
 out-of-range parameters).  `_emit` writes each command's report and returns
-0 exactly when it passed.  Numeric flags take ASCII digits only.
+0 exactly when it passed.  Numeric flags take ASCII digits only, with no
+`_` separator and no surrounding whitespace, as exact literals do.
 
 Importing this module loads only `errors` and `report` of the package.  Each
 command imports what it runs when it runs: `algebra` loads `algfile`,
@@ -42,10 +43,11 @@ EXIT_USAGE = 2
 
 
 def _ascii(kind):
-    """The flag type `kind` (int or float) on ASCII text only: both read any
-    Unicode decimal digit.  It keeps the name that argparse's errors show."""
+    """The flag type `kind` (int or float) on plain ASCII text only: both read
+    any Unicode decimal digit, `_` between digits and surrounding whitespace.
+    It keeps the name that argparse's errors show."""
     def read(text: str):
-        if not text.isascii():
+        if not text.isascii() or "_" in text or text != text.strip():
             raise ValueError(text)
         return kind(text)
 

@@ -1,5 +1,5 @@
 """Exact arithmetic foundation: Gaussian rationals, Laurent polynomials, and
-the shared sparse-map and square-matrix containers.
+the shared sparse-map container.
 
 Every coefficient in this package is a complex number with rational real and
 imaginary parts (a Gaussian rational), so all verification is equality of
@@ -15,9 +15,9 @@ anything else is restricted to ordinary polynomial exponents so that
 construction bugs surface as errors instead of silently growing 1/x terms.
 
 `TermMap` is the canonical sparse map (key -> nonzero coefficient) behind
-polynomials, scalar differential operators and field bilinears;
-`SquareMatrix` is the square matrix over such a ring behind matrix
-differential operators and the reduced multispinor system.
+polynomials, scalar differential operators and field bilinears.  It owns
+the one registry rule: operands over two registries raise RegistryMismatch.
+The one square-matrix class, `weylop.DiffOp`, checks its entries by it.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ import operator
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .errors import NotInvertible, RegistryMismatch, ShapeError
+from .errors import NotInvertible, RegistryMismatch
 
 
 class Scalar:
@@ -435,8 +435,9 @@ class TermMap:
 
     The map never stores a zero, so equal objects have equal maps and
     equality and zero tests are exact dictionary comparisons.  Subclasses
-    validate keys and coefficients in their constructor, check or coerce the
-    other operand in `_coerce`, and supply their own calculus and printing.
+    validate keys and coefficients in their constructor and supply their own
+    calculus and printing (`_render_terms` prints polynomials and operators);
+    `_coerce` checks the other operand's registry.
     Results whose invariants hold by construction (sums, negations, the
     polynomial product and derivative, and the operator product and
     bracket) are built with `_make`, which skips that validation; every
@@ -444,6 +445,16 @@ class TermMap:
     """
 
     __slots__ = ("registry", "_terms")
+
+    def _coerce(self, other):
+        """other, if it is over this registry; RegistryMismatch if not.
+
+        It reads only the two `registry` attributes, so `DiffOp` and the
+        other holders of a registry check theirs by calling it unbound.
+        """
+        if self.registry != other.registry:
+            raise RegistryMismatch("operands built over different symbol registries")
+        return other
 
     def _make(self, terms: dict):
         """A result of this type over this registry, taking terms as they are.
@@ -505,6 +516,32 @@ class TermMap:
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
+    def _render_terms(self, names: Tuple[str, ...], wrap) -> str:
+        """The terms in canonical order as text, "0" for none.
+
+        Each term prints as its coefficient times name^e for each nonzero
+        exponent e of its key (name for e = 1), joined by `*`; a unit
+        coefficient before factors prints as its sign alone, and a
+        coefficient text for which `wrap` holds is parenthesized.  Terms
+        are joined by " + ", and "+ -" prints as "- ".
+        """
+        if not self._terms:
+            return "0"
+        chunks = []
+        for key, coeff in self.items():
+            factors = []
+            for name, e in zip(names, key):
+                if e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            ctext = str(coeff)
+            if factors and ctext in ("1", "-1"):
+                chunks.append(ctext[:-1] + "*".join(factors))  # "" or "-" before the factors
+                continue
+            if wrap(ctext):
+                ctext = f"({ctext})"
+            chunks.append("*".join([ctext, *factors]))
+        return " + ".join(chunks).replace("+ -", "- ")
+
 
 class PolyExpr(TermMap):
     """Multivariate Laurent-capable polynomial with Scalar coefficients.
@@ -559,14 +596,10 @@ class PolyExpr(TermMap):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "PolyExpr"):
-        if self.registry != other.registry:
-            raise RegistryMismatch("operands built over different symbol registries")
-
     def _coerce(self, other) -> "PolyExpr":
+        """other over this registry; an int, Fraction or Scalar is lifted to a constant."""
         if isinstance(other, PolyExpr):
-            self._check(other)
-            return other
+            return TermMap._coerce(self, other)
         return self.registry.const(Scalar.of(other))
 
     def __mul__(self, other) -> "PolyExpr":
@@ -620,7 +653,7 @@ class PolyExpr(TermMap):
     def subs(self, assignments: Mapping[str, "PolyExpr"]) -> "PolyExpr":
         """Substitute polynomials for symbols (nonnegative exponents only)."""
         for target in assignments.values():
-            self._check(target)
+            TermMap._coerce(self, target)
         idx_map = {self.registry.index(n): p for n, p in assignments.items()}
         out = self.registry.zero()
         for key, coeff in self._terms.items():
@@ -676,114 +709,6 @@ class PolyExpr(TermMap):
     __hash__ = TermMap.__hash__  # defining __eq__ clears the inherited hash
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        chunks = []
-        for key, coeff in self.items():
-            syms = []
-            for name, e in zip(self.registry.names, key):
-                if e == 0:
-                    continue
-                syms.append(name if e == 1 else f"{name}^{e}")
-            ctext = str(coeff)
-            if syms and ctext == "1":
-                body = "*".join(syms)
-            elif syms and ctext == "-1":
-                body = "-" + "*".join(syms)
-            else:
-                if ("+" in ctext[1:]) or ("-" in ctext[1:]):
-                    ctext = f"({ctext})"
-                body = "*".join([ctext] + syms)
-            chunks.append(body)
-        text = " + ".join(chunks)
-        return text.replace("+ -", "- ")
-
-
-class SquareMatrix:
-    """Checked square container of registry-bound entries.
-
-    It enforces squareness and one registry, and adds entrywise; used as is
-    it holds the reduced multispinor system.  `DiffOp` adds the matrix
-    product and commutator of its ring, and coerces entries through the
-    `_entry` hook, which `identity` and `zeros` also pass PolyExpr
-    constants through.
-    """
-
-    __slots__ = ("registry", "rows")
-
-    def __init__(self, registry: SymbolRegistry, rows: Sequence[Sequence]):
-        self.registry = registry
-        dim = len(rows)
-        coerced = []
-        for row in rows:
-            if len(row) != dim:
-                raise ShapeError("matrix must be square")
-            coerced.append(tuple(self._entry(e) for e in row))
-        self.rows: Tuple[tuple, ...] = tuple(coerced)
-
-    def _entry(self, e):
-        if e.registry != self.registry:
-            raise ShapeError("entry built over a different registry")
-        return e
-
-    @classmethod
-    def identity(cls, registry: SymbolRegistry, dim: int, factor=None):
-        one = factor if factor is not None else registry.const(ONE)
-        zero = registry.zero()
-        return cls(
-            registry, [[one if r == c else zero for c in range(dim)] for r in range(dim)]
-        )
-
-    @classmethod
-    def zeros(cls, registry: SymbolRegistry, dim: int):
-        return cls(registry, [[registry.zero()] * dim for _ in range(dim)])
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def entry(self, r: int, c: int):
-        return self.rows[r][c]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.rows for e in row)
-
-    def _check(self, other):
-        if not isinstance(other, type(self)):
-            raise TypeError(f"expected a {type(self).__name__}")
-        if self.dim != other.dim or self.registry != other.registry:
-            raise ShapeError("matrix dimensions or registries do not match")
-
-    def __add__(self, other):
-        self._check(other)
-        return type(self)(
-            self.registry,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __neg__(self):
-        return type(self)(self.registry, [[-e for e in row] for row in self.rows])
-
-    def __sub__(self, other):
-        self._check(other)
-        return type(self)(
-            self.registry,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and self.registry == other.registry
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.registry, self.rows))
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
+        # a Gaussian rational with two parts, such as 1-i, is parenthesized
+        return self._render_terms(self.registry.names,
+                                  lambda text: "+" in text[1:] or "-" in text[1:])

@@ -22,7 +22,7 @@ from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import DATA_DIR
-from .errors import CovarianceFailure, GalkappaError, RedundancyClaimFailure, RegistryMismatch
+from .errors import CovarianceFailure, RedundancyClaimFailure
 from .exactscalar import (
     HALF,
     I,
@@ -31,15 +31,13 @@ from .exactscalar import (
     ZERO,
     PolyExpr,
     Scalar,
-    SquareMatrix,
     SymbolRegistry,
     TermMap,
     _sum_products,
     parse_scalar,
 )
 from .galrealize import check_rank, check_spin, make_registry
-from .weylop import (
-    COORDS, DiffOp, ScalarDiffOp, bracket, compose, conjugate_phase, conjugate_shift)
+from .weylop import COORDS, DiffOp, ScalarDiffOp, conjugate_phase, conjugate_shift
 
 PHI = "phi"
 CHI = "chi"
@@ -79,11 +77,6 @@ class FieldPoly(TermMap):
 
     def items(self):
         return sorted(self._terms.items())
-
-    def _coerce(self, other: "FieldPoly") -> "FieldPoly":
-        if self.registry != other.registry:
-            raise GalkappaError("field expressions over different registries")
-        return other
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -183,9 +176,8 @@ def reduce_on_shell(f: FieldPoly, rules: EomRules) -> FieldPoly:
     over all its products, and each output polynomial is formed once, so the
     result is the unique normal form.
     """
+    f._coerce(rules)  # RegistryMismatch unless the rules are over f's registry
     reg = f.registry
-    if rules.registry != reg:
-        raise RegistryMismatch("operands built over different symbol registries")
     unit = rules._unit
     sums: Dict[TermKey, dict] = {}
     for (dc, dm, kc, km), coeff in f._terms.items():
@@ -408,7 +400,7 @@ def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
     one, zero = reg.const(ONE), reg.zero()
     S = DiffOp(reg, [[one, zero], [-half_vp, one]])
     S_inv = DiffOp(reg, [[one, zero], [half_vp, one]])
-    return compose(S_inv, compose(core, S))
+    return S_inv @ (core @ S)
 
 
 def solve_constant_matrix(lhs: DiffOp, G: DiffOp) -> List[List[PolyExpr]]:
@@ -424,7 +416,7 @@ def solve_constant_matrix(lhs: DiffOp, G: DiffOp) -> List[List[PolyExpr]]:
            for col0, _ in lhs.rows]
     if any(e.uses_symbols(COORDS) for row in lam for e in row):
         raise CovarianceFailure("solution is not coordinate-free")
-    residual = lhs - compose(DiffOp(lhs.registry, lam), G)
+    residual = lhs - DiffOp(lhs.registry, lam) @ G
     for r, row in enumerate(residual.rows):
         for c, entry in enumerate(row):
             if not entry.is_zero:
@@ -491,7 +483,7 @@ def check_rotation_covariance(s: int) -> Covariance:
     reg = make_registry()
     G = build_wave_operator(reg, s)
     J = rotation_generator(reg, s)
-    lam = solve_constant_matrix(bracket(G, J), G)
+    lam = solve_constant_matrix(G.commutator(J), G)
     return Covariance(s, lam)
 
 
@@ -557,8 +549,8 @@ def _symmetric_slot_sum(reg: SymbolRegistry, A, F, N: int) -> List[List[PolyExpr
 
 
 class MultispinorReduction:
-    def __init__(self, rank: int, s: int, matrix: SquareMatrix, row_scale: Scalar,
-                 nullity: int):
+    def __init__(self, rank: int, s: int, matrix: Tuple[Tuple[PolyExpr, ...], ...],
+                 row_scale: Scalar, nullity: int):
         self.rank = rank
         self.s = s
         self.matrix = matrix
@@ -569,7 +561,7 @@ class MultispinorReduction:
         return {
             "rank": self.rank,
             "spin": self.s,
-            "matrix": [[str(e) for e in row] for row in self.matrix.rows],
+            "matrix": [[str(e) for e in row] for row in self.matrix],
             "row_scale": str(self.row_scale),
             "nullity": self.nullity,
         }
@@ -595,18 +587,17 @@ def multispinor_equations(N: int, s: int = 1) -> MultispinorReduction:
     gamma = [[reg.const(ONE), zero], [zero, zero]]
     # the slot sum commutes with every slot permutation: it keeps the symmetric span
     inv_N = Scalar(Fraction(1, N))
-    reduced = SquareMatrix(
-        reg, [[e * inv_N for e in row] for row in _symmetric_slot_sum(reg, G, gamma, N)]
-    )
+    reduced = tuple(tuple(e * inv_N for e in row)
+                    for row in _symmetric_slot_sum(reg, G, gamma, N))
 
     n = N + 1
-    scale = _poly_scalar_ratio(reduced.rows[1][0], p_plus)
+    scale = _poly_scalar_ratio(reduced[1][0], p_plus)
     if scale is None or scale.is_zero:
         raise RedundancyClaimFailure(
-            f"row 1, column 0: {reduced.rows[1][0]} is not a nonzero multiple of p_plus")
+            f"row 1, column 0: {reduced[1][0]} is not a nonzero multiple of p_plus")
     pad = [zero] * (n - 2)
     expected = [G[0] + pad, [e * scale for e in G[1]] + pad] + [[zero] * n] * (n - 2)
-    for r, (got_row, want_row) in enumerate(zip(reduced.rows, expected)):
+    for r, (got_row, want_row) in enumerate(zip(reduced, expected)):
         for c, (got, want) in enumerate(zip(got_row, want_row)):
             if got != want:
                 raise RedundancyClaimFailure(f"row {r}, column {c}: {got}, expected {want}")

@@ -18,8 +18,8 @@ from . import MODELS
 from .algfile import load_bundled
 from .cocycle import LieAlgebraSpec
 from .errors import BadMass, BadParameter, BadRank, BadSpin, GalkappaError, NotCentral
-from .exactscalar import HALF, I, NEG_I, PolyExpr, Scalar, SymbolRegistry
-from .weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp, bracket
+from .exactscalar import HALF, I, NEG_I, PolyExpr, SymbolRegistry
+from .weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp
 
 GENERATOR_NAMES = ("P1", "P2", "H", "J", "K1", "K2", "M")
 CENTRAL_NAME = "kappa"
@@ -68,14 +68,6 @@ class GeneratorSet:
 
     def replaced(self, updates: Dict[str, DiffOp]) -> "GeneratorSet":
         return GeneratorSet({**self.gens, **updates})
-
-
-def _coerce_param(registry: SymbolRegistry, value) -> PolyExpr:
-    if isinstance(value, PolyExpr):
-        if value.registry != registry:
-            raise GalkappaError("parameter built over a different registry")
-        return value
-    return registry.const(Scalar.of(value))
 
 
 def realize(model: str, s: int, N: int) -> GeneratorSet:
@@ -131,7 +123,7 @@ def extend_lambda(g: GeneratorSet, lam) -> GeneratorSet:
     """Shift the rotation generator by a constant: J -> J + lam * Id."""
     _require_mass_identity(g)
     reg = g.registry
-    lam = _coerce_param(reg, lam)
+    lam = reg.zero()._coerce(lam)
     if lam.uses_symbols(COORDS):
         raise GalkappaError("lambda must be coordinate-free")
     return g.replaced({"J": g["J"] + DiffOp.identity(reg, g.dim, factor=lam)})
@@ -141,7 +133,7 @@ def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
     """Redefine the boosts: K1 += (c/2m) P2, K2 -= (c/2m) P1."""
     _require_mass_identity(g)
     reg = g.registry
-    c = _coerce_param(reg, c)
+    c = reg.zero()._coerce(c)
     if c.uses_symbols(COORDS):
         raise GalkappaError("shift parameter must be coordinate-free")
     factor = (c * HALF).div_symbol("m")
@@ -174,7 +166,7 @@ def _central_over_i(op: DiffOp) -> Optional[PolyExpr]:
 
 def extract_kappa(g: GeneratorSet) -> PolyExpr:
     """The second extension parameter, read off [K1, K2] = i * kappa * Id."""
-    kappa = _central_over_i(bracket(g["K1"], g["K2"]))
+    kappa = _central_over_i(g["K1"].commutator(g["K2"]))
     if kappa is None:
         raise NotCentral("[K1, K2] is not a constant multiple of the identity")
     return kappa
@@ -277,7 +269,7 @@ def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> Structure
 
     # each row's bracket is computed once; kappa and the mass are read off
     # the [K1,K2] and [K1,P1] rows, which both tables state
-    computed_by_pair = {(lhs, rhs): bracket(g[lhs], g[rhs]) for lhs, rhs, _ in rows}
+    computed_by_pair = {(lhs, rhs): g[lhs].commutator(g[rhs]) for lhs, rhs, _ in rows}
     report.kappa = _central_over_i(computed_by_pair[("K1", "K2")])
     report.mass = _central_over_i(computed_by_pair[("K1", "P1")])
 

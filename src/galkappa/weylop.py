@@ -29,13 +29,17 @@ multi-index, coordinate exponents, exponent key and integer triple of
 each) and the order and degree its guard check reads.  Neither changes its
 value.
 
+`DiffOp` is the one square-matrix class.  Mixing two registries raises
+RegistryMismatch, through `TermMap._coerce`; mismatched dimensions raise
+ShapeError.
+
 Trusted results: `compose` and the bracket (checked on their operands'
 extents, above), `ScalarDiffOp.scale` by a nonzero factor free of the
 coordinates (a product of nonzero polynomials is nonzero, and the
-coordinate degree cannot grow), and the product, commutator and `scale` of
-`DiffOp` (square, one registry, entries already checked) build their
-results without the constructors' checks.  Any other factor goes through
-the constructor, with its guards and errors.
+coordinate degree cannot grow), and the sum, difference, negation,
+product, commutator and `scale` of `DiffOp` (square, one registry, entries
+already checked) build their results without the constructors' checks.
+Any other factor goes through the constructor, with its guards and errors.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .exactscalar import (
     I,
     PolyExpr,
     Scalar,
-    SquareMatrix,
     SymbolRegistry,
     TermMap,
     _reduced,
@@ -214,20 +217,16 @@ class ScalarDiffOp(TermMap):
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _coerce(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
-        if self.registry != other.registry:
-            raise ShapeError("operators over different registries")
-        return other
-
     def scale(self, factor) -> "ScalarDiffOp":
         """Left-multiply by a polynomial or scalar (commutes as a coefficient).
 
-        A nonzero factor free of the coordinates, over this registry, keeps
-        every coefficient nonzero (Gaussian rationals form a field, and the
-        polynomials an integral domain) and its coordinate degree unchanged,
-        so that result is built without the constructor's checks; a scalar
-        multiplies each coefficient's terms directly.  Any other factor goes
-        through the constructor's checks.
+        A nonzero factor free of the coordinates keeps every coefficient
+        nonzero (Gaussian rationals form a field, and the polynomials an
+        integral domain) and its coordinate degree unchanged, so that result
+        is built without the constructor's checks; a scalar multiplies each
+        coefficient's terms directly.  Any other factor goes through the
+        constructor's checks.  A factor over another registry raises
+        RegistryMismatch in its first product with a coefficient.
         """
         if not isinstance(factor, PolyExpr):
             s = Scalar.of(factor)
@@ -236,8 +235,7 @@ class ScalarDiffOp(TermMap):
             return self._make({m: c._make({k: s * v for k, v in c._terms.items()})
                                for m, c in self._terms.items()})
         terms = {m: factor * c for m, c in self._terms.items()}
-        if (factor.is_zero or factor.registry != self.registry
-                or factor.uses_symbols(COORDS)):
+        if factor.is_zero or factor.uses_symbols(COORDS):
             return ScalarDiffOp(self.registry, terms)
         return self._make(terms)
 
@@ -249,7 +247,7 @@ class ScalarDiffOp(TermMap):
         exponent of each of x1, x2, t in f.  The axis masks have bit 1, 2 or
         4 set where alpha or reach is positive on x1, x2 or t.  Built on
         first use and kept in the `_mono` slot, together with the operand's
-        `_extent` in `_ext`.
+        (derivative order, coefficient coordinate degree) in `_ext`.
         """
         mono = getattr(self, "_mono", None)
         if mono is None:
@@ -276,11 +274,6 @@ class ScalarDiffOp(TermMap):
             self._mono = mono
             self._ext = (order, degree)
         return mono
-
-    def _extent(self) -> Tuple[int, int]:
-        """(derivative order, coefficient coordinate degree), read off with `_monomials`."""
-        self._monomials()
-        return self._ext
 
     def _guarded(self, other: "ScalarDiffOp") -> Tuple[list, list]:
         """The monomials of two nonzero operands, checked against the guards.
@@ -338,46 +331,53 @@ class ScalarDiffOp(TermMap):
         return self._finish(out)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        chunks = []
-        for midx, coeff in self.items():
-            ds = []
-            for name, power in zip(("d1", "d2", "dt"), midx):
-                if power == 1:
-                    ds.append(name)
-                elif power > 1:
-                    ds.append(f"{name}^{power}")
-            ctext = str(coeff)
-            if ds and ctext == "1":
-                body = "*".join(ds)
-            elif ds and ctext == "-1":
-                body = "-" + "*".join(ds)
-            else:
-                if " " in ctext:
-                    ctext = f"({ctext})"
-                body = "*".join([ctext] + ds)
-            chunks.append(body)
-        return " + ".join(chunks).replace("+ -", "- ")
+        # a coefficient of more than one term is parenthesized
+        return self._render_terms(("d1", "d2", "dt"), lambda text: " " in text)
 
 
-class DiffOp(SquareMatrix):
+class DiffOp:
     """Square matrix of scalar operators; the home of every generator.
 
-    PolyExpr entries are lifted to multiplication operators.  The matrix
-    product composes entries, and the commutator takes its diagonal
-    summands from the entry bracket.  The product, the commutator and
+    The constructor lifts PolyExpr entries to multiplication operators and
+    checks that the rows are square (ShapeError) and that every entry is
+    over `registry` (RegistryMismatch).  The matrix product composes
+    entries, and the commutator takes its diagonal summands from the entry
+    bracket.  Sums, differences, negations, the product, the commutator and
     `scale` combine the entries of checked operands of one registry and
     dimension into operators of that registry, so they build their results
     with `_make`, without checking each entry again.
     """
 
-    __slots__ = ()
+    __slots__ = ("registry", "rows")
 
-    def _entry(self, e) -> ScalarDiffOp:
-        if isinstance(e, PolyExpr):
-            e = ScalarDiffOp.coeff(e)
-        return super()._entry(e)
+    def __init__(self, registry: SymbolRegistry, rows: Sequence[Sequence]):
+        self.registry = registry
+        dim = len(rows)
+        checked = []
+        for row in rows:
+            if len(row) != dim:
+                raise ShapeError("matrix must be square")
+            for e in row:
+                TermMap._coerce(self, e)
+            checked.append(tuple(ScalarDiffOp.coeff(e) if isinstance(e, PolyExpr) else e
+                                 for e in row))
+        self.rows: Tuple[Tuple[ScalarDiffOp, ...], ...] = tuple(checked)
+
+    @classmethod
+    def identity(cls, registry: SymbolRegistry, dim: int, factor=None) -> "DiffOp":
+        one = factor if factor is not None else registry.const(ONE)
+        zero = registry.zero()
+        return cls(
+            registry, [[one if r == c else zero for c in range(dim)] for r in range(dim)]
+        )
+
+    @classmethod
+    def zeros(cls, registry: SymbolRegistry, dim: int) -> "DiffOp":
+        return cls(registry, [[registry.zero()] * dim for _ in range(dim)])
+
+    @staticmethod
+    def scalar(op: ScalarDiffOp) -> "DiffOp":
+        return DiffOp(op.registry, [[op]])
 
     def _make(self, rows) -> "DiffOp":
         """A result over this registry, taking square rows of its operators as they are."""
@@ -385,6 +385,37 @@ class DiffOp(SquareMatrix):
         out.registry = self.registry
         out.rows = tuple(map(tuple, rows))
         return out
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def entry(self, r: int, c: int) -> ScalarDiffOp:
+        return self.rows[r][c]
+
+    @property
+    def is_zero(self) -> bool:
+        return all(e.is_zero for row in self.rows for e in row)
+
+    def _check(self, other: "DiffOp") -> None:
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if self.dim != other.dim:
+            raise ShapeError("matrix dimensions do not match")
+        TermMap._coerce(self, other)
+
+    def __add__(self, other: "DiffOp") -> "DiffOp":
+        self._check(other)
+        return self._make([[a + b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.rows, other.rows)])
+
+    def __neg__(self) -> "DiffOp":
+        return self._make([[-e for e in row] for row in self.rows])
+
+    def __sub__(self, other: "DiffOp") -> "DiffOp":
+        self._check(other)
+        return self._make([[a - b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.rows, other.rows)])
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         self._check(other)
@@ -422,20 +453,24 @@ class DiffOp(SquareMatrix):
             out.append(row)
         return self._make(out)
 
-    @staticmethod
-    def scalar(op: ScalarDiffOp) -> "DiffOp":
-        return DiffOp(op.registry, [[op]])
-
     def scale(self, factor) -> "DiffOp":
         return self._make([[e.scale(factor) for e in row] for row in self.rows])
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.registry == other.registry
+            and self.rows == other.rows
+        )
 
-def compose(A: DiffOp, B: DiffOp) -> DiffOp:
-    return A @ B
+    def __hash__(self):
+        return hash((self.registry, self.rows))
 
+    def __str__(self) -> str:
+        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
 
-def bracket(A: DiffOp, B: DiffOp) -> DiffOp:
-    return A.commutator(B)
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
 
 
 def _map_terms(A: DiffOp, d_ops: Sequence[ScalarDiffOp], coeff_map) -> DiffOp:
@@ -479,8 +514,7 @@ def conjugate_phase(A: DiffOp, theta) -> DiffOp:
     """
     if not isinstance(theta, PolyExpr):
         raise MalformedPhase(f"cannot interpret {theta!r} as a phase")
-    if theta.registry != A.registry:
-        raise ShapeError("phase registry mismatch")
+    TermMap._coerce(A, theta)
     reg = A.registry
     grads = [theta.diff(c) for c in COORDS]
     d_ops = [
@@ -506,8 +540,9 @@ def conjugate_shift(A: DiffOp, v) -> DiffOp:
     vx, vy = v
     reg = A.registry
     for comp in (vx, vy):
-        if not isinstance(comp, PolyExpr) or comp.registry != reg:
-            raise ShapeError("shift velocity must be PolyExpr over the same registry")
+        if not isinstance(comp, PolyExpr):
+            raise ShapeError("shift velocity must be a PolyExpr")
+        TermMap._coerce(A, comp)
         if comp.uses_symbols(COORDS):
             raise BadParameter("shift velocity must be coordinate-free")
     t = reg.symbol("t")

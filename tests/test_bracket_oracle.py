@@ -95,7 +95,8 @@ def near_guard_operator(rng: random.Random, order: int, degree: int) -> ScalarDi
         lower = {_monomial(rng, rng.randint(0, degree)): rng.choice(_COEFFS)}
         terms.setdefault(_multi_index(rng, rng.randint(0, order - 1)), PolyExpr(REG, lower))
     op = ScalarDiffOp(REG, terms)
-    assert op._extent() == (order, degree)
+    op._monomials()
+    assert op._ext == (order, degree)
     return op
 
 

@@ -66,7 +66,8 @@ def test_undecodable_algebra_file_is_an_input_error(tmp_path, capsys):
     assert err.startswith("input error: ") and "Traceback" not in err
 
 
-# int() and float() read any Unicode decimal digit; every flag takes ASCII digits only
+# int() and float() read any Unicode decimal digit, `_` between digits and
+# surrounding whitespace; every flag takes plain ASCII digits only
 @pytest.mark.parametrize("argv, fragment", [
     (["realize", "schrodinger", "--shift=\u0661"], "exact scalar"),
     (["numcheck", "--nmax", "\u0661\u0662", "--low", "2"], "invalid int value"),
@@ -75,6 +76,10 @@ def test_undecodable_algebra_file_is_an_input_error(tmp_path, capsys):
     (["fieldcheck", "boost", "--spin-s=\u0661"], "invalid int value"),
     (["numcheck", "--m", "\u0661.\u0665"], "invalid float value"),
     (["numcheck", "--tol", "1e-\u0669"], "invalid float value"),
+    (["numcheck", "--nmax=1_2", "--low=2"], "invalid int value"),
+    (["numcheck", "--nmax=8", "--low=2", "--m=1_0.5"], "invalid float value"),
+    (["realize", "multispinor", "--rank= 2"], "invalid int value"),
+    (["fieldcheck", "conservation", "--index=1 "], "invalid int value"),
 ])
 def test_non_ascii_digit_parameter_is_an_input_error(argv, fragment, capsys):
     code = main(argv)

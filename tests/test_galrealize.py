@@ -28,7 +28,7 @@ from galkappa.galrealize import (
     realize_schrodinger,
     verify_structure,
 )
-from galkappa.weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp, bracket
+from galkappa.weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp
 
 
 def all_models():
@@ -271,8 +271,8 @@ def test_realization_table_is_loaded_once():
 
 def test_boost_time_bracket_is_momentum():
     g = realize_schrodinger()
-    assert bracket(g["K1"], g["H"]) == g["P1"].scale(I)
-    assert bracket(g["K2"], g["H"]) == g["P2"].scale(I)
+    assert g["K1"].commutator(g["H"]) == g["P1"].scale(I)
+    assert g["K2"].commutator(g["H"]) == g["P2"].scale(I)
 
 
 def test_generator_set_accessors():

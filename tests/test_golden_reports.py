@@ -7,9 +7,13 @@ changes any canonical form, any verdict, or any byte of a report fails here.
 The floating-point ``numcheck`` report is left out: its residuals are not
 part of the exact contract.
 
+The same commands' printed text is pinned too: the SHA-256 of stdout, less
+its `report written:` line, whose path names the temporary directory.
+
 The digests were recorded before the exact term maps and matrices moved
-onto shared base classes.  When a report changes on purpose, regenerate them
-and record why in CHANGES.md.
+onto shared base classes, and the stdout digests before `SquareMatrix` was
+folded into `DiffOp`.  When a report or its printed text changes on
+purpose, regenerate them and record why in CHANGES.md.
 """
 
 import hashlib
@@ -78,6 +82,64 @@ GOLDEN = {
     "fieldcheck multispinor-eqs --rank 4": (0, "6c259557c34ddef1366707bd83f52c7b40afa6bdea2b8c398e7cf5fbe63c1a82"),
 }
 
+# command line -> SHA-256 of its stdout without the `report written:` line
+STDOUT = {
+    "algebra verify abelian4": "d3b4bc03b6650ad2e025199c192400b122a65ae01d9e89ac9bc8bec82bb9fcf5",
+    "algebra cohomology abelian4": "540e3992435a0015a14ba718ca1b18707c8175550f87de7aa4736e90a61e679b",
+    "algebra verify galilei_1d": "d30eb2b3efe0b35c838482e99228f1f01938f4694fcf98c625cfad114d427c70",
+    "algebra cohomology galilei_1d": "8072bcc6acdfd00952e598d9db5800827a7e5b6268a685234e74311fbbde5e98",
+    "algebra verify galilei_3p1": "05bc2c526c1514e61d4b3531d2764eb44e08d4b86fe01e1b76a57dd45c28a64b",
+    "algebra cohomology galilei_3p1": "233418cd592c9e669f4e8cbc88430868d34fabbaca2cf1f212ba161b8ee001c3",
+    "algebra verify planar_galilei": "448e9fc86ff529a843f7cc21bd9f8974b5c669c2b34cd862f4548cb2298b5c09",
+    "algebra cohomology planar_galilei": "e17facce1107476a93d534cd8f9a42adbc260c9a6aede63154c8e82ac5926838",
+    "algebra verify planar_galilei_literal": "448e9fc86ff529a843f7cc21bd9f8974b5c669c2b34cd862f4548cb2298b5c09",
+    "algebra cohomology planar_galilei_literal": "16a3049474a4f7da7f59906fea68fc789ef06fcd346ad871d5804f127b56b150",
+    "algebra verify planar_galilei_mass": "780fd955fabed27cfbae785d4b12a26c22626eae842ba67d23ebd414e5520be3",
+    "algebra cohomology planar_galilei_mass": "836241c993e390c6aa52b64e6c89716ef1f94b91faa3cc6e2bc21025ffbb892c",
+    "algebra verify so3": "d30eb2b3efe0b35c838482e99228f1f01938f4694fcf98c625cfad114d427c70",
+    "algebra cohomology so3": "a4697ad5202d621e94044bf51bce289870ea08de8a103debe67e5a002de7b31e",
+    "realize schrodinger --spin-s 1": "9268fb5a890d12d5f8d1cab9adb5c464f071528e68626214f1a8b5fe8c192cf9",
+    "realize schrodinger --spin-s 1 --shift c": "136d66dacb54fbb8dff5bf20e8f4c5cb92adb8ca7becf63def33fb610ee9ed36",
+    "realize schrodinger --spin-s 1 --lambda lam": "9268fb5a890d12d5f8d1cab9adb5c464f071528e68626214f1a8b5fe8c192cf9",
+    "realize schrodinger --spin-s 1 --shift 3/2 --lambda 1/2": "f6646ef13515e356b4634029903c24ed7420d03c27751a3e9cfb34fa5e07336f",
+    "realize schrodinger --spin-s 1 --strict-literal-table": "abcaf37897f39587b10fd3495501a65317f38f856241a1155bdbc2cc2b17105e",
+    "realize schrodinger --spin-s -1": "9268fb5a890d12d5f8d1cab9adb5c464f071528e68626214f1a8b5fe8c192cf9",
+    "realize schrodinger --spin-s -1 --shift c": "136d66dacb54fbb8dff5bf20e8f4c5cb92adb8ca7becf63def33fb610ee9ed36",
+    "realize schrodinger --spin-s -1 --lambda lam": "9268fb5a890d12d5f8d1cab9adb5c464f071528e68626214f1a8b5fe8c192cf9",
+    "realize schrodinger --spin-s -1 --shift 3/2 --lambda 1/2": "f6646ef13515e356b4634029903c24ed7420d03c27751a3e9cfb34fa5e07336f",
+    "realize schrodinger --spin-s -1 --strict-literal-table": "abcaf37897f39587b10fd3495501a65317f38f856241a1155bdbc2cc2b17105e",
+    "realize levyleblond --spin-s 1": "9ebf8223887a1f1c655653952adcf6982442fed453c03d0ca33576cec7d8a667",
+    "realize levyleblond --spin-s 1 --shift c": "206216b42481dc2a51ec13c0750dc9187e639d3174196e26f5ac8afd906144a1",
+    "realize levyleblond --spin-s 1 --lambda lam": "9ebf8223887a1f1c655653952adcf6982442fed453c03d0ca33576cec7d8a667",
+    "realize levyleblond --spin-s 1 --shift 3/2 --lambda 1/2": "2500e63ef23cb827c430cadbb783157ea52112d91db951e3c3203ad150e4bec9",
+    "realize levyleblond --spin-s 1 --strict-literal-table": "3b7da6b5c48cc0b63e4310567d3c740e4432754275d023c994362a83949c49f5",
+    "realize levyleblond --spin-s -1": "9ebf8223887a1f1c655653952adcf6982442fed453c03d0ca33576cec7d8a667",
+    "realize levyleblond --spin-s -1 --shift c": "206216b42481dc2a51ec13c0750dc9187e639d3174196e26f5ac8afd906144a1",
+    "realize levyleblond --spin-s -1 --lambda lam": "9ebf8223887a1f1c655653952adcf6982442fed453c03d0ca33576cec7d8a667",
+    "realize levyleblond --spin-s -1 --shift 3/2 --lambda 1/2": "2500e63ef23cb827c430cadbb783157ea52112d91db951e3c3203ad150e4bec9",
+    "realize levyleblond --spin-s -1 --strict-literal-table": "3b7da6b5c48cc0b63e4310567d3c740e4432754275d023c994362a83949c49f5",
+    "realize multispinor --spin-s 1": "2dab321206a15f964a55963ebc7f8ebb868532ab2c59aa8ebf52b3246dc63658",
+    "realize multispinor --spin-s 1 --shift c": "2081ce5aafb8e22e50fe222a4b358c934e8053a896d43c5022feebd06223589e",
+    "realize multispinor --spin-s 1 --lambda lam": "2dab321206a15f964a55963ebc7f8ebb868532ab2c59aa8ebf52b3246dc63658",
+    "realize multispinor --spin-s 1 --shift 3/2 --lambda 1/2": "149b7c4b7063f21eda0ef8bc4bfb44847886386125dfdaf262e5b5507c802f31",
+    "realize multispinor --spin-s 1 --strict-literal-table": "c14dad65d8e91ae297e07acbc12c8560099b790bcba16e6054880b6cace213da",
+    "realize multispinor --spin-s -1": "2dab321206a15f964a55963ebc7f8ebb868532ab2c59aa8ebf52b3246dc63658",
+    "realize multispinor --spin-s -1 --shift c": "2081ce5aafb8e22e50fe222a4b358c934e8053a896d43c5022feebd06223589e",
+    "realize multispinor --spin-s -1 --lambda lam": "2dab321206a15f964a55963ebc7f8ebb868532ab2c59aa8ebf52b3246dc63658",
+    "realize multispinor --spin-s -1 --shift 3/2 --lambda 1/2": "149b7c4b7063f21eda0ef8bc4bfb44847886386125dfdaf262e5b5507c802f31",
+    "realize multispinor --spin-s -1 --strict-literal-table": "c14dad65d8e91ae297e07acbc12c8560099b790bcba16e6054880b6cace213da",
+    "fieldcheck conservation": "b055620d5ea0de84db74eed99f24c2d530543a779dcaf367bcf90ca5ab4d6e1a",
+    "fieldcheck conservation --variant literal": "dbf9462cec54cbec1ef1b7deec5c89f1de2631586b74cab7064ea15290b07353",
+    "fieldcheck conservation --index 2 --spin-s -1": "2c0f7c33a0de5149145596a41c528e19301145b94c5fddfc7cfa982e207c8d88",
+    "fieldcheck conservation --variant literal --index 1 --spin-s 1": "427994c4d59c2c1e84dec813ffc7fc0e6019d75630ad02a88bc6d95be40b716c",
+    "fieldcheck boost": "8f50442d5dcfa609f63544f686a449b5901b5a70c91cee346b7ed215b7dda178",
+    "fieldcheck rotation": "f4a86855d390c2168d4a5895efe1707a780e2db37834af609cc58b93c017fb5a",
+    "fieldcheck multispinor-eqs --rank 1": "7b200b3163163b9f03889b851fbd4549e2e571b6e2b6880837697ed3024e428e",
+    "fieldcheck multispinor-eqs --rank 2": "22ca4db4a86f6ba9511d173aee83ab5a09c772759c6b1dc3ba904d4b478264f0",
+    "fieldcheck multispinor-eqs --rank 3": "32a5cb9d300c5c39d1de75483ec4eee9baba1e601f2ca7b600a56e7786cc883b",
+    "fieldcheck multispinor-eqs --rank 4": "8272dcb4af4298e03faab368e832354ecee92a3af127527e8b0b460a41ff4613",
+}
+
 
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_report_is_byte_identical(command, tmp_path, monkeypatch, capsys):
@@ -99,3 +161,13 @@ def test_exit_status_is_the_reports_verdict(command, tmp_path, monkeypatch, caps
     payload = json.loads(path.read_text())
     assert path.name == payload["command"].replace(" ", "-") + ".json"
     assert (code == 0) == payload["passed"] and code in (0, 1)
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_stdout_is_byte_identical(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(report.REPORT_DIR_ENV, str(tmp_path))
+    main(command.split())
+    out = capsys.readouterr().out
+    text = "".join(line for line in out.splitlines(True)
+                   if not line.startswith("report written: "))
+    assert hashlib.sha256(text.encode()).hexdigest() == STDOUT[command]

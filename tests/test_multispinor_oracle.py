@@ -151,7 +151,7 @@ def test_wave_operator_slot_sum_matches_reference(reg, N):
     assert _symmetric_slot_sum(reg, G, gamma, N) == want
     if N <= 4:  # the public check is the same matrix averaged over the slots
         inv_N = Scalar(Fraction(1, N))
-        got = multispinor_equations(N).matrix.rows
+        got = multispinor_equations(N).matrix
         assert [list(row) for row in got] == [[e * inv_N for e in row] for row in want]
 
 

@@ -262,10 +262,10 @@ def _sympy_poly(poly):
 def test_dense_reduction_matches_claim(N):
     reduced, (E, m, pm, pp) = _dense_reduction(N)
     got = multispinor_equations(N).matrix
-    assert got.dim == N + 1
+    assert len(got) == N + 1
     for r in range(N + 1):
         for c in range(N + 1):
-            assert sp.expand(_sympy_poly(got.rows[r][c]) - reduced[r, c]) == 0, (r, c)
+            assert sp.expand(_sympy_poly(got[r][c]) - reduced[r, c]) == 0, (r, c)
     scale = sp.Rational(1, N)
     assert reduced[0, 0] == E and reduced[0, 1] == pm
     assert sp.simplify(reduced[1, 0] - scale * pp) == 0

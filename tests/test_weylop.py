@@ -12,8 +12,6 @@ from galkappa import weylop
 from galkappa.weylop import (
     DiffOp,
     ScalarDiffOp,
-    bracket,
-    compose,
     conjugate_phase,
     conjugate_shift,
 )
@@ -88,9 +86,9 @@ def test_matrix_ops_and_bracket(reg):
     d1 = d(reg, (1, 0, 0))
     A = DiffOp(reg, [[d1, z], [z, d1]])
     X = DiffOp.identity(reg, 2, factor=reg.symbol("x1"))
-    comm = bracket(A, X)
+    comm = A.commutator(X)
     assert comm == DiffOp.identity(reg, 2)
-    assert compose(A, X) - compose(X, A) == comm
+    assert A @ X - X @ A == comm
     with pytest.raises(ShapeError):
         A + DiffOp.scalar(d1)
 
@@ -115,8 +113,8 @@ def test_conjugate_phase_is_homomorphism(reg):
     )
     A = DiffOp.scalar(ScalarDiffOp(reg, {(2, 0, 0): reg.const(I), (0, 0, 1): reg.symbol("x1")}))
     B = DiffOp.scalar(ScalarDiffOp(reg, {(0, 1, 0): reg.symbol("x2")}))
-    lhs = conjugate_phase(compose(A, B), theta)
-    rhs = compose(conjugate_phase(A, theta), conjugate_phase(B, theta))
+    lhs = conjugate_phase(A @ B, theta)
+    rhs = conjugate_phase(A, theta) @ conjugate_phase(B, theta)
     assert lhs == rhs
 
 
