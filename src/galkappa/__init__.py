@@ -40,7 +40,7 @@ _MODULE_OF = {
     for module, names in (
         ("exactscalar", ("Scalar", "PolyExpr", "SymbolRegistry", "parse_scalar",
                          "ZERO", "ONE", "I")),
-        ("weylop", ("ScalarDiffOp", "DiffOp", "conjugate_phase", "conjugate_shift")),
+        ("weylop", ("ScalarDiffOp", "DiffOp")),
         ("galrealize", ("GeneratorSet", "make_registry", "realize", "realize_schrodinger",
                         "realize_levyleblond", "realize_multispinor", "extend_lambda",
                         "kappa_shift", "extract_kappa", "central_scalar",
@@ -48,7 +48,7 @@ _MODULE_OF = {
         ("cocycle", ("LieAlgebraSpec", "JacobiResult", "ExtensionSpace", "jacobi_check",
                      "central_extensions", "is_cocycle", "classes_independent")),
         ("fieldcheck", ("FieldPoly", "EomRules", "reduce_on_shell", "check_conservation",
-                        "build_wave_operator", "check_boost_covariance",
+                        "conservation_rows", "build_wave_operator", "check_boost_covariance",
                         "check_rotation_covariance", "multispinor_equations")),
         ("numtrunc", ("build_numeric", "residual_report", "run_numeric_check",
                       "low_mode_indices", "xp_defect")),

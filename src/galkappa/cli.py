@@ -365,7 +365,7 @@ def _cmd_realize(args) -> int:
 
 def _cmd_fieldcheck(args) -> int:
     from .fieldcheck import (
-        _conservation_rows,
+        conservation_rows,
         check_boost_covariance,
         check_rotation_covariance,
         multispinor_equations,
@@ -384,7 +384,7 @@ def _cmd_fieldcheck(args) -> int:
         indices = (args.index,) if args.index else (1, 2)
         rows = []
         # one context for every row: one registry, one on-shell table per spin
-        for i, s, resid in _conservation_rows(indices, spins, variant):
+        for i, s, resid in conservation_rows(indices, spins, variant):
             rows.append({
                 "index": i,
                 "spin": s,

@@ -21,10 +21,6 @@ class DegreeOverflow(GalkappaError):
     """A normal-form computation exceeded the configured degree guards."""
 
 
-class MalformedPhase(GalkappaError):
-    """A phase polynomial contains terms the conjugation rules cannot handle."""
-
-
 class NotCentral(GalkappaError):
     """An element claimed to be central fails to commute with a generator."""
 

@@ -456,6 +456,10 @@ class TermMap:
             raise RegistryMismatch("operands built over different symbol registries")
         return other
 
+    def _operand(self, other):
+        """other, checked by `_coerce`, if of this type; None (so NotImplemented) if not."""
+        return self._coerce(other) if isinstance(other, type(self)) else None
+
     def _make(self, terms: dict):
         """A result of this type over this registry, taking terms as they are.
 
@@ -477,7 +481,9 @@ class TermMap:
         return sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
             accumulate(terms, key, coeff)
@@ -489,7 +495,9 @@ class TermMap:
         return self._make({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         terms = dict(self._terms)
         for key, coeff in other._terms.items():
             old = terms.get(key)
@@ -501,7 +509,8 @@ class TermMap:
         return self._make(terms)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._operand(other)
+        return NotImplemented if other is None else other - self
 
     def __eq__(self, other) -> bool:
         return (
@@ -596,14 +605,18 @@ class PolyExpr(TermMap):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other) -> "PolyExpr":
-        """other over this registry; an int, Fraction or Scalar is lifted to a constant."""
-        if isinstance(other, PolyExpr):
-            return TermMap._coerce(self, other)
-        return self.registry.const(Scalar.of(other))
+    def _operand(self, other) -> Optional["PolyExpr"]:
+        """As `TermMap._operand`, but an int, Fraction or Scalar is lifted to a constant."""
+        if isinstance(other, PolyExpr):  # first: a Fraction test is a slow ABC check
+            return self._coerce(other)
+        if isinstance(other, (int, Fraction, Scalar)):
+            return self.registry.const(other)
+        return None
 
     def __mul__(self, other) -> "PolyExpr":
-        other = self._coerce(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         mine, theirs = self._terms, other._terms
         # by a one-term operand the product shifts every key by the same
         # exponent tuple: distinct keys stay distinct, in the same order, and

@@ -3,7 +3,8 @@
 Bilinears in the two-component field are reduced on shell (the dependent
 component and all time derivatives eliminated) before testing identities,
 so every verdict is an exact statement about the independent component.
-The boost and rotation checks return one result class, `Covariance`.
+The boost and rotation checks return one result class, `Covariance`; the
+finite boost exp(-i v.K) and the rotation generator use `realize`'s K and J.
 
 The conservation check writes the divergence of the bundled current into
 one term map and reduces it on shell.  The rows of one command share one
@@ -22,7 +23,7 @@ from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import DATA_DIR
-from .errors import CovarianceFailure, RedundancyClaimFailure
+from .errors import BadParameter, CovarianceFailure, RedundancyClaimFailure
 from .exactscalar import (
     HALF,
     I,
@@ -36,8 +37,8 @@ from .exactscalar import (
     _sum_products,
     parse_scalar,
 )
-from .galrealize import check_rank, check_spin, make_registry
-from .weylop import COORDS, DiffOp, ScalarDiffOp, conjugate_phase, conjugate_shift
+from .galrealize import check_rank, check_spin, make_registry, realize
+from .weylop import COORDS, DiffOp, ScalarDiffOp
 
 PHI = "phi"
 CHI = "chi"
@@ -315,9 +316,9 @@ def _divergence(reg: SymbolRegistry, flux, density, i: int, s: int) -> FieldPoly
     return FieldPoly.zero(reg)._make({key: zero._make(terms) for key, terms in _collect(sums)})
 
 
-def _conservation_rows(indices, spins, variant: str = "corrected",
-                       drop: Optional[Tuple[str, int]] = None):
-    """Yield (i, s, residual) for each free index i in `indices` and spin s in `spins`.
+def conservation_rows(indices, spins, variant: str = "corrected",
+                      drop: Optional[Tuple[str, int]] = None) -> List[tuple]:
+    """[(i, s, residual)] for each free index i in `indices` and spin s in `spins`.
 
     All rows share one context: one registry, the current parsed once per
     process, and one EomRules per spin, whose on-shell image table serves
@@ -342,9 +343,8 @@ def _conservation_rows(indices, spins, variant: str = "corrected",
         del terms[idx]
         flux, density = sections["flux"], sections["density"]
     rules = {s: EomRules(reg, s) for s in spins}
-    for i in indices:
-        for s in spins:
-            yield i, s, reduce_on_shell(_divergence(reg, flux, density, i, s), rules[s])
+    return [(i, s, reduce_on_shell(_divergence(reg, flux, density, i, s), rules[s]))
+            for i in indices for s in spins]
 
 
 def check_conservation(
@@ -361,7 +361,7 @@ def check_conservation(
     (section, index) to confirm the check is sensitive.  The CLI runs all
     its rows through one shared context; this is that path for one row.
     """
-    ((_, _, residual),) = _conservation_rows((i,), (s,), variant, drop)
+    ((_, _, residual),) = conservation_rows((i,), (s,), variant, drop)
     return residual
 
 
@@ -383,19 +383,31 @@ def build_wave_operator(reg: SymbolRegistry, s: int) -> DiffOp:
 
 
 def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
-    """Finite boost action on the wave operator.
+    """Finite boost action on the wave operator: S^-1 exp(X) G exp(-X) S.
 
-    Convention: the frame shift is x -> x - v t (shift sign -1) and the
-    matrix factor carries v1 + i*s*v2 (v+ sign +1).  Of the four sign
-    choices this is the only one with a constant intertwining matrix, for
-    either spin.
+    X = -i (v1 K1 + v2 K2), from the boosts of `galrealize.realize`.  Each
+    entry e of G becomes sum_n ad_X^n(e)/n!, which ends, since for a
+    coordinate-free v each ad_X lowers 2*(dt order) + (d order) + (x degree).
+    It is the frame shift x -> x - v t (shift sign -1) with a phase; S
+    carries v1 + i*s*v2 (v+ sign +1).  Of the four sign choices this is the
+    only one with a constant intertwining matrix, for either spin.
     """
     reg = G.registry
     vx, vy = v
-    theta = reg.symbol("m") * (vx * reg.symbol("x1") + vy * reg.symbol("x2")) + (
-        reg.symbol("m") * (vx * vx + vy * vy) * HALF * reg.symbol("t")
-    )
-    core = conjugate_phase(conjugate_shift(G, (-vx, -vy)), theta)
+    boosts = realize("schrodinger", 1, 1)
+    X = boosts["K1"].entry(0, 0).scale(vx * NEG_I) + boosts["K2"].entry(0, 0).scale(vy * NEG_I)
+    if vx.uses_symbols(COORDS) or vy.uses_symbols(COORDS):  # v's registry is checked above
+        raise BadParameter("boost velocity must be coordinate-free")
+
+    def boosted(entry: ScalarDiffOp) -> ScalarDiffOp:
+        term, n = entry, 0
+        while not term.is_zero:
+            n += 1
+            term = X.bracket(term).scale(Fraction(1, n))
+            entry = entry + term
+        return entry
+
+    core = G._make([[boosted(e) for e in row] for row in G.rows])
     half_vp = (vx + reg.const(I * Scalar.of(s)) * vy) * HALF
     one, zero = reg.const(ONE), reg.zero()
     S = DiffOp(reg, [[one, zero], [-half_vp, one]])
@@ -466,16 +478,12 @@ def check_boost_covariance(s: int) -> Covariance:
     return Covariance(s, lam, {"shift_sign": -1, "vplus_sign": 1})
 
 
-def rotation_generator(registry: SymbolRegistry, s: int, spin_sign: int = 1) -> DiffOp:
-    """Two-component rotation generator: orbital part plus (s/2) sigma_3."""
-    reg = registry
-    x1, x2 = reg.symbol("x1"), reg.symbol("x2")
-    orbital = ScalarDiffOp(reg, {(0, 1, 0): x1 * NEG_I, (1, 0, 0): x2 * I})
-    half_s = reg.const(Scalar(Fraction(spin_sign * s, 2)))
-    upper = orbital + ScalarDiffOp.coeff(half_s)
-    lower = orbital - ScalarDiffOp.coeff(half_s)
-    z = ScalarDiffOp.zero(reg)
-    return DiffOp(reg, [[upper, z], [z, lower]])
+def rotation_generator(registry: SymbolRegistry, s: int) -> DiffOp:
+    """Two-component rotation generator: the spinless J of `realize` plus (s/2) sigma_3."""
+    orbital = realize("schrodinger", 1, 1)["J"].entry(0, 0)
+    half_s = ScalarDiffOp.coeff(registry.const(Scalar(Fraction(s, 2))))
+    z = ScalarDiffOp.zero(registry)
+    return DiffOp(registry, [[orbital + half_s, z], [z, orbital - half_s]])
 
 
 def check_rotation_covariance(s: int) -> Covariance:

@@ -123,7 +123,7 @@ def extend_lambda(g: GeneratorSet, lam) -> GeneratorSet:
     """Shift the rotation generator by a constant: J -> J + lam * Id."""
     _require_mass_identity(g)
     reg = g.registry
-    lam = reg.zero()._coerce(lam)
+    lam = reg.zero() + lam
     if lam.uses_symbols(COORDS):
         raise GalkappaError("lambda must be coordinate-free")
     return g.replaced({"J": g["J"] + DiffOp.identity(reg, g.dim, factor=lam)})
@@ -133,7 +133,7 @@ def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
     """Redefine the boosts: K1 += (c/2m) P2, K2 -= (c/2m) P1."""
     _require_mass_identity(g)
     reg = g.registry
-    c = reg.zero()._coerce(c)
+    c = reg.zero() + c
     if c.uses_symbols(COORDS):
         raise GalkappaError("shift parameter must be coordinate-free")
     factor = (c * HALF).div_symbol("m")

@@ -31,7 +31,8 @@ value.
 
 `DiffOp` is the one square-matrix class.  Mixing two registries raises
 RegistryMismatch, through `TermMap._coerce`; mismatched dimensions raise
-ShapeError.
+ShapeError; an operand of a foreign type raises TypeError.  The finite
+boost is the series exp(ad X) of brackets (`fieldcheck.boost_transform`).
 
 Trusted results: `compose` and the bracket (checked on their operands'
 extents, above), `ScalarDiffOp.scale` by a nonzero factor free of the
@@ -49,16 +50,14 @@ import math
 import operator
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .errors import BadParameter, DegreeOverflow, MalformedPhase, ShapeError
+from .errors import DegreeOverflow, ShapeError
 from .exactscalar import (
     ONE,
-    I,
     PolyExpr,
     Scalar,
     SymbolRegistry,
     TermMap,
     _reduced,
-    accumulate,
 )
 
 COORDS = ("x1", "x2", "t")
@@ -397,15 +396,18 @@ class DiffOp:
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.rows for e in row)
 
-    def _check(self, other: "DiffOp") -> None:
+    def _check(self, other: "DiffOp") -> bool:
+        """False for an operand of a foreign type; ShapeError or RegistryMismatch if unfit."""
         if not isinstance(other, type(self)):
-            raise TypeError(f"expected a {type(self).__name__}")
+            return False
         if self.dim != other.dim:
             raise ShapeError("matrix dimensions do not match")
         TermMap._coerce(self, other)
+        return True
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return self._make([[a + b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.rows, other.rows)])
 
@@ -413,12 +415,14 @@ class DiffOp:
         return self._make([[-e for e in row] for row in self.rows])
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         return self._make([[a - b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.rows, other.rows)])
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
-        self._check(other)
+        if not self._check(other):
+            return NotImplemented
         n = self.dim
         out = []
         for r in range(n):
@@ -437,7 +441,8 @@ class DiffOp:
         Entry (r, c) sums A_rk B_kc - B_rk A_kc over k; the summand with
         r = k = c is the entry bracket [A_rr, B_rr].
         """
-        self._check(other)
+        if not self._check(other):
+            raise TypeError(f"expected a {type(self).__name__}")
         A, B, n = self.rows, other.rows, self.dim
         out = []
         for r in range(n):
@@ -471,89 +476,3 @@ class DiffOp:
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
-
-
-def _map_terms(A: DiffOp, d_ops: Sequence[ScalarDiffOp], coeff_map) -> DiffOp:
-    """Rebuild A with each coefficient mapped and each dK replaced by d_ops[K].
-
-    The substituted derivative power of a multi-index is composed once per
-    call; each piece is that power scaled by the mapped coefficient, which
-    is the product of the coefficient's multiplication operator with it,
-    and each entry's pieces are summed in one map.
-    """
-    reg = A.registry
-    unit = ScalarDiffOp.coeff(reg.const(ONE))
-    powers: Dict[MultiIndex, ScalarDiffOp] = {}
-    out_rows = []
-    for row in A.rows:
-        out_row = []
-        for entry in row:
-            terms: Dict[MultiIndex, PolyExpr] = {}
-            for midx, coeff in entry._terms.items():
-                power = powers.get(midx)
-                if power is None:
-                    power = unit
-                    for axis in range(3):
-                        for _ in range(midx[axis]):
-                            power = power.compose(d_ops[axis])
-                    powers[midx] = power
-                piece = power.scale(coeff_map(coeff))
-                for key, c in piece._terms.items():
-                    accumulate(terms, key, c)
-            # a sum of checked operators is within the guards
-            out_row.append(unit._make(terms))
-        out_rows.append(out_row)
-    return DiffOp(reg, out_rows)
-
-
-def conjugate_phase(A: DiffOp, theta) -> DiffOp:
-    """Conjugation by a polynomial phase: dJ -> dJ + i*(dJ theta).
-
-    Exact because the phase is polynomial, so the adjoint series terminates.
-    Multiplication operators are untouched.
-    """
-    if not isinstance(theta, PolyExpr):
-        raise MalformedPhase(f"cannot interpret {theta!r} as a phase")
-    TermMap._coerce(A, theta)
-    reg = A.registry
-    grads = [theta.diff(c) for c in COORDS]
-    d_ops = [
-        ScalarDiffOp(
-            reg,
-            {
-                tuple(1 if k == axis else 0 for k in range(3)): reg.const(ONE),
-                ZERO_IDX: I * grads[axis],
-            },
-        )
-        for axis in range(3)
-    ]
-    return _map_terms(A, d_ops, lambda c: c)
-
-
-def conjugate_shift(A: DiffOp, v) -> DiffOp:
-    """Conjugation by the moving-frame substitution x -> x + v t.
-
-    Closed-form rules: x_i -> x_i + v_i t (in coefficients), d_i -> d_i,
-    dt -> dt + v1 d1 + v2 d2.  The velocity components must be free of the
-    coordinates for these rules to be consistent.
-    """
-    vx, vy = v
-    reg = A.registry
-    for comp in (vx, vy):
-        if not isinstance(comp, PolyExpr):
-            raise ShapeError("shift velocity must be a PolyExpr")
-        TermMap._coerce(A, comp)
-        if comp.uses_symbols(COORDS):
-            raise BadParameter("shift velocity must be coordinate-free")
-    t = reg.symbol("t")
-    subs_map = {
-        "x1": reg.symbol("x1") + vx * t,
-        "x2": reg.symbol("x2") + vy * t,
-    }
-    d1 = ScalarDiffOp.deriv(reg, (1, 0, 0))
-    d2 = ScalarDiffOp.deriv(reg, (0, 1, 0))
-    dt = ScalarDiffOp(
-        reg,
-        {(0, 0, 1): reg.const(ONE), (1, 0, 0): vx, (0, 1, 0): vy},
-    )
-    return _map_terms(A, [d1, d2, dt], lambda c: c.subs(subs_map))

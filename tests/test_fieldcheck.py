@@ -6,7 +6,8 @@ import pytest
 
 from galkappa import fieldcheck, report
 from galkappa.cli import main
-from galkappa.errors import BadRank, BadSpin, CovarianceFailure, RedundancyClaimFailure
+from galkappa.errors import (
+    BadParameter, BadRank, BadSpin, CovarianceFailure, RedundancyClaimFailure)
 from galkappa.exactscalar import Scalar
 from galkappa.fieldcheck import (
     CHI,
@@ -110,7 +111,7 @@ def test_conservation_input_validation():
 @pytest.mark.parametrize("indices,spins", [((1, 2), (1, -1)), ((2,), (-1,)), ((1,), (1,)),
                                            ((2, 1), (-1, 1))])
 def test_shared_rows_equal_fresh_checks(variant, indices, spins):
-    rows = list(fieldcheck._conservation_rows(indices, spins, variant))
+    rows = fieldcheck.conservation_rows(indices, spins, variant)
     assert [(i, s) for i, s, _ in rows] == [(i, s) for i in indices for s in spins]
     for i, s, resid in rows:
         fresh = check_conservation(i, s, variant=variant)
@@ -213,6 +214,14 @@ def test_boost_round_trip_restores_operator(s):
     assert (boost_transform(boost_transform(G, s, v), s, neg_v) - G).is_zero
 
 
+@pytest.mark.parametrize("v", [("x1", "v2"), ("v1", "t")])
+def test_boost_velocity_must_be_coordinate_free(reg, v):
+    # the series exp(ad X) ends only for a coordinate-free velocity
+    G = build_wave_operator(reg, 1)
+    with pytest.raises(BadParameter, match="coordinate-free"):
+        boost_transform(G, 1, tuple(reg.symbol(name) for name in v))
+
+
 def test_solve_constant_matrix_rejects_wrong_target(reg):
     G = build_wave_operator(reg, 1)
     # compose with a coordinate multiplication: no constant matrix can match
@@ -235,9 +244,9 @@ def test_rotation_covariance(s):
 
 
 def test_rotation_needs_matching_spin_half(reg):
-    # orbital part alone (wrong internal constant) cannot intertwine
+    # the spin part of the other label (wrong internal constant) cannot intertwine
     G = build_wave_operator(reg, 1)
-    J_wrong = rotation_generator(reg, 1, spin_sign=-1)
+    J_wrong = rotation_generator(reg, -1)
     with pytest.raises(CovarianceFailure):
         solve_constant_matrix(G.commutator(J_wrong), G)
 

@@ -7,6 +7,7 @@ exact scalars, and dense tensor products instead of the symmetric-basis
 restriction.  Agreement between the two paths is the point of the file.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,10 @@ sp = pytest.importorskip("sympy")
 
 from galkappa.algfile import load_bundled, loads
 from galkappa.cocycle import central_extensions
-from galkappa.fieldcheck import load_current_terms, multispinor_equations
+from galkappa.exactscalar import Scalar
+from galkappa.fieldcheck import boost_transform, load_current_terms, multispinor_equations
+from galkappa.galrealize import make_registry
+from galkappa.weylop import DiffOp, ScalarDiffOp
 from test_conformal_galilei import conformal_galilei_text
 
 
@@ -208,6 +212,78 @@ def test_unboosted_pair_solves_to_begin_with():
     row1 = (-sp.I * sp.diff(phi, x1) + sp.diff(phi, x2)) + 2 * m * chi
     assert sp.simplify(row0) == 0
     assert sp.simplify(row1) == 0
+
+
+# -- the finite boost of any operator, against the frame shift and phase -------
+#
+# `boost_transform` sums the series exp(ad X) with X = -i (v1 K1 + v2 K2).
+# Here the same map is written as the frame shift x -> x - v t, the phase
+# exp(i theta) and the matrix S, on plane waves exp(i (p.x + w t)) with a
+# symbolic wave vector; an operator with polynomial coefficients is fixed by
+# its action on these (its symbol), so equality on them is operator equality.
+
+
+def _random_operator(rng, reg):
+    """A scalar operator of order <= 2 with polynomial coefficients of degree <= 2."""
+    def poly():
+        total = reg.zero()
+        for _ in range(rng.randint(1, 2)):
+            mono = reg.const(Scalar(rng.randint(-3, 3), rng.randint(-3, 3)))
+            for _ in range(rng.randint(0, 2)):
+                mono = mono * reg.symbol(rng.choice(("x1", "x2", "t", "m")))
+            total = total + mono
+        return total
+
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        midx = [0, 0, 0]
+        for _ in range(rng.randint(0, 2)):
+            midx[rng.randrange(3)] += 1
+        terms[tuple(midx)] = poly()
+    return ScalarDiffOp(reg, terms)
+
+
+def _apply(A, vec, coords):
+    """The 2x2 operator A applied to the column vec of sympy expressions."""
+    out = []
+    for row in A.rows:
+        total = sp.Integer(0)
+        for entry, f in zip(row, vec):
+            for midx, coeff in entry._terms.items():
+                d = f
+                for sym, k in zip(coords, midx):
+                    d = sp.diff(d, sym, k)
+                total += _sympy_poly(coeff) * d
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("s", [1, -1])
+def test_boost_transform_is_the_frame_shift_and_phase(s, seed):
+    rng = random.Random(seed)
+    reg = make_registry()
+    A = DiffOp(reg, [[_random_operator(rng, reg) for _ in range(2)] for _ in range(2)])
+    boosted = boost_transform(A, s, (reg.symbol("v1"), reg.symbol("v2")))
+
+    x1, x2, t, m, v1, v2, p1, p2, w = sp.symbols("x1 x2 t m v1 v2 p1 p2 w")
+    coords = (x1, x2, t)
+    wave = sp.exp(sp.I * (p1 * x1 + p2 * x2 + w * t))
+    theta = m * (v1 * x1 + v2 * x2) - m * (v1**2 + v2**2) * t / 2
+    half_vp = (v1 + sp.I * s * v2) / 2
+    shift = {x1: x1 - v1 * t, x2: x2 - v2 * t}
+    back = {x1: x1 + v1 * t, x2: x2 + v2 * t}
+    for col in range(2):
+        f = [wave if c == col else sp.Integer(0) for c in range(2)]
+        # S^-1 W^-1 A W S f, with (W g)(x, t) = exp(i theta) g(x - v t, t)
+        g = [f[0], f[1] - half_vp * f[0]]
+        Wg = [sp.exp(sp.I * theta) * e.subs(shift, simultaneous=True) for e in g]
+        AWg = _apply(A, Wg, coords)
+        back_g = [(sp.exp(-sp.I * theta) * e).subs(back, simultaneous=True) for e in AWg]
+        want = [back_g[0], back_g[1] + half_vp * back_g[0]]
+        got = _apply(boosted, f, coords)
+        for r in range(2):
+            assert sp.expand(sp.powsimp(sp.expand((got[r] - want[r]) / wave))) == 0, (r, col)
 
 
 # -- multispinor reduction via dense tensor products ----------------------------

@@ -1,19 +1,21 @@
 """One registry rule: operands over two symbol registries raise RegistryMismatch.
 
 `TermMap._coerce` states the rule once; polynomials, scalar and matrix
-operators, field bilinears, the phase and shift conjugations and the
-realize parameters all check their operands through it.  A matrix of the
-wrong dimension is a ShapeError instead.
+operators, field bilinears, the boost velocity and the realize parameters
+all check their operands through it.  A matrix of the wrong dimension is a
+ShapeError instead, and an operand of a foreign type a TypeError.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from galkappa.errors import RegistryMismatch, ShapeError
-from galkappa.exactscalar import SymbolRegistry
-from galkappa.fieldcheck import PHI, FieldPoly
+from galkappa.exactscalar import Scalar, SymbolRegistry
+from galkappa.fieldcheck import PHI, FieldPoly, boost_transform, build_wave_operator
 from galkappa.galrealize import (
     REALIZE_SYMBOLS, extend_lambda, kappa_shift, make_registry, realize)
-from galkappa.weylop import DiffOp, ScalarDiffOp, conjugate_phase, conjugate_shift
+from galkappa.weylop import DiffOp, ScalarDiffOp
 
 REG = make_registry()
 # the same names with m not invertible: a different registry
@@ -34,8 +36,7 @@ MIXES = {
     "DiffOp entry": lambda: DiffOp(REG, [[OTHER_D1]]),
     "DiffOp +": lambda: DiffOp.identity(REG, 2) + DiffOp.identity(OTHER, 2),
     "DiffOp @": lambda: DiffOp.identity(REG, 2) @ DiffOp.identity(OTHER, 2),
-    "conjugate_phase": lambda: conjugate_phase(DiffOp.scalar(D1), OTHER.symbol("x1")),
-    "conjugate_shift": lambda: conjugate_shift(DiffOp.scalar(D1),
+    "boost_transform": lambda: boost_transform(build_wave_operator(REG, 1), 1,
                                                (OTHER.symbol("v1"), REG.symbol("v2"))),
     "extend_lambda": lambda: extend_lambda(realize("schrodinger", 1, 1), OTHER.symbol("lam")),
     "kappa_shift": lambda: kappa_shift(realize("schrodinger", 1, 1), OTHER.symbol("c")),
@@ -53,3 +54,37 @@ def test_mixing_two_registries_raises_registry_mismatch(mix):
 def test_mismatched_dimensions_raise_shape_error(combine):
     with pytest.raises(ShapeError):
         combine(DiffOp.identity(REG, 2), DiffOp.identity(REG, 3))
+
+
+# each operand of a foreign type: an int, a number, or a term map of another kind
+FOREIGN = {
+    "ScalarDiffOp + 1": lambda: D1 + 1,
+    "1 + ScalarDiffOp": lambda: 1 + D1,
+    "ScalarDiffOp - 1": lambda: D1 - 1,
+    "1 - ScalarDiffOp": lambda: 1 - D1,
+    "sum of ScalarDiffOp": lambda: sum([D1]),
+    "FieldPoly + 0": lambda: FieldPoly.zero(REG) + 0,
+    "ScalarDiffOp + PolyExpr": lambda: D1 + REG.symbol("x1"),
+    "PolyExpr + ScalarDiffOp": lambda: REG.symbol("x1") + D1,
+    "PolyExpr * ScalarDiffOp": lambda: REG.symbol("x1") * D1,
+    "PolyExpr + str": lambda: REG.symbol("x1") + "x1",
+    "DiffOp + 1": lambda: DiffOp.identity(REG, 2) + 1,
+    "1 - DiffOp": lambda: 1 - DiffOp.identity(REG, 2),
+    "DiffOp @ ScalarDiffOp": lambda: DiffOp.identity(REG, 1) @ D1,
+    "DiffOp.commutator(1)": lambda: DiffOp.identity(REG, 2).commutator(1),
+}
+
+
+@pytest.mark.parametrize("mix", list(FOREIGN))
+def test_an_operand_of_a_foreign_type_raises_type_error(mix):
+    with pytest.raises(TypeError):
+        FOREIGN[mix]()
+
+
+@pytest.mark.parametrize("number", [2, Fraction(1, 2), Scalar(0, 1)])
+def test_polynomials_still_lift_numbers(number):
+    x1 = REG.symbol("x1")
+    const = REG.const(number)
+    assert x1 + number == number + x1 == x1 + const
+    assert x1 - number == x1 - const and number - x1 == const - x1
+    assert x1 * number == number * x1 == x1 * const
