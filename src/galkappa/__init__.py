@@ -41,8 +41,7 @@ _MODULE_OF = {
         ("exactscalar", ("Scalar", "PolyExpr", "SymbolRegistry", "parse_scalar",
                          "ZERO", "ONE", "I")),
         ("weylop", ("ScalarDiffOp", "DiffOp")),
-        ("galrealize", ("GeneratorSet", "make_registry", "realize", "realize_schrodinger",
-                        "realize_levyleblond", "realize_multispinor", "extend_lambda",
+        ("galrealize", ("GeneratorSet", "make_registry", "realize", "extend_lambda",
                         "kappa_shift", "extract_kappa", "central_scalar",
                         "verify_structure", "realization_table")),
         ("cocycle", ("LieAlgebraSpec", "JacobiResult", "ExtensionSpace", "jacobi_check",

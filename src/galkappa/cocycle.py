@@ -21,13 +21,13 @@ straight from them.  Columns are the pairs i < j in lexicographic order.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GalkappaError
-from .exactscalar import ONE, ZERO, Scalar, _sub_mul, _sum_products, accumulate
+from .exactscalar import ONE, Scalar, _sub_mul, _sum_products, accumulate
 
 Row = Dict[int, Scalar]
+Cochain = Dict[Tuple[str, str], Scalar]
 Triple = Tuple[int, int, int]
 Structure = List[Dict[int, Row]]
 
@@ -270,23 +270,18 @@ def _nullspace(pivots: List[int], red: List[Row], ncols: int) -> List[Row]:
 
 
 class ExtensionSpace:
+    """Each representative is a 2-cochain {(X_i, X_j): nonzero entry}, i < j, in pair order."""
+
     def __init__(self, names: Tuple[str, ...], cocycle_dim: int, coboundary_dim: int,
-                 h2: int, representatives: Optional[List[List[List[Scalar]]]] = None):
+                 h2: int, representatives: Optional[List[Cochain]] = None):
         self.names = names
         self.cocycle_dim = cocycle_dim
         self.coboundary_dim = coboundary_dim
         self.h2 = h2
         self.representatives = [] if representatives is None else representatives
 
-    def representative_support(self, r: int) -> Dict[Tuple[str, str], Scalar]:
-        out = {}
-        mat = self.representatives[r]
-        n = len(self.names)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not mat[i][j].is_zero:
-                    out[(self.names[i], self.names[j])] = mat[i][j]
-        return out
+    def representative_support(self, r: int) -> Cochain:
+        return dict(self.representatives[r])
 
 
 def _coboundary_rows(f: Structure, off: List[int]) -> List[Row]:
@@ -338,38 +333,21 @@ def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
             f"representative count {len(rep_rows)} disagrees with h2 = {h2}"
         )
 
-    pairs = spec.pairs()
-    reps = []
-    for vec in rep_rows:
-        mat = [[ZERO] * n for _ in range(n)]
-        for s, e in vec.items():
-            i, j = pairs[s]
-            mat[i][j], mat[j][i] = e, -e
-        reps.append(mat)
+    pair_names = [(spec.names[i], spec.names[j]) for i, j in spec.pairs()]
+    reps = [{pair_names[s]: vec[s] for s in sorted(vec)} for vec in rep_rows]
     return ExtensionSpace(spec.names, z, b, h2, reps)
 
 
-def _beta_vector(spec: LieAlgebraSpec, beta, off: List[int]) -> Row:
-    """beta, given by name pairs or as an antisymmetric matrix, as {column: entry}."""
-    n = spec.dim
+def _beta_vector(spec: LieAlgebraSpec, beta: Mapping, off: List[int]) -> Row:
+    """beta, given by name pairs, as {column: entry}."""
     vec: Row = {}
-    if isinstance(beta, Mapping):
-        for (a, b), coeff in beta.items():
-            i, j = spec.index(a), spec.index(b)
-            if i == j:
-                raise ValueError("beta entry on a diagonal pair")
-            coeff = Scalar.of(coeff)
-            accumulate(vec, off[min(i, j)] + max(i, j), coeff if i < j else -coeff)
-        return vec
-    mat = [[Scalar.of(e) for e in row] for row in beta]
-    if len(mat) != n or any(len(row) != n for row in mat):
-        raise ValueError(f"beta matrix is not {n}x{n}")
-    for i in range(n):
-        for j in range(n):
-            if not (mat[i][j] + mat[j][i]).is_zero:
-                raise ValueError("beta matrix is not antisymmetric")
-    return {off[i] + j: mat[i][j]
-            for i, j in itertools.combinations(range(n), 2) if not mat[i][j].is_zero}
+    for (a, b), coeff in beta.items():
+        i, j = spec.index(a), spec.index(b)
+        if i == j:
+            raise ValueError("beta entry on a diagonal pair")
+        coeff = Scalar.of(coeff)
+        accumulate(vec, off[min(i, j)] + max(i, j), coeff if i < j else -coeff)
+    return vec
 
 
 def _satisfies(walk: Iterable[Tuple[Triple, Row]], vec: Row) -> bool:
@@ -378,14 +356,14 @@ def _satisfies(walk: Iterable[Tuple[Triple, Row]], vec: Row) -> bool:
                for _, row in walk)
 
 
-def is_cocycle(spec: LieAlgebraSpec, beta) -> bool:
-    """Does beta satisfy the cyclic identity for this algebra?"""
+def is_cocycle(spec: LieAlgebraSpec, beta: Mapping) -> bool:
+    """Does beta, given by name pairs, satisfy the cyclic identity for this algebra?"""
     off = _offsets(spec.dim)
     return _satisfies(_cocycle_rows(spec._f, off), _beta_vector(spec, beta, off))
 
 
-def classes_independent(spec: LieAlgebraSpec, betas: Sequence) -> bool:
-    """True iff the given cocycles are linearly independent modulo coboundaries."""
+def classes_independent(spec: LieAlgebraSpec, betas: Sequence[Mapping]) -> bool:
+    """True iff the given cocycles, by name pairs, are independent modulo coboundaries."""
     f = spec._f
     n = spec.dim
     off = _offsets(n)

@@ -36,7 +36,7 @@ class Scalar:
 
     The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equal values
     have equal triples and equal hashes.  `re` and `im` give the two parts as
-    Fractions.  The public constructor accepts ints, Fractions and strings;
+    Fractions.  The public constructor accepts only ints and Fractions;
     arithmetic works on the integers alone and builds its results with
     `_reduced`, which divides out gcd(a, b, d) (skipped when d == 1), or with
     `_canonical` when the result is canonical by construction.  Instances
@@ -46,12 +46,9 @@ class Scalar:
     __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
-        # ints and Fractions are already in lowest terms; strings and the
-        # like are read by Fraction
-        if not isinstance(re, _RATIONALS):
-            re = Fraction(re)
-        if not isinstance(im, _RATIONALS):
-            im = Fraction(im)
+        # ints and Fractions are already in lowest terms; text goes through parse_scalar
+        if not (isinstance(re, _RATIONALS) and isinstance(im, _RATIONALS)):
+            raise TypeError(f"Scalar parts must be ints or Fractions, got {re!r}, {im!r}")
         dr, di = re.denominator, im.denominator
         # over the lcm of two reduced denominators, gcd(a, b, d) is already 1
         d = dr if dr == di else lcm(dr, di)
@@ -646,10 +643,6 @@ class PolyExpr(TermMap):
             out = out * self
         return out
 
-    def conj(self) -> "PolyExpr":
-        # declared symbols are real parameters; only coefficients conjugate
-        return PolyExpr(self.registry, {k: c.conj() for k, c in self._terms.items()})
-
     def div_symbol(self, name: str, k: int = 1) -> "PolyExpr":
         """Exact division by name**k (Laurent shift); requires invertibility."""
         if k <= 0:
@@ -662,29 +655,6 @@ class PolyExpr(TermMap):
             for key, coeff in self._terms.items()
         }
         return PolyExpr(self.registry, terms)
-
-    def subs(self, assignments: Mapping[str, "PolyExpr"]) -> "PolyExpr":
-        """Substitute polynomials for symbols (nonnegative exponents only)."""
-        for target in assignments.values():
-            TermMap._coerce(self, target)
-        idx_map = {self.registry.index(n): p for n, p in assignments.items()}
-        out = self.registry.zero()
-        for key, coeff in self._terms.items():
-            factor = self.registry.const(coeff)
-            rest = list(key)
-            for i, repl in idx_map.items():
-                e = key[i]
-                if e < 0:
-                    raise NotInvertible(
-                        "cannot substitute into a negative power of "
-                        f"{self.registry.names[i]!r}"
-                    )
-                if e:
-                    factor = factor * repl ** e
-                rest[i] = 0
-            monomial = PolyExpr(self.registry, {tuple(rest): ONE})
-            out = out + factor * monomial
-        return out
 
     def diff(self, name: str) -> "PolyExpr":
         """Formal partial derivative with respect to one symbol."""

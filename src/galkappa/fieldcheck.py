@@ -37,8 +37,8 @@ from .exactscalar import (
     _sum_products,
     parse_scalar,
 )
-from .galrealize import check_rank, check_spin, make_registry, realize
-from .weylop import COORDS, DiffOp, ScalarDiffOp
+from .galrealize import GeneratorSet, check_rank, check_spin, make_registry, realize
+from .weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp
 
 PHI = "phi"
 CHI = "chi"
@@ -48,7 +48,7 @@ _COMPS = (PHI, CHI)  # matrix row and column order
 TermKey = Tuple[str, Tuple[int, int, int], str, Tuple[int, int, int]]
 
 # derivative coordinate and unit multi-index of each axis (0, 1 space, 2 time)
-_AXES = (("x1", (1, 0, 0)), ("x2", (0, 1, 0)), ("t", (0, 0, 1)))
+_AXES = tuple((c, tuple(int(b == a) for b in range(len(COORDS)))) for a, c in enumerate(COORDS))
 
 
 class FieldPoly(TermMap):
@@ -277,7 +277,6 @@ def _divergence(reg: SymbolRegistry, flux, density, i: int, s: int) -> FieldPoly
     positions = reg.positions(tuple(coord for coord, _ in _AXES))
     x_i = reg.index(f"x{i}")
     e_i = _AXES[i - 1][1]
-    zero_idx = (0, 0, 0)
     sums: Dict[TermKey, dict] = {}
     for j, terms in ((1, flux), (2, flux), (None, density)):
         axis = 2 if j is None else j - 1
@@ -297,8 +296,8 @@ def _divergence(reg: SymbolRegistry, flux, density, i: int, s: int) -> FieldPoly
             e = key[pos]
             if e:
                 lowered, c_e = key[:pos] + (e - 1,) + key[pos + 1:], c * e
-            dag_midx = e_i if grad == "dagger" else zero_idx
-            ket_midx = e_i if grad == "field" else zero_idx
+            dag_midx = e_i if grad == "dagger" else ZERO_IDX
+            ket_midx = e_i if grad == "field" else ZERO_IDX
             dag_up = tuple(map(add, dag_midx, step))
             ket_up = tuple(map(add, ket_midx, step))
             for dc, row in zip(_COMPS, _matrix_value(matrix_name, j, s)):
@@ -382,6 +381,11 @@ def build_wave_operator(reg: SymbolRegistry, s: int) -> DiffOp:
     return DiffOp(reg, [[E, p_minus], [p_plus, two_m]])
 
 
+@lru_cache(maxsize=None)
+def _spinless() -> GeneratorSet:  # built once per process; callers only read it
+    return realize("schrodinger", 1, 1)
+
+
 def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
     """Finite boost action on the wave operator: S^-1 exp(X) G exp(-X) S.
 
@@ -394,7 +398,7 @@ def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
     """
     reg = G.registry
     vx, vy = v
-    boosts = realize("schrodinger", 1, 1)
+    boosts = _spinless()
     X = boosts["K1"].entry(0, 0).scale(vx * NEG_I) + boosts["K2"].entry(0, 0).scale(vy * NEG_I)
     if vx.uses_symbols(COORDS) or vy.uses_symbols(COORDS):  # v's registry is checked above
         raise BadParameter("boost velocity must be coordinate-free")
@@ -445,14 +449,8 @@ class Covariance:
         self.convention = convention
 
     def lam_at_zero(self) -> List[List[Scalar]]:
-        reg = self.lam[0][0].registry
-        zero = reg.zero()
-        out = []
-        for row in self.lam:
-            out.append([
-                e.subs({"v1": zero, "v2": zero}).constant_term() for e in row
-            ])
-        return out
+        # Lambda at v = 0 is its constant term: every other term carries a symbol
+        return [[e.constant_term() for e in row] for row in self.lam]
 
     def to_dict(self):
         out = {
@@ -480,7 +478,7 @@ def check_boost_covariance(s: int) -> Covariance:
 
 def rotation_generator(registry: SymbolRegistry, s: int) -> DiffOp:
     """Two-component rotation generator: the spinless J of `realize` plus (s/2) sigma_3."""
-    orbital = realize("schrodinger", 1, 1)["J"].entry(0, 0)
+    orbital = _spinless()["J"].entry(0, 0)
     half_s = ScalarDiffOp.coeff(registry.const(Scalar(Fraction(s, 2))))
     z = ScalarDiffOp.zero(registry)
     return DiffOp(registry, [[orbital + half_s, z], [z, orbital - half_s]])

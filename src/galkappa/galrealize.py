@@ -98,21 +98,6 @@ def realize(model: str, s: int, N: int) -> GeneratorSet:
     return GeneratorSet({"P1": P1, "P2": P2, "H": H, "J": J, "K1": K1, "K2": K2, "M": M})
 
 
-def realize_schrodinger() -> GeneratorSet:
-    """Spinless one-component realization."""
-    return realize("schrodinger", 1, 1)
-
-
-def realize_levyleblond(s: int = 1) -> GeneratorSet:
-    """Spin-1/2 realization on the independent component: J gains s/2."""
-    return realize("levyleblond", s, 1)
-
-
-def realize_multispinor(s: int = 1, N: int = 1) -> GeneratorSet:
-    """Rank-N symmetric multispinor reduction: J gains N*s/2."""
-    return realize("multispinor", s, N)
-
-
 def _require_mass_identity(g: GeneratorSet) -> None:
     """Raise BadMass unless the mass generator is m times the identity."""
     if central_scalar(g["M"]) != g.registry.symbol("m"):

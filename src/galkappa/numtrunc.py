@@ -6,6 +6,8 @@ axis, cut at n_max, each as its terms: pairs (A, B) of single-axis matrices
 whose Kronecker products sum to it.  Truncation breaks the canonical pair only
 in the highest mode, so commutator residuals are scored on a low-mode block
 well away from the cut, from only the slabs of the terms that the block reads.
+Each factor is zero off the band |row - column| <= 2 (x and p are tridiagonal,
+every term has degree <= 2 per axis): a check builds low + 4 modes per axis.
 
 The boost-boost commutator needs no tolerance at all: the two boosts act on
 different tensor factors, and both product orders multiply the same pairs
@@ -40,11 +42,12 @@ def check_bytes(n_max: int, low: int) -> int:
     return (FACTOR_MATRICES + PEAK_SLABS * (low + 1) ** 2) * (n_max + 1) ** 2 * 16 + BUFFER_BYTES
 
 
-def _require_budget(n_max: int, low: int) -> None:
-    """Refuse a check over the budget before anything but the factors is allocated."""
-    if check_bytes(n_max, low) > BYTES_BUDGET:
+def _require_budget(n_max: int, low: int, modes: Optional[int] = None) -> None:
+    """Refuse a check over the budget at `modes` (default n_max) before it allocates a slab."""
+    need = check_bytes(n_max if modes is None else modes, low)
+    if need > BYTES_BUDGET:
         raise BadParameter(f"n_max {n_max} with low cutoff {low} needs about "
-                           f"{check_bytes(n_max, low) / 2**20:,.0f} MiB of complex arrays, "
+                           f"{need / 2**20:,.0f} MiB of complex arrays, "
                            f"over the budget of {BYTES_BUDGET / 2**20:,.0f} MiB")
 
 
@@ -87,6 +90,15 @@ def _evaluate(op: ScalarDiffOp, values: Dict[str, float], x, p) -> Terms:
     return terms
 
 
+def _check_values(m: float, t: float, n_max: int) -> None:
+    if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 0):
+        raise BadParameter(f"mass must be a positive finite number, got {m!r}")
+    if not (isinstance(t, (int, float)) and math.isfinite(t)):
+        raise BadParameter(f"time must be a finite number, got {t!r}")
+    if not isinstance(n_max, int) or n_max < 4:
+        raise BadParameter(f"n_max must be an integer >= 4, got {n_max!r}")
+
+
 def build_numeric(
     model: str,
     m: float = 1.0,
@@ -96,12 +108,7 @@ def build_numeric(
     rank: int = 1,
 ) -> Dict[str, Terms]:
     """The exact generators of the model as terms on the two-axis truncated mode space."""
-    if not (isinstance(m, (int, float)) and math.isfinite(m) and m > 0):
-        raise BadParameter(f"mass must be a positive finite number, got {m!r}")
-    if not (isinstance(t, (int, float)) and math.isfinite(t)):
-        raise BadParameter(f"time must be a finite number, got {t!r}")
-    if not isinstance(n_max, int) or n_max < 4:
-        raise BadParameter(f"n_max must be an integer >= 4, got {n_max!r}")
+    _check_values(m, t, n_max)
     _require_budget(n_max, 0)
     gens = realize(model, spin_s, rank)
     x, p = _axis(n_max + 1)
@@ -242,17 +249,25 @@ def run_numeric_check(
 ) -> NumericReport:
     """Build the generator terms and score every table row in one call.
 
-    A value of m or t so large (or a mass so small) that the matrices
-    overflow double precision is an input error, not a failed check.
+    The inputs and the size guard are checked as given, and the terms built at
+    min(n_max, low + 4), all the low block reads.  An m or t so large (or a
+    mass so small) that the matrices overflow double precision is an input
+    error, not a failed check.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise BadParameter(f"tolerance must be a finite number >= 0, got {tol!r}")
+    _check_values(m, t, n_max)
+    _low_side(n_max, low)
+    modes = min(n_max, low + 4)
+    _require_budget(n_max, low, modes)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            ops = build_numeric(model, m=m, t=t, n_max=n_max, spin_s=spin_s, rank=rank)
-            return residual_report(ops, table=table, low_cutoff=low, tol=tol,
-                                   model=model, m=m, t=t)
+            ops = build_numeric(model, m=m, t=t, n_max=modes, spin_s=spin_s, rank=rank)
+            rep = residual_report(ops, table=table, low_cutoff=low, tol=tol,
+                                  model=model, m=m, t=t)
     except (FloatingPointError, OverflowError) as exc:
         raise BadParameter(
             f"m = {m!r}, t = {t!r} at n_max {n_max} exceed double precision ({exc})"
         ) from None
+    rep.n_max = n_max
+    return rep

@@ -38,9 +38,7 @@ from galkappa.galrealize import (
     extract_kappa,
     kappa_shift,
     make_registry,
-    realize_levyleblond,
-    realize_multispinor,
-    realize_schrodinger,
+    realize,
     verify_structure,
 )
 from galkappa.numtrunc import run_numeric_check, xp_defect
@@ -58,12 +56,12 @@ def criterion(num, label):
 
 
 def all_models():
-    yield "schrodinger", realize_schrodinger()
+    yield "schrodinger", realize("schrodinger", 1, 1)
     for s in (1, -1):
-        yield f"levyleblond s={s:+d}", realize_levyleblond(s=s)
+        yield f"levyleblond s={s:+d}", realize("levyleblond", s, 1)
     for N in (1, 2, 3, 4):
         for s in (1, -1):
-            yield f"multispinor N={N} s={s:+d}", realize_multispinor(s=s, N=N)
+            yield f"multispinor N={N} s={s:+d}", realize("multispinor", s, N)
 
 
 def test_criterion_01_second_extension_parameter_vanishes():
@@ -85,7 +83,7 @@ def test_criterion_02_structure_table_and_mass():
 
 def test_criterion_03_shift_moves_parameter_and_reverses():
     with criterion(3, "boost redefinition gives kappa = -c and reverses bit-exactly"):
-        g = realize_schrodinger()
+        g = realize("schrodinger", 1, 1)
         c = g.registry.symbol("c")
         shifted = kappa_shift(g, c)
         assert (extract_kappa(shifted) + c).is_zero

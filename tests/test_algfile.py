@@ -1,5 +1,7 @@
 """Parsing and rendering of plain-text structure-constant files."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,8 +70,8 @@ def test_terms_accumulate_and_cancel():
 def test_coefficient_literals():
     spec = loads("generators: A B C\n[A, B] = -1/2*C + 3/4*i*B\n")
     assert spec.brackets[(0, 1)] == {
-        1: Scalar(0, "3/4"),
-        2: Scalar("-1/2"),
+        1: Scalar(0, Fraction(3, 4)),
+        2: Scalar(Fraction(-1, 2)),
     }
 
 
@@ -131,7 +133,7 @@ def test_dumps_round_trip():
 
 
 def test_dumps_writes_complex_coefficients_as_two_terms():
-    spec = LieAlgebraSpec(("A", "B", "C"), {(0, 1): {2: Scalar("-1/2", 3)}})
+    spec = LieAlgebraSpec(("A", "B", "C"), {(0, 1): {2: Scalar(Fraction(-1, 2), 3)}})
     text = dumps(spec)
     assert text.splitlines()[1] == "[A, B] = -1/2*C + 3*i*C"
     assert loads(text).brackets == spec.brackets
@@ -252,13 +254,13 @@ def test_one_match_term_reader_agrees_with_the_checks(sign, body):
 
 @pytest.mark.parametrize("body, coeff, name", [
     ("007*C", Scalar(7), "C"),
-    ("3/04*C", Scalar("3/4"), "C"),
+    ("3/04*C", Scalar(Fraction(3, 4)), "C"),
     ("2*i*C", Scalar(0, 2), "C"),
     ("i*C", Scalar(0, 1), "C"),
     ("i2", Scalar(1), "i2"),
     ("0*X", Scalar(0), "X"),
     (" 2 * C ", Scalar(2), "C"),
-    ("1/2 * i * C", Scalar(0, "1/2"), "C"),
+    ("1/2 * i * C", Scalar(0, Fraction(1, 2)), "C"),
 ])
 def test_term_reader_examples(body, coeff, name):
     assert algfile._parse_term("", body, 1) == (coeff, name)
@@ -267,4 +269,4 @@ def test_term_reader_examples(body, coeff, name):
 
 def test_spaced_terms_load():
     spec = loads("generators: A B C\n[A, B] = 2 * C - 1/2 *i* A\n")
-    assert spec.brackets == {(0, 1): {2: Scalar(2), 0: Scalar(0, "-1/2")}}
+    assert spec.brackets == {(0, 1): {2: Scalar(2), 0: Scalar(0, Fraction(-1, 2))}}

@@ -164,43 +164,26 @@ def test_bracket_sign_convention():
     assert {k: -v for k, v in fwd.items()} == rev
 
 
-def test_beta_given_as_a_matrix():
+def test_representatives_are_independent_cocycles():
     spec = planar()
     reps = central_extensions(spec).representatives
     assert reps
     for rep in reps:
         assert is_cocycle(spec, rep)
     assert classes_independent(spec, reps)
-    # the same classes by name pairs and as matrices agree
-    boost = [[Scalar(0)] * spec.dim for _ in range(spec.dim)]
-    k1, k2 = spec.index("K1"), spec.index("K2")
-    boost[k1][k2], boost[k2][k1] = Scalar(1), Scalar(-1)
-    assert is_cocycle(spec, boost)
-    assert classes_independent(spec, [boost]) == classes_independent(
-        spec, [{("K1", "K2"): Scalar(1)}])
 
 
-def test_beta_matrix_must_be_antisymmetric():
-    spec = planar()
-    bad = [[Scalar(0)] * spec.dim for _ in range(spec.dim)]
-    bad[0][1] = Scalar(1)  # with bad[1][0] still 0
-    with pytest.raises(ValueError, match="antisymmetric"):
-        is_cocycle(spec, bad)
-    with pytest.raises(ValueError, match="antisymmetric"):
-        classes_independent(spec, [bad])
-
-
-def test_beta_matrix_must_be_n_by_n():
-    spec = algfile.load_bundled("so3")
-    small = [[Scalar(0), Scalar(1)], [Scalar(-1), Scalar(0)]]
-    big = [[Scalar(0)] * 4 for _ in range(4)]
-    big[0][3] = Scalar(1)  # outside so3's 3x3, with no antisymmetric partner
-    ragged = [[Scalar(0)] * 3, [Scalar(0)] * 3, [Scalar(0)] * 2]
-    for bad in (small, big, ragged):
-        with pytest.raises(ValueError, match="3x3"):
-            is_cocycle(spec, bad)
-        with pytest.raises(ValueError, match="3x3"):
-            classes_independent(spec, [bad])
+@pytest.mark.parametrize("name", algfile.bundled_names())
+def test_representatives_are_their_supports(name):
+    ext = central_extensions(algfile.load_bundled(name))
+    assert len(ext.representatives) == ext.h2
+    for r, rep in enumerate(ext.representatives):
+        support = ext.representative_support(r)
+        assert rep == support and rep is not support
+        assert all(not c.is_zero for c in rep.values())
+        # name pairs i < j, in lexicographic pair order
+        idx = [(ext.names.index(a), ext.names.index(b)) for a, b in rep]
+        assert all(i < j for i, j in idx) and idx == sorted(idx)
 
 
 # -- jacobi_check against a plain-Fraction brute force ------------------------

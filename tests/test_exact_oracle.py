@@ -277,7 +277,6 @@ def test_scalar_mixed_operands_match_fraction_pairs(p, r):
 
 
 def test_public_constructor_still_normalizes():
-    assert Scalar(0, "3/4") == Scalar(Fraction(0), Fraction(3, 4))
     assert type(Scalar(2).re) is Fraction and type(Scalar(2).im) is Fraction
     assert hash(Scalar(2)) == hash(Scalar(Fraction(2))) == hash(Scalar.of(2))
     assert Scalar() == ZERO and Scalar(1) == ONE
@@ -354,7 +353,7 @@ operands = st.one_of(st.integers(-(2**40), 2**40), rationals, wide)
 def test_every_result_is_a_canonical_triple(p, q, r):
     x, y = Scalar(*p), Scalar(*q)
     results = [x, y, x + y, x - y, x * y, -x, x.conj(), x + r, r + x, x - r, r - x,
-               x * r, r * x, Scalar(str(p[0]), str(p[1])), Scalar.of(r), x * 0, x - x]
+               x * r, r * x, Scalar.of(r), x * 0, x - x]
     if not y.is_zero:
         results.append(x / y)
     if r:

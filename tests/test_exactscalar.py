@@ -40,6 +40,13 @@ def test_scalar_division_and_conjugate():
         z / ZERO
 
 
+@pytest.mark.parametrize("parts", [("1/2",), (0.5,), (1, "2"), ("1.5",), ("1e3",),
+                                   ("\u0661/2",), (0.1,), (1, 0.5), (None,), (1j,)])
+def test_scalar_takes_only_ints_and_fractions(parts):
+    with pytest.raises(TypeError):
+        Scalar(*parts)
+
+
 def test_scalar_mixed_operands():
     assert Scalar(2) * 3 == Scalar(6)
     assert 3 * Scalar(2) == Scalar(6)
@@ -185,21 +192,16 @@ def test_one_term_products_match_the_pairwise_loop(data):
     assert list((p * c)._terms.items()) == list(_pairwise_product(p, reg.const(c)).items())
 
 
-def test_poly_diff_and_subs(reg):
+def test_poly_diff(reg):
     x, y = reg.symbol("x"), reg.symbol("y")
     p = x * x * y + x * Scalar(2)
     assert p.diff("x") == x * y * 2 + 2
     assert p.diff("y") == x * x
-    # substitute x -> x + y, exactly
-    shifted = p.subs({"x": x + y})
-    expected = (x + y) * (x + y) * y + (x + y) * Scalar(2)
-    assert shifted == expected
 
 
-def test_poly_conj_evaluate(reg):
+def test_poly_evaluate(reg):
     x = reg.symbol("x")
     p = x * I + 1
-    assert p.conj() == x * Scalar(0, -1) + 1
     val = p.evaluate({"x": 2.0, "y": 0.0, "m": 1.0})
     assert val == 1 + 2j
     with pytest.raises(KeyError):

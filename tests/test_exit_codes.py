@@ -100,9 +100,9 @@ _WORDS = ["planar_galilei", "so3", "galilei_1d", "galilei_3p1", "no_such_algebra
 _FLAGS = ["--spin-s", "--rank", "--lambda", "--shift", "--strict-literal-table", "--index",
           "--variant", "--model", "--nmax", "--low", "--m", "--t", "--tol", "--frobnicate",
           "-h", "--help", "--spin", "--str"]
-# No integer in 9..1688 appears, so any --nmax is either small or refused by the
-# size guard before anything large is allocated: 1688 is the largest n_max it
-# admits at any low cutoff (at 0; at the default 8 it is 469).
+# A check builds at most --low + 4 modes per axis, whatever --nmax is, and the
+# size guard refuses a --low of 64 and up before anything large is allocated;
+# no integer in 9..63 appears, so every --low here is small or refused.
 _VALUES = ["0", "1", "-1", "2", "3", "4", "5", "6", "7", "8", "-3", "1689", "4000", "100000",
            "nan", "inf", "-inf", "1e308", "-1e308", "1e200", "5e-324", "1e-6", "0.5",
            "1/2", "-3/4*i", "2*i", "1/0", "abc", "x1", "0x10", "1e", "\u00e9"]

@@ -23,21 +23,18 @@ from galkappa.galrealize import (
     make_registry,
     realization_table,
     realize,
-    realize_levyleblond,
-    realize_multispinor,
-    realize_schrodinger,
     verify_structure,
 )
 from galkappa.weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp
 
 
 def all_models():
-    yield "schrodinger", realize_schrodinger()
+    yield "schrodinger", realize("schrodinger", 1, 1)
     for s in (1, -1):
-        yield f"levyleblond s={s}", realize_levyleblond(s=s)
+        yield f"levyleblond s={s}", realize("levyleblond", s, 1)
     for n in (1, 2, 3, 4):
         for s in (1, -1):
-            yield f"multispinor N={n} s={s}", realize_multispinor(s=s, N=n)
+            yield f"multispinor N={n} s={s}", realize("multispinor", s, n)
 
 
 @pytest.mark.parametrize("label,g", list(all_models()), ids=lambda v: v if isinstance(v, str) else "")
@@ -55,7 +52,7 @@ def test_structure_table_all_rows(label, g):
 
 
 def test_lambda_extension_preserves_everything():
-    g = realize_levyleblond(s=1)
+    g = realize("levyleblond", 1, 1)
     reg = g.registry
     g2 = extend_lambda(g, reg.symbol("lam"))
     assert extract_kappa(g2).is_zero
@@ -69,7 +66,7 @@ def test_lambda_extension_preserves_everything():
 
 
 def test_kappa_shift_symbolic_and_round_trip():
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     reg = g.registry
     c = reg.symbol("c")
     g2 = kappa_shift(g, c)
@@ -82,13 +79,13 @@ def test_kappa_shift_symbolic_and_round_trip():
 
 
 def test_kappa_shift_rational_value():
-    g = realize_levyleblond(s=-1)
+    g = realize("levyleblond", -1, 1)
     g2 = kappa_shift(g, Scalar(Fraction(3, 4)))
     assert extract_kappa(g2) == Scalar(Fraction(-3, 4))
 
 
 def test_shift_then_lambda_compose():
-    g = realize_multispinor(s=1, N=2)
+    g = realize("multispinor", 1, 2)
     reg = g.registry
     g2 = extend_lambda(kappa_shift(g, reg.symbol("c")), reg.symbol("lam"))
     assert extract_kappa(g2) == -reg.symbol("c")
@@ -97,17 +94,17 @@ def test_shift_then_lambda_compose():
 
 def test_spin_and_rank_validation():
     with pytest.raises(BadSpin):
-        realize_levyleblond(s=2)
+        realize("levyleblond", 2, 1)
     with pytest.raises(BadSpin):
-        realize_multispinor(s=0, N=2)
+        realize("multispinor", 0, 2)
     with pytest.raises(BadRank):
-        realize_multispinor(s=1, N=5)
+        realize("multispinor", 1, 5)
     with pytest.raises(BadRank):
-        realize_multispinor(s=1, N=0)
+        realize("multispinor", 1, 0)
 
 
 def test_extract_kappa_requires_central_bracket():
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     reg = g.registry
     # corrupt K2 so [K1, K2] is a genuine differential operator
     bad_k2 = g["K2"] + DiffOp.scalar(
@@ -119,7 +116,7 @@ def test_extract_kappa_requires_central_bracket():
 
 
 def test_non_central_boost_bracket_has_no_kappa_and_fails_its_row():
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     reg = g.registry
     # K1 + x2: [K1, K2] gains -i*t, a coordinate term, so no kappa exists
     broken = g.replaced({"K1": g["K1"] + DiffOp.scalar(ScalarDiffOp.coeff(reg.symbol("x2")))})
@@ -145,7 +142,7 @@ def test_non_central_boost_bracket_has_no_kappa_and_fails_its_row():
 
 
 def test_two_component_rows_print_matrix_texts():
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     reg = g.registry
     zero = ScalarDiffOp.zero(reg)
     doubled = GeneratorSet({name: DiffOp(reg, [[op.entry(0, 0), zero], [zero, op.entry(0, 0)]])
@@ -166,7 +163,7 @@ def test_two_component_rows_print_matrix_texts():
 
 
 def test_central_scalar_rejects_non_central():
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     assert central_scalar(g["P1"]) is None
     assert central_scalar(g["M"]) == g.registry.symbol("m")
     zero = DiffOp.zeros(g.registry, 1)
@@ -174,7 +171,7 @@ def test_central_scalar_rejects_non_central():
 
 
 def test_mass_identity_guard():
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     broken = g.replaced({"M": g["P1"]})
     with pytest.raises(BadMass):
         kappa_shift(broken, Scalar(1))
@@ -234,13 +231,13 @@ def test_corrupted_table_fails_jacobi():
     res = jacobi_check(bad)
     assert not res.ok
     assert (res.triple, res.residual) == (("P1", "J", "K1"), {"M": Scalar(-1)})
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     with pytest.raises(ValueError):  # only the bundled tables are accepted, by name
         verify_structure(g, bad)
 
 
 def test_literal_table_rows_fail_against_realizations():
-    rep = verify_structure(realize_levyleblond(s=1), "literal")
+    rep = verify_structure(realize("levyleblond", 1, 1), "literal")
     assert not rep.overall
     failing = {(r.lhs, r.rhs) for r in rep.failing_rows()}
     assert failing == {("K1", "H"), ("K2", "H")}
@@ -248,16 +245,16 @@ def test_literal_table_rows_fail_against_realizations():
         assert r.note  # the report explains the variant explicitly
     # the literal table's note sits on exactly its two boost-time rows
     assert {(r.lhs, r.rhs) for r in rep.rows if r.note} == {("K1", "H"), ("K2", "H")}
-    assert not any(r.note for r in verify_structure(realize_levyleblond(s=1)).rows)
+    assert not any(r.note for r in verify_structure(realize("levyleblond", 1, 1)).rows)
 
 
 def test_unknown_table_name_is_rejected():
-    assert verify_structure(realize_schrodinger(), "corrected").table == "corrected"
-    assert verify_structure(realize_schrodinger(), "literal").table == "literal"
+    assert verify_structure(realize("schrodinger", 1, 1), "corrected").table == "corrected"
+    assert verify_structure(realize("schrodinger", 1, 1), "literal").table == "literal"
     with pytest.raises(ValueError):
         realization_table("imagined")
     with pytest.raises(ValueError):
-        verify_structure(realize_schrodinger(), "imagined")
+        verify_structure(realize("schrodinger", 1, 1), "imagined")
 
 
 def test_realization_table_is_loaded_once():
@@ -270,13 +267,13 @@ def test_realization_table_is_loaded_once():
 
 
 def test_boost_time_bracket_is_momentum():
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     assert g["K1"].commutator(g["H"]) == g["P1"].scale(I)
     assert g["K2"].commutator(g["H"]) == g["P2"].scale(I)
 
 
 def test_generator_set_accessors():
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     assert g.dim == 1
     with pytest.raises(KeyError):
         g["Q"]
@@ -287,7 +284,7 @@ def test_one_verify_structure_takes_few_derivatives_and_degrees(monkeypatch):
     # closed form, so no polynomial derivative is taken, and each operand reads
     # its guard extent off its monomials once, with no `max_degree` call
     # (a kernel that took both again on every call needed 140 and 97 here)
-    g = realize_multispinor(s=1, N=3)
+    g = realize("multispinor", 1, 3)
     reg = g.registry
     g = extend_lambda(kappa_shift(g, reg.symbol("c")), reg.symbol("lam"))
     counts = Counter()
@@ -320,7 +317,7 @@ def _doubled(g, M=None):
 
 
 def test_mass_guard_accepts_a_multi_component_set():
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     reg = g.registry
     shifted = kappa_shift(_doubled(g), Scalar(3))
     assert extract_kappa(shifted) == reg.const(Scalar(-3))  # kappa = -c, as for one component
@@ -330,7 +327,7 @@ def test_mass_guard_accepts_a_multi_component_set():
 
 @pytest.mark.parametrize("case", ["unequal diagonal", "off-diagonal entry", "coordinate factor"])
 def test_mass_guard_rejects_a_multi_component_mass(case):
-    g = realize_schrodinger()
+    g = realize("schrodinger", 1, 1)
     reg = g.registry
     m, zero = reg.symbol("m"), reg.zero()
     M = {
@@ -352,22 +349,16 @@ SPIN_CASES = ([("schrodinger", 1, 1)] + [("levyleblond", s, 1) for s in (1, -1)]
 
 @pytest.mark.parametrize("model,s,n", SPIN_CASES)
 def test_spin_enters_only_the_constant_in_j(model, s, n):
-    g0, g = realize_schrodinger(), realize(model, s, n)
+    g0, g = realize("schrodinger", 1, 1), realize(model, s, n)
     for name in ("P1", "P2", "H", "K1", "K2", "M"):
         assert g[name] == g0[name], name
     c = {"schrodinger": 0, "levyleblond": Fraction(s, 2), "multispinor": Fraction(n * s, 2)}[model]
     reg = g.registry
     assert g["J"] - g0["J"] == DiffOp.identity(reg, 1, factor=reg.const(Scalar(c)))
-    wrapped = {
-        "schrodinger": realize_schrodinger,
-        "levyleblond": lambda: realize_levyleblond(s=s),
-        "multispinor": lambda: realize_multispinor(s=s, N=n),
-    }[model]()
-    assert wrapped.gens == g.gens
 
 
 def test_spinless_model_ignores_spin_and_rank():
-    g0 = realize_schrodinger()
+    g0 = realize("schrodinger", 1, 1)
     for s in (1, -1):
         for n in (1, 2, 3, 4):
             assert realize("schrodinger", s, n).gens == g0.gens

@@ -99,8 +99,8 @@ def test_check_over_budget_is_refused_before_anything_but_the_factors(monkeypatc
     finally:
         tracemalloc.stop()
     assert peak < 16 * 4**2 * 21**2  # less than one slab was allocated
-    with pytest.raises(BadParameter, match="n_max 21 with low cutoff 2 needs about"):
-        numtrunc.run_numeric_check(n_max=21, low=2)
+    with pytest.raises(BadParameter, match="n_max 21 with low cutoff 18 needs about"):
+        numtrunc.run_numeric_check(n_max=21, low=18)
 
 
 def test_huge_truncation_is_refused_before_any_factor(monkeypatch):
@@ -110,6 +110,21 @@ def test_huge_truncation_is_refused_before_any_factor(monkeypatch):
     monkeypatch.setattr(numtrunc, "_axis", refuse)
     with pytest.raises(BadParameter, match="n_max 100000 with low cutoff 0 needs about"):
         build_numeric("schrodinger", n_max=100000)
+
+
+def test_check_refuses_a_large_low_before_any_factor_naming_the_asked_sizes(monkeypatch):
+    def refuse(dim):
+        raise AssertionError(f"axis operators of side {dim} were built")
+
+    monkeypatch.setattr(numtrunc, "_axis", refuse)
+    for n_max, low in ((10**6, 64), (67, 64), (66, 65), (66, 66)):
+        with pytest.raises(BadParameter, match=f"n_max {n_max} with low cutoff {low} needs about"):
+            run_numeric_check(n_max=n_max, low=low)
+
+
+def test_numcheck_with_a_huge_nmax_builds_only_the_block_modes(capsys):
+    assert main(["numcheck", "--nmax", "100000", "--low", "2"]) == 0
+    assert "(n_max 100000, low block 2, tol 1e-09)" in capsys.readouterr().out
 
 
 def test_numcheck_over_budget_exits_2(monkeypatch, capsys):

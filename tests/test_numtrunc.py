@@ -55,7 +55,8 @@ def test_size_estimate_bounds_the_traced_peak():
         for low in sorted({0, n_max // 3, n_max}):
             for model in MODELS:
                 peak = _traced_peak(model=model, n_max=n_max, low=low, rank=4)
-                assert peak <= check_bytes(n_max, low), (model, n_max, low)
+                # a check builds min(n_max, low + 4) modes per axis
+                assert peak <= check_bytes(min(n_max, low + 4), low), (model, n_max, low)
 
 
 @pytest.mark.parametrize("n_max", [12, 20])
@@ -74,6 +75,29 @@ def test_truncation_past_the_whole_matrix_cap_passes():
     rep = run_numeric_check(n_max=100, low=4)
     assert rep.overall
     assert {(r.lhs, r.rhs): r for r in rep.rows}[("K1", "K2")].exact_zero
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_factor_is_zero_off_the_band(model):
+    # degree <= 2 per axis in tridiagonal x and p: why a check may build
+    # only low + 4 modes per axis
+    ops = build_numeric(model, n_max=12, spin_s=-1, rank=3)
+    r, c = np.indices((13, 13))
+    off_band = np.abs(r - c) > 2
+    for name, terms in ops.items():
+        for a, b in terms:
+            assert np.all(a[off_band] == 0.0) and np.all(b[off_band] == 0.0), name
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_rows_do_not_depend_on_modes_past_the_block(model):
+    low = 3
+    reports = [run_numeric_check(model=model, n_max=n_max, low=low, rank=2)
+               for n_max in (low + 4, low + 30, 10**6)]
+    assert [rep.n_max for rep in reports] == [low + 4, low + 30, 10**6]
+    rows = [[r.to_dict() for r in rep.rows] for rep in reports]
+    assert rows[0] == rows[1] == rows[2]
+    assert reports[0].overall
 
 
 def test_acceptance_settings_pass_tightly():
