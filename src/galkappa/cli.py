@@ -383,7 +383,7 @@ def _cmd_fieldcheck(args) -> int:
         variant = args.variant or "corrected"
         indices = (args.index,) if args.index else (1, 2)
         rows = []
-        # one context for every row: one registry, one on-shell table per spin
+        # one context per process for every row: one registry, one on-shell table per spin
         for i, s, resid in conservation_rows(indices, spins, variant):
             rows.append({
                 "index": i,

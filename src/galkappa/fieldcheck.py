@@ -4,14 +4,16 @@ Bilinears in the two-component field are reduced on shell (the dependent
 component and all time derivatives eliminated) before testing identities,
 so every verdict is an exact statement about the independent component.
 The boost and rotation checks return one result class, `Covariance`; the
-finite boost exp(-i v.K) and the rotation generator use `realize`'s K and J.
+finite boost exp(-i v.K) and the rotation generator read the K and J of
+`galrealize.spinless_generators`, built once per process.
 
 The conservation check writes the divergence of the bundled current into
-one term map and reduces it on shell.  The rows of one command share one
-context: one registry, the current parsed once per process, and one set of
-on-shell rules per spin, whose table holds each factor's image once for
-every row at that spin.  Every symbol is a real parameter, so a dagger
-factor's image is the conjugate of the plain one and is kept beside it.
+one term map and reduces it on shell.  Every row reads one context made
+once per process: the registry of `make_registry`, the parsed current and
+one set of on-shell rules per spin, whose table holds each factor's image
+once for every row and command at that spin.  Every symbol is a real
+parameter, so a dagger factor's image is the conjugate of the plain one and
+is kept beside it.  The divergence and its reduction run on every call.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .exactscalar import (
     _sum_products,
     parse_scalar,
 )
-from .galrealize import GeneratorSet, check_rank, check_spin, make_registry, realize
+from .galrealize import check_rank, check_spin, make_registry, spinless_generators
 from .weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp
 
 PHI = "phi"
@@ -106,6 +108,12 @@ class EomRules:
         # reduce_on_shell and shared by every reduction under these rules
         self._images = {}
         self._unit = [((0,) * len(registry.names), ONE)]
+
+
+@lru_cache(maxsize=None)
+def _eom_rules(s: int) -> EomRules:
+    """The rules at spin label s over `make_registry()`, made once per process."""
+    return EomRules(make_registry(), s)
 
 
 def _side_image(rules: EomRules, comp: str, midx) -> tuple:
@@ -319,9 +327,9 @@ def conservation_rows(indices, spins, variant: str = "corrected",
                       drop: Optional[Tuple[str, int]] = None) -> List[tuple]:
     """[(i, s, residual)] for each free index i in `indices` and spin s in `spins`.
 
-    All rows share one context: one registry, the current parsed once per
-    process, and one EomRules per spin, whose on-shell image table serves
-    every row at that spin.
+    All rows share one context made once per process: one registry, the
+    parsed current, and one EomRules per spin, whose on-shell image table
+    serves every row at that spin.
     """
     for i in indices:
         if i not in (1, 2):
@@ -341,7 +349,7 @@ def conservation_rows(indices, spins, variant: str = "corrected",
                              f"{-len(terms)}..{len(terms) - 1}")
         del terms[idx]
         flux, density = sections["flux"], sections["density"]
-    rules = {s: EomRules(reg, s) for s in spins}
+    rules = {s: _eom_rules(s) for s in spins}
     return [(i, s, reduce_on_shell(_divergence(reg, flux, density, i, s), rules[s]))
             for i in indices for s in spins]
 
@@ -381,15 +389,10 @@ def build_wave_operator(reg: SymbolRegistry, s: int) -> DiffOp:
     return DiffOp(reg, [[E, p_minus], [p_plus, two_m]])
 
 
-@lru_cache(maxsize=None)
-def _spinless() -> GeneratorSet:  # built once per process; callers only read it
-    return realize("schrodinger", 1, 1)
-
-
 def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
     """Finite boost action on the wave operator: S^-1 exp(X) G exp(-X) S.
 
-    X = -i (v1 K1 + v2 K2), from the boosts of `galrealize.realize`.  Each
+    X = -i (v1 K1 + v2 K2), from the spinless boosts of `galrealize`.  Each
     entry e of G becomes sum_n ad_X^n(e)/n!, which ends, since for a
     coordinate-free v each ad_X lowers 2*(dt order) + (d order) + (x degree).
     It is the frame shift x -> x - v t (shift sign -1) with a phase; S
@@ -398,7 +401,7 @@ def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
     """
     reg = G.registry
     vx, vy = v
-    boosts = _spinless()
+    boosts = spinless_generators()
     X = boosts["K1"].entry(0, 0).scale(vx * NEG_I) + boosts["K2"].entry(0, 0).scale(vy * NEG_I)
     if vx.uses_symbols(COORDS) or vy.uses_symbols(COORDS):  # v's registry is checked above
         raise BadParameter("boost velocity must be coordinate-free")
@@ -477,8 +480,8 @@ def check_boost_covariance(s: int) -> Covariance:
 
 
 def rotation_generator(registry: SymbolRegistry, s: int) -> DiffOp:
-    """Two-component rotation generator: the spinless J of `realize` plus (s/2) sigma_3."""
-    orbital = _spinless()["J"].entry(0, 0)
+    """Two-component rotation generator: the spinless J of `galrealize` plus (s/2) sigma_3."""
+    orbital = spinless_generators()["J"].entry(0, 0)
     half_s = ScalarDiffOp.coeff(registry.const(Scalar(Fraction(s, 2))))
     z = ScalarDiffOp.zero(registry)
     return DiffOp(registry, [[orbital + half_s, z], [z, orbital - half_s]])

@@ -6,19 +6,25 @@ free quadratic operator; spin enters only as the constant in the rotation
 generator J: 0 (schrodinger), s/2 (levyleblond) or N*s/2 (multispinor).
 The boosts carry the explicit time symbol, and every bracket must hold
 identically in t.
+
+Four objects depend on no input, so each is built on first use and then
+shared for the rest of the process: the one symbol registry, the seven
+spinless generators (a `realize` call adds only its spin constant to J),
+each bracket table and each table's stated rows.  Every bracket is still
+computed on every call; callers only read the shared objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import MODELS
 from .algfile import load_bundled
 from .cocycle import LieAlgebraSpec
 from .errors import BadMass, BadParameter, BadRank, BadSpin, GalkappaError, NotCentral
-from .exactscalar import HALF, I, NEG_I, PolyExpr, SymbolRegistry
+from .exactscalar import HALF, I, NEG_I, PolyExpr, Scalar, SymbolRegistry
 from .weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp
 
 GENERATOR_NAMES = ("P1", "P2", "H", "J", "K1", "K2", "M")
@@ -42,8 +48,9 @@ def check_rank(N: int) -> int:
     return N
 
 
+@lru_cache(maxsize=None)
 def make_registry() -> SymbolRegistry:
-    """Symbol registry shared by all realizations; only the mass is invertible."""
+    """The symbol registry of every realization, made once per process; only m is invertible."""
     return SymbolRegistry(REALIZE_SYMBOLS, invertible={"m"})
 
 
@@ -70,17 +77,12 @@ class GeneratorSet:
         return GeneratorSet({**self.gens, **updates})
 
 
-def realize(model: str, s: int, N: int) -> GeneratorSet:
-    """The generators of a named model; model, spin and rank are checked for every model.
+@lru_cache(maxsize=None)
+def spinless_generators() -> GeneratorSet:
+    """The seven generators with no spin constant in J, built once per process.
 
-    All models share one set of one-component operators; the spin label s
-    and the rank N enter only as the constant in J.
+    `realize` and the fieldcheck boost and rotation read them; none changes them.
     """
-    if model not in MODELS:
-        raise BadParameter(f"unknown model {model!r}; choose from {MODELS}")
-    check_spin(s)
-    check_rank(N)
-    spin = {"schrodinger": 0, "levyleblond": Fraction(s, 2), "multispinor": Fraction(N * s, 2)}
     reg = make_registry()
     x1, x2, t, m = (reg.symbol(n) for n in ("x1", "x2", "t", "m"))
     neg_i = reg.const(NEG_I)
@@ -88,14 +90,29 @@ def realize(model: str, s: int, N: int) -> GeneratorSet:
     P2 = DiffOp.scalar(ScalarDiffOp.deriv(reg, (0, 1, 0), neg_i))
     half_inv_m = reg.const(HALF).div_symbol("m")
     H = DiffOp.scalar(ScalarDiffOp(reg, {(2, 0, 0): -half_inv_m, (0, 2, 0): -half_inv_m}))
-    J = DiffOp.scalar(ScalarDiffOp(
-        reg, {(0, 1, 0): NEG_I * x1, (1, 0, 0): I * x2, ZERO_IDX: reg.const(spin[model])}
-    ))
+    J = DiffOp.scalar(ScalarDiffOp(reg, {(0, 1, 0): NEG_I * x1, (1, 0, 0): I * x2}))
     it = reg.const(I) * t
     K1 = DiffOp.scalar(ScalarDiffOp(reg, {ZERO_IDX: m * x1, (1, 0, 0): it}))
     K2 = DiffOp.scalar(ScalarDiffOp(reg, {(0, 1, 0): it, ZERO_IDX: m * x2}))
     M = DiffOp.scalar(ScalarDiffOp.coeff(m))
     return GeneratorSet({"P1": P1, "P2": P2, "H": H, "J": J, "K1": K1, "K2": K2, "M": M})
+
+
+def realize(model: str, s: int, N: int) -> GeneratorSet:
+    """The generators of a named model; model, spin and rank are checked for every model.
+
+    All models share the spinless one-component operators; the spin label s
+    and the rank N enter only as the constant added to J.
+    """
+    if model not in MODELS:
+        raise BadParameter(f"unknown model {model!r}; choose from {MODELS}")
+    check_spin(s)
+    check_rank(N)
+    spin = {"schrodinger": 0, "levyleblond": Fraction(s, 2), "multispinor": Fraction(N * s, 2)}
+    base = spinless_generators()
+    orbital = base["J"].entry(0, 0)
+    J = orbital + ScalarDiffOp.coeff(base.registry.const(spin[model]))
+    return base.replaced({"J": DiffOp.scalar(J)})
 
 
 def _require_mass_identity(g: GeneratorSet) -> None:
@@ -186,6 +203,19 @@ def realization_table(name: str) -> LieAlgebraSpec:
     return load_bundled(_TABLE_FILES[name])
 
 
+@lru_cache(maxsize=None)
+def stated_rows(name: str) -> Tuple[Tuple[str, str, Tuple[Tuple[str, Scalar], ...]], ...]:
+    """Each row table `name` states, as (lhs, rhs, ((generator, coefficient), ...)).
+
+    The rows are read off `realization_table(name)` once per process, in its
+    stated order with each bracket's terms in table order.
+    """
+    spec = realization_table(name)
+    names = spec.names
+    return tuple((names[i], names[j], tuple((names[k], c) for k, c in spec.bracket(i, j).items()))
+                 for i, j in spec.stated)
+
+
 class RowResult:
     def __init__(self, lhs: str, rhs: str, computed: str, expected: str, residual: str,
                  passed: bool, note: Optional[str] = None):
@@ -245,10 +275,7 @@ def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> Structure
     are bundled algebra files, Jacobi-checked by the test suite, and both
     state the [K1,K2] and [K1,P1] rows that kappa and the mass are read from.
     """
-    spec = realization_table(table)
-    names = spec.names
-    rows = [(names[i], names[j], {names[k]: c for k, c in spec.bracket(i, j).items()})
-            for i, j in spec.stated]
+    rows = stated_rows(table)
     reg = g.registry
     report = StructureReport(table=table)
 
@@ -266,14 +293,14 @@ def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> Structure
         computed = computed_by_pair[(lhs, rhs)]
         text = str(computed)
         note = _ROW_NOTES.get((table, lhs, rhs))
-        if CENTRAL_NAME in row_expected and report.kappa is None:
+        if report.kappa is None and any(name == CENTRAL_NAME for name, _ in row_expected):
             report.rows.append(
                 RowResult(lhs, rhs, text, "central multiple of Id", text, False,
                           "bracket is not central; no kappa value exists")
             )
             continue
         expected = None
-        for name, coeff in row_expected.items():
+        for name, coeff in row_expected:
             if name == CENTRAL_NAME:
                 term = DiffOp.identity(reg, g.dim, factor=reg.const(coeff) * report.kappa)
             else:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BadParameter, GalkappaError
 from .exactscalar import PolyExpr
-from .galrealize import CENTRAL_NAME, TABLE_CORRECTED, realization_table, realize
+from .galrealize import CENTRAL_NAME, TABLE_CORRECTED, realize, stated_rows
 from .weylop import ScalarDiffOp
 
 # A check holds at most FACTOR_MATRICES single-axis matrices, BUFFER_BYTES of
@@ -216,17 +216,14 @@ def residual_report(
             out += a[:rows, None, :cols, None] * b[None, :rows, None, :cols]
         return out.reshape(rows * rows, cols * cols)
 
-    spec = realization_table(table)
-    names = spec.names
     report = NumericReport(model, m, t, n_max, low_cutoff, tol)
-    for i, j in spec.stated:
-        a, b = names[i], names[j]
+    for a, b, expected in stated_rows(table):
         ab = block(ops[a], k, n, 0) @ block(ops[b], n, k, 1)
         ba = block(ops[b], k, n, 0) @ block(ops[a], n, k, 1)
         rhs = block([], k, k, 1)  # zero, in the column slab's place
-        for c, coeff in spec.bracket(i, j).items():
-            if names[c] != CENTRAL_NAME:
-                rhs += (complex(coeff.re) + 1j * complex(coeff.im)) * block(ops[names[c]], k, k, 0)
+        for name, coeff in expected:
+            if name != CENTRAL_NAME:
+                rhs += (complex(coeff.re) + 1j * complex(coeff.im)) * block(ops[name], k, k, 0)
         scale = max(1.0, _peak(ab), _peak(ba), _peak(rhs))
         ab -= ba  # ab becomes the residual ab - ba - rhs, in place
         ab -= rhs

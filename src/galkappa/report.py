@@ -39,23 +39,41 @@ def build_payload(command: str, checks: List[dict]) -> dict:
     }
 
 
+# the text of each constant leaf; looked up only for a bool or None, never an int
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
 def _encode(value, newline: str) -> str:
-    """value as json.dumps writes it with sorted keys and indent 2, nested at newline."""
+    """value as json.dumps writes it with sorted keys and indent 2, nested at newline.
+
+    A string, true, false or null item of a list or dict is written in the
+    container's own loop; only a number or a nested container takes a call.
+    """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join(
-            [_encode(item, inner) for item in value]) + newline + "]"
+        parts = []
+        for item in value:
+            kind = type(item)
+            parts.append(encode_basestring_ascii(item) if kind is str
+                         else _CONSTANTS[item] if kind is bool or item is None
+                         else _encode(item, inner))
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(key) + ": " + _encode(item, inner)
-             for key, item in sorted(value.items())]) + newline + "}"
+        parts = []
+        for key, item in sorted(value.items()):
+            kind = type(item)
+            parts.append(encode_basestring_ascii(key) + ": " + (
+                encode_basestring_ascii(item) if kind is str
+                else _CONSTANTS[item] if kind is bool or item is None
+                else _encode(item, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
     if value is None:
         return "null"
     if value is True:

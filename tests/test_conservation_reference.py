@@ -28,6 +28,7 @@ from galkappa.fieldcheck import (
     reduce_on_shell,
 )
 from galkappa.galrealize import make_registry
+from test_caches import clear_caches
 
 # -- reference ------------------------------------------------------------------
 
@@ -197,8 +198,10 @@ def test_conservation_matches_the_reference(i, s, variant, drop):
 
 
 def test_conservation_forms_one_polynomial_product(monkeypatch):
-    # the rules' (i/2) * (1/m); the current, its derivatives and the
-    # reduction multiply Scalars on exponent keys, never two polynomials
+    # the rules' (i/2) * (1/m), made once per process; the current, its
+    # derivatives and the reduction multiply Scalars on exponent keys,
+    # never two polynomials
+    clear_caches()
     calls = []
     product = PolyExpr.__mul__
 
@@ -208,5 +211,7 @@ def test_conservation_forms_one_polynomial_product(monkeypatch):
 
     monkeypatch.setattr(PolyExpr, "__mul__", counting)
     monkeypatch.setattr(PolyExpr, "__rmul__", counting)
+    assert check_conservation(1, 1).is_zero
+    assert len(calls) == 1
     assert check_conservation(1, 1).is_zero
     assert len(calls) == 1

@@ -8,7 +8,7 @@ from galkappa import fieldcheck, report
 from galkappa.cli import main
 from galkappa.errors import (
     BadParameter, BadRank, BadSpin, CovarianceFailure, RedundancyClaimFailure)
-from galkappa.exactscalar import Scalar
+from galkappa.exactscalar import Scalar, SymbolRegistry
 from galkappa.fieldcheck import (
     CHI,
     PHI,
@@ -28,6 +28,7 @@ from galkappa.fieldcheck import (
 )
 from galkappa.galrealize import make_registry
 from galkappa.weylop import DiffOp, ScalarDiffOp
+from test_caches import clear_caches
 
 
 @pytest.fixture
@@ -125,15 +126,20 @@ def _run_conservation(monkeypatch, tmp_path, *flags):
 
 
 def test_one_command_makes_one_registry(monkeypatch, tmp_path, capsys):
+    # the registry is made on the process's first command and kept for the rest
+    clear_caches()
     made = []
+    init = SymbolRegistry.__init__
 
-    def counting():
+    def counting(self, *args, **kwargs):
         made.append(1)
-        return make_registry()
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(fieldcheck, "make_registry", counting)
+    monkeypatch.setattr(SymbolRegistry, "__init__", counting)
     assert _run_conservation(monkeypatch, tmp_path) == 0
     assert "index 2, spin -1): pass" in capsys.readouterr().out
+    assert len(made) == 1
+    assert _run_conservation(monkeypatch, tmp_path) == 0
     assert len(made) == 1
 
 
@@ -141,7 +147,9 @@ def test_one_command_makes_one_registry(monkeypatch, tmp_path, capsys):
 def test_one_command_forms_each_image_once(monkeypatch, tmp_path, capsys, flags):
     # an image is identified by its table (one per spin), its component and
     # its multi-index; the dagger image is the conjugate of the plain one and
-    # is formed with it
+    # is formed with it.  The tables last for the process, so a second
+    # command forms none.
+    clear_caches()
     formed = []
     side_image = fieldcheck._side_image
 
@@ -156,6 +164,9 @@ def test_one_command_forms_each_image_once(monkeypatch, tmp_path, capsys, flags)
     assert len(formed) == len(set(formed))
     # one table per spin, 19 factor images in each
     assert len({table for table, _, _ in formed}) == 2
+    assert len(formed) == 38
+    _run_conservation(monkeypatch, tmp_path, *flags)
+    capsys.readouterr()
     assert len(formed) == 38
 
 
