@@ -106,7 +106,7 @@ _COMMANDS = {
     "numcheck": ("floating-point truncation cross-check", (
         ("--model", {"choices": MODELS, "default": "schrodinger"}),
         ("--nmax", {"type": _INT, "default": 24,
-                    "help": "highest oscillator mode kept per axis"}),
+                    "help": "truncation size; a check builds at most --low + 4 modes per axis"}),
         ("--low", {"type": _INT, "default": 8,
                    "help": "low-mode block used for residual measurement"}),
         ("--m", {"type": _FLOAT, "default": 1.0, "help": "mass value"}),

@@ -431,10 +431,12 @@ class TermMap:
     """Canonical sparse map from keys to nonzero coefficients over one registry.
 
     The map never stores a zero, so equal objects have equal maps and
-    equality and zero tests are exact dictionary comparisons.  Subclasses
-    validate keys and coefficients in their constructor and supply their own
-    calculus and printing (`_render_terms` prints polynomials and operators);
-    `_coerce` checks the other operand's registry.
+    equality and zero tests are exact dictionary comparisons.  A map equals
+    only a map of its own type over its registry, never a number, so equal
+    objects hash equally.  A difference is the sum with the negation.
+    Subclasses validate keys and coefficients in their constructor and supply
+    their own calculus and printing (`_render_terms` prints polynomials and
+    operators); `_coerce` checks the other operand's registry.
     Results whose invariants hold by construction (sums, negations, the
     polynomial product and derivative, and the operator product and
     bracket) are built with `_make`, which skips that validation; every
@@ -493,17 +495,7 @@ class TermMap:
 
     def __sub__(self, other):
         other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            old = terms.get(key)
-            coeff = -coeff if old is None else old - coeff
-            if coeff.is_zero:
-                del terms[key]
-            else:
-                terms[key] = coeff
-        return self._make(terms)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
         other = self._operand(other)
@@ -682,14 +674,7 @@ class PolyExpr(TermMap):
             total += term
         return total
 
-    # -- comparison / rendering ---------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = self.registry.const(Scalar.of(other))
-        return super().__eq__(other)
-
-    __hash__ = TermMap.__hash__  # defining __eq__ clears the inherited hash
+    # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
         # a Gaussian rational with two parts, such as 1-i, is parenthesized

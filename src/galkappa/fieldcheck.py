@@ -25,7 +25,7 @@ from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import DATA_DIR
-from .errors import BadParameter, CovarianceFailure, RedundancyClaimFailure
+from .errors import CovarianceFailure, RedundancyClaimFailure
 from .exactscalar import (
     HALF,
     I,
@@ -39,7 +39,13 @@ from .exactscalar import (
     _sum_products,
     parse_scalar,
 )
-from .galrealize import check_rank, check_spin, make_registry, spinless_generators
+from .galrealize import (
+    check_coordinate_free,
+    check_rank,
+    check_spin,
+    make_registry,
+    spinless_generators,
+)
 from .weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp
 
 PHI = "phi"
@@ -403,8 +409,8 @@ def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
     vx, vy = v
     boosts = spinless_generators()
     X = boosts["K1"].entry(0, 0).scale(vx * NEG_I) + boosts["K2"].entry(0, 0).scale(vy * NEG_I)
-    if vx.uses_symbols(COORDS) or vy.uses_symbols(COORDS):  # v's registry is checked above
-        raise BadParameter("boost velocity must be coordinate-free")
+    for part in v:  # v's registry is checked above
+        check_coordinate_free(part, "boost velocity")
 
     def boosted(entry: ScalarDiffOp) -> ScalarDiffOp:
         term, n = entry, 0

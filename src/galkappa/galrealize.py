@@ -7,11 +7,11 @@ generator J: 0 (schrodinger), s/2 (levyleblond) or N*s/2 (multispinor).
 The boosts carry the explicit time symbol, and every bracket must hold
 identically in t.
 
-Four objects depend on no input, so each is built on first use and then
+Three objects depend on no input, so each is built on first use and then
 shared for the rest of the process: the one symbol registry, the seven
-spinless generators (a `realize` call adds only its spin constant to J),
-each bracket table and each table's stated rows.  Every bracket is still
-computed on every call; callers only read the shared objects.
+spinless generators (a `realize` call adds only its spin constant to J)
+and each bracket table's stated rows.  Every bracket is still computed on
+every call; callers only read the shared objects.
 """
 
 from __future__ import annotations
@@ -46,6 +46,12 @@ def check_rank(N: int) -> int:
     if not isinstance(N, int) or not 1 <= N <= 4:
         raise BadRank(f"rank must be an integer in 1..4, got {N!r}")
     return N
+
+
+def check_coordinate_free(value: PolyExpr, what: str) -> PolyExpr:
+    if value.uses_symbols(COORDS):
+        raise BadParameter(f"{what} must be coordinate-free")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -115,30 +121,22 @@ def realize(model: str, s: int, N: int) -> GeneratorSet:
     return base.replaced({"J": DiffOp.scalar(J)})
 
 
-def _require_mass_identity(g: GeneratorSet) -> None:
-    """Raise BadMass unless the mass generator is m times the identity."""
+def _parameter(g: GeneratorSet, value, what: str) -> PolyExpr:
+    """value over g's registry; BadMass unless M is m * Id, BadParameter if it has a coordinate."""
     if central_scalar(g["M"]) != g.registry.symbol("m"):
         raise BadMass("mass generator is not m times the identity")
+    return check_coordinate_free(g.registry.zero() + value, what)
 
 
 def extend_lambda(g: GeneratorSet, lam) -> GeneratorSet:
     """Shift the rotation generator by a constant: J -> J + lam * Id."""
-    _require_mass_identity(g)
-    reg = g.registry
-    lam = reg.zero() + lam
-    if lam.uses_symbols(COORDS):
-        raise GalkappaError("lambda must be coordinate-free")
-    return g.replaced({"J": g["J"] + DiffOp.identity(reg, g.dim, factor=lam)})
+    lam = _parameter(g, lam, "lambda")
+    return g.replaced({"J": g["J"] + DiffOp.identity(g.registry, g.dim, factor=lam)})
 
 
 def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
     """Redefine the boosts: K1 += (c/2m) P2, K2 -= (c/2m) P1."""
-    _require_mass_identity(g)
-    reg = g.registry
-    c = reg.zero() + c
-    if c.uses_symbols(COORDS):
-        raise GalkappaError("shift parameter must be coordinate-free")
-    factor = (c * HALF).div_symbol("m")
+    factor = (_parameter(g, c, "shift parameter") * HALF).div_symbol("m")
     return g.replaced({"K1": g["K1"] + g["P2"].scale(factor),
                        "K2": g["K2"] - g["P1"].scale(factor)})
 
@@ -191,13 +189,8 @@ _ROW_NOTES = {
 }
 
 
-@lru_cache(maxsize=None)
 def realization_table(name: str) -> LieAlgebraSpec:
-    """The bundled bracket table named `name` ("corrected" or "literal").
-
-    Each table is read and parsed once per process and the same spec is
-    returned on every later call, so callers must not mutate it.
-    """
+    """The bundled bracket table named `name` ("corrected" or "literal"), parsed anew."""
     if name not in _TABLE_FILES:
         raise ValueError(f"unknown table variant {name!r}")
     return load_bundled(_TABLE_FILES[name])

@@ -74,12 +74,8 @@ def _encode(value, newline: str) -> str:
                 else _CONSTANTS[item] if kind is bool or item is None
                 else _encode(item, inner)))
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if type(value) is bool or value is None:
+        return _CONSTANTS[value]
     return json.dumps(value)  # int and float; anything else raises TypeError
 
 

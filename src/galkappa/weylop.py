@@ -415,10 +415,7 @@ class DiffOp:
         return self._make([[-e for e in row] for row in self.rows])
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        if not self._check(other):
-            return NotImplemented
-        return self._make([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
+        return self + -other if self._check(other) else NotImplemented
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         if not self._check(other):

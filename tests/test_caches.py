@@ -1,8 +1,8 @@
 """The per-process caches: what each may be keyed by, and that use never changes them.
 
 Every `lru_cache` under `src/galkappa` holds an object that no user input
-reaches: the symbol registry, the spinless generators, a bracket table and
-its stated rows, a parsed current, a constant matrix, the on-shell rules of
+reaches: the symbol registry, the spinless generators, a bracket table's
+stated rows, a parsed current, a constant matrix, the on-shell rules of
 a spin label.  An `ast` walk lists them and checks that each takes only a
 table or variant name, a spin label, or (name, j, s), so no cache is keyed
 by a user number, an operator or a verdict, and none grows with its input.
@@ -104,7 +104,6 @@ def test_the_package_caches_are_listed():
     assert package_caches() == {
         ("galrealize", "make_registry"): (),
         ("galrealize", "spinless_generators"): (),
-        ("galrealize", "realization_table"): ("name",),
         ("galrealize", "stated_rows"): ("name",),
         ("fieldcheck", "_eom_rules"): ("s",),
         ("fieldcheck", "_matrix_value"): ("name", "j", "s"),

@@ -203,13 +203,13 @@ def test_boost_covariance_solves(s):
     v1, v2 = reg.symbol("v1"), reg.symbol("v2")
     half = Scalar(Fraction(1, 2))
     # frozen closed form: [[1, (v1 - i s v2)/2], [(v1 + i s v2)/2, 1 + v^2/4]]
-    assert lam[0][0] == 1
+    assert lam[0][0] == reg.const(1)
     assert lam[0][1] == (v1 - v2 * Scalar(0, s)) * half
     assert lam[1][0] == (v1 + v2 * Scalar(0, s)) * half
     assert lam[1][1] == 1 + (v1 * v1 + v2 * v2) * Scalar(Fraction(1, 4))
     # determinant is exactly 1
     det = lam[0][0] * lam[1][1] - lam[0][1] * lam[1][0]
-    assert det == 1
+    assert det == reg.const(1)
     # identity at zero velocity
     at0 = res.lam_at_zero()
     assert at0[0][0] == Scalar(1) and at0[1][1] == Scalar(1)

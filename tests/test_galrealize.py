@@ -1,6 +1,8 @@
 """Generator realizations and structure-table verification."""
 
+import io
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from importlib import resources
 
@@ -8,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galkappa.algfile import loads
+from galkappa import algfile, galrealize
+from galkappa.algfile import load_bundled, loads
+from galkappa.cli import main
 from galkappa.cocycle import jacobi_check
-from galkappa.errors import BadMass, BadRank, BadSpin, NotCentral
+from galkappa.errors import BadMass, BadParameter, BadRank, BadSpin, NotCentral
 from galkappa.exactscalar import I, PolyExpr, Scalar
 from galkappa.galrealize import (
     CENTRAL_NAME,
@@ -81,7 +85,7 @@ def test_kappa_shift_symbolic_and_round_trip():
 def test_kappa_shift_rational_value():
     g = realize("levyleblond", -1, 1)
     g2 = kappa_shift(g, Scalar(Fraction(3, 4)))
-    assert extract_kappa(g2) == Scalar(Fraction(-3, 4))
+    assert extract_kappa(g2) == g.registry.const(Scalar(Fraction(-3, 4)))
 
 
 def test_shift_then_lambda_compose():
@@ -177,6 +181,18 @@ def test_mass_identity_guard():
         kappa_shift(broken, Scalar(1))
 
 
+@pytest.mark.parametrize("redefine,what", [(extend_lambda, "lambda"),
+                                           (kappa_shift, "shift parameter")])
+def test_redefinition_parameter_must_be_coordinate_free(redefine, what):
+    g = realize("levyleblond", 1, 1)
+    x1, c, t = (g.registry.symbol(name) for name in ("x1", "c", "t"))
+    for value in (x1, c + t):
+        with pytest.raises(BadParameter, match=f"^{what} must be coordinate-free$"):
+            redefine(g, value)
+    with pytest.raises(BadMass):  # the mass generator is checked first
+        redefine(g.replaced({"M": g["P1"]}), x1)
+
+
 def _reference_rows(khp_nonzero):
     """The realize table as (lhs, rhs, expected), transcribed independently of the files."""
     i = I
@@ -257,13 +273,27 @@ def test_unknown_table_name_is_rejected():
         verify_structure(realize("schrodinger", 1, 1), "imagined")
 
 
-def test_realization_table_is_loaded_once():
+def test_realization_table_is_loaded_once(monkeypatch):
+    read = []
+
+    def counting_load(name):
+        read.append(name)
+        return load_bundled(name)
+
+    for module in (algfile, galrealize):
+        monkeypatch.setattr(module, "load_bundled", counting_load)
+    galrealize.stated_rows.cache_clear()
+    commands = (["realize", "schrodinger"], ["numcheck", "--nmax", "6", "--low", "2"])
+    with redirect_stdout(io.StringIO()):
+        for _ in range(2):  # the second realize and numcheck read no .alg file
+            for argv in commands:
+                assert main(argv) == 0, argv
+    assert read == [galrealize._TABLE_FILES["corrected"]]
     for name in ("corrected", "literal"):
-        assert realization_table(name) is realization_table(name)
-    assert realization_table("corrected") is not realization_table("literal")
-    for _ in range(2):  # a rejected name is never cached as a table
+        assert galrealize.stated_rows(name) is galrealize.stated_rows(name)
+    for _ in range(2):  # a rejected name is never cached as rows
         with pytest.raises(ValueError):
-            realization_table("imagined")
+            galrealize.stated_rows("imagined")
 
 
 def test_boost_time_bracket_is_momentum():
