@@ -7,10 +7,11 @@ out-of-range parameters).  `_emit` writes each command's report and returns
 0 exactly when it passed.  Numeric flags take ASCII digits only, with no
 `_` separator and no surrounding whitespace, as exact literals do.
 
-Importing this module loads only `errors` and `report` of the package.  Each
-command imports what it runs when it runs: `algebra` loads `algfile`,
-`cocycle` and `exactscalar`; `realize` also `galrealize` and `weylop`;
-`fieldcheck` also `fieldcheck`; `numcheck` also `numtrunc` and numpy.
+Importing this module loads only `errors` and `report` of the package, no
+json package, and compiles no regex.  Each command imports what it runs when
+it runs: `algebra` loads `algfile`, `cocycle` and `exactscalar`; `realize`
+also `galrealize` and `weylop`; `fieldcheck` also `fieldcheck`; `numcheck`
+also `numtrunc` and numpy.
 argparse is imported only for help, usage and errors, since well-formed
 argv is read from the argument table directly.
 """
@@ -164,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # argparse's own pattern: no option looks like a negative number, so a word
-# matching it is a value, as in `--spin-s -1`
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+# matching it is a value, as in `--spin-s -1`; re's cache compiles it on the
+# first such word, not on import
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 def _parse_direct(argv: List[str]) -> Optional[SimpleNamespace]:
@@ -214,7 +216,7 @@ def _parse_direct(argv: List[str]) -> Optional[SimpleNamespace]:
             continue
         if not eq:
             text = next(rest, "-")
-            if text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+            if text.startswith("-") and not re.match(_NEGATIVE_NUMBER, text):
                 return None
         pending.append((dest, kwargs, text))
     if len(words) != len(positionals):

@@ -1,24 +1,33 @@
 """Deterministic JSON reports for the command-line entry points.
 
-Payloads are plain dictionaries of JSON-native values rendered with sorted
-keys and no timestamps, so identical inputs produce byte-identical files and
-``json.loads(render(p)) == p`` holds.  The rendered text is, byte for byte,
-``json.dumps(p, sort_keys=True, indent=2) + "\n"``; `render` forms it in one
-recursive pass, because with an indent the standard encoder falls back from
-its C implementation to a much slower generator-based one.  Writing is
-opt-in via the GALKAPPA_REPORT_DIR environment variable; without it the CLI
-only prints.
+Payloads are plain dictionaries of JSON-native values with str keys at every
+level, rendered with sorted keys and no timestamps, so identical inputs
+produce byte-identical files and ``json.loads(render(p)) == p`` holds.  The
+rendered text is, byte for byte, ``json.dumps(p, sort_keys=True, indent=2) +
+"\n"``; `render` forms it in one recursive pass, because with an indent the
+standard encoder falls back from its C implementation to a much slower
+generator-based one.  A key of any other type is a TypeError, where json
+would write an int, float, bool or None key as a string.
+
+The module does not import the json package: strings go through the C
+escaper `_json.encode_basestring_ascii` that `json.encoder` re-exports, and
+numbers follow json's own rule, so importing the CLI loads no json.  Writing
+is opt-in via the GALKAPPA_REPORT_DIR environment variable; without it the
+CLI only prints.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import List, Optional
 
 from .errors import BadParameter
+
+try:
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii
 
 REPORT_DIR_ENV = "GALKAPPA_REPORT_DIR"
 
@@ -41,6 +50,8 @@ def build_payload(command: str, checks: List[dict]) -> dict:
 
 # the text of each constant leaf; looked up only for a bool or None, never an int
 _CONSTANTS = {True: "true", False: "false", None: "null"}
+# json's spelling of the floats whose repr is not a JSON number
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _encode(value, newline: str) -> str:
@@ -76,11 +87,22 @@ def _encode(value, newline: str) -> str:
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
     if type(value) is bool or value is None:
         return _CONSTANTS[value]
-    return json.dumps(value)  # int and float; anything else raises TypeError
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render(payload: dict) -> str:
-    """The report text: json.dumps(payload, sort_keys=True, indent=2) plus a newline."""
+    """The report text: json.dumps(payload, sort_keys=True, indent=2) plus a newline.
+
+    Every dict key, at any depth, must be a str; any other key raises
+    TypeError.  Numbers are written as json writes them: an int (not a bool)
+    by `int.__repr__`, a float by `float.__repr__`, or as NaN, Infinity or
+    -Infinity, subclasses included.  Any other leaf raises TypeError.
+    """
     return _encode(payload, "\n") + "\n"
 
 

@@ -508,6 +508,27 @@ def test_conservation_reads_its_current_without_importlib_resources(tmp_path):
     assert "divergence (index 2, spin -1): pass" in proc.stdout
 
 
+def test_cli_and_exact_reports_load_no_json(tmp_path):
+    # the report layer writes JSON with the C string escaper alone; -S as above
+    probe = (
+        "import contextlib, io, sys\n"
+        "import galkappa.cli\n"
+        "assert 'json' not in sys.modules, 'import'\n"
+        "for argv in (['realize', 'multispinor', '--rank=4', '--shift=c', '--lambda=1/2'],\n"
+        "             ['algebra', 'verify', 'so3'],\n"
+        "             ['algebra', 'cohomology', 'planar_galilei']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert galkappa.cli.main(argv) == 0, argv\n"
+        "    assert 'json' not in sys.modules, argv\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=_child_env(**{report.REPORT_DIR_ENV: str(tmp_path)}),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "algebra-cohomology.json", "algebra-verify.json", "realize-multispinor.json"]
+
+
 def test_help_loads_argparse_and_prints_its_help():
     # the parser lists the bundled algebras without loading the engine
     engine = ["galkappa.algfile", "galkappa.cocycle", "galkappa.exactscalar"]
