@@ -19,7 +19,6 @@ argv is read from the argument table directly.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -131,13 +130,20 @@ def build_parser() -> argparse.ArgumentParser:
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        """ArgumentParser whose help output lets a failed write through.
+        """ArgumentParser whose help output lets a failed write through, and
+        which reads every negative number `_parse_direct` reads as a value.
 
         argparse drops an OSError raised while it prints, so help sent into a
         closed pipe would exit 0 with an unbuffered stdout and 1 with a
         buffered one, where `main`'s flush meets the error.  Letting the error
         through gives `main` the same BrokenPipeError in both cases.
         """
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # argparse's own matcher takes only -N and -N.N, so `--shift -i`
+            # would read -i as an unknown option
+            self._negative_number_matcher = SimpleNamespace(match=_is_negative_number)
 
         def print_help(self, file=None):
             (sys.stdout if file is None else file).write(self.format_help())
@@ -164,10 +170,33 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# argparse's own pattern: no option looks like a negative number, so a word
-# matching it is a value, as in `--spin-s -1`; re's cache compiles it on the
-# first such word, not on import
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+def _is_negative_number(text: str) -> bool:
+    """Whether a word after a flag is a negative value rather than an option.
+
+    No option looks like a negative number, so a word is a value, as in
+    `--spin-s -1`, when it is ASCII, starts with `-` and is a float that
+    `float()` reads (`-1e-3`, `-inf`) or an exact literal (`-i`, `-1/2`,
+    `-3/4*i`).  An exact literal starts with a digit or `i` after the sign,
+    so an option such as `-h` or `--rank` is told apart before the literal
+    grammar loads with `exactscalar`.
+    """
+    if not (text.startswith("-") and text.isascii()):
+        return False
+    try:
+        float(text)
+        return True
+    except ValueError:
+        pass
+    head = text[1:].lstrip()[:1]
+    if not (head.isdigit() or head == "i"):
+        return False
+    from .exactscalar import parse_scalar
+
+    try:
+        parse_scalar(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _parse_direct(argv: List[str]) -> Optional[SimpleNamespace]:
@@ -216,7 +245,7 @@ def _parse_direct(argv: List[str]) -> Optional[SimpleNamespace]:
             continue
         if not eq:
             text = next(rest, "-")
-            if text.startswith("-") and not re.match(_NEGATIVE_NUMBER, text):
+            if text.startswith("-") and not _is_negative_number(text):
                 return None
         pending.append((dest, kwargs, text))
     if len(words) != len(positionals):
@@ -333,35 +362,28 @@ def _cmd_realize(args) -> int:
     table = TABLE_LITERAL if args.strict_literal else TABLE_CORRECTED
     rep = verify_structure(g, table)
 
-    mass_ok = rep.mass == reg.symbol("m")
+    # kappa and the mass are rendered once, by the report; every use reads those texts
+    kappa, mass = rep.kappa_text, rep.mass_text
     checks = [
         report.check_record("structure-table", rep.overall, rep.to_dict()),
-        report.check_record(
-            "second-extension-parameter",
-            rep.kappa is not None,
-            {"value": None if rep.kappa is None else str(rep.kappa)},
-        ),
-        report.check_record(
-            "mass-parameter",
-            mass_ok,
-            {"value": None if rep.mass is None else str(rep.mass)},
-        ),
+        report.check_record("second-extension-parameter", kappa is not None, {"value": kappa}),
+        report.check_record("mass-parameter", rep.mass == reg.symbol("m"), {"value": mass}),
     ]
 
-    print(f"model: {args.model}   table: {table}")
-    print(f"extracted second extension parameter: "
-          f"{'<none>' if rep.kappa is None else rep.kappa}")
-    print(f"extracted mass: {'<none>' if rep.mass is None else rep.mass}")
+    lines = [f"model: {args.model}   table: {table}",
+             f"extracted second extension parameter: {'<none>' if kappa is None else kappa}",
+             f"extracted mass: {'<none>' if mass is None else mass}"]
     for row in rep.rows:
-        mark = "pass" if row.passed else "FAIL"
-        line = f"  [{row.lhs},{row.rhs}] {mark}"
-        if not row.passed:
-            line += f"  computed {row.computed}, expected {row.expected}"
-            if row.note:
-                line += f"  ({row.note})"
-        print(line)
+        if row.passed:
+            lines.append(f"  [{row.lhs},{row.rhs}] pass")
+            continue
+        line = f"  [{row.lhs},{row.rhs}] FAIL  computed {row.computed}, expected {row.expected}"
+        if row.note:
+            line += f"  ({row.note})"
+        lines.append(line)
     overall = all(check["passed"] for check in checks)
-    print(f"result: {'PASS' if overall else 'FAIL'}")
+    lines.append(f"result: {'PASS' if overall else 'FAIL'}")
+    print("\n".join(lines))
     return _emit(f"realize {args.model}", checks)
 
 

@@ -186,14 +186,15 @@ class Scalar:
         a, b, d = self._abd
         if not (a or b):
             return "0"
-        text = _ratio(a, d) if a else ""
+        # over d = 1 each part is its integer (the triple is canonical)
+        text = ("" if not a else str(a) if d == 1 else _ratio(a, d))
         if b:
             if b == d:
                 imtxt = "i"
             elif b == -d:
                 imtxt = "-i"
             else:
-                imtxt = _ratio(b, d) + "*i"
+                imtxt = (str(b) if d == 1 else _ratio(b, d)) + "*i"
             if text and imtxt[0] != "-":
                 text += "+"
             text += imtxt
@@ -389,7 +390,11 @@ class SymbolRegistry:
     # convenience constructors
 
     def zero(self) -> "PolyExpr":
-        return PolyExpr(self, {})
+        """The zero polynomial; it has no term to check, so it skips the checks."""
+        out = _new(PolyExpr)
+        out.registry = self
+        out._terms = {}
+        return out
 
     def const(self, value) -> "PolyExpr":
         """value as a polynomial; the constant key is valid, so it skips the checks."""
@@ -438,9 +443,9 @@ class TermMap:
     their own calculus and printing (`_render_terms` prints polynomials and
     operators); `_coerce` checks the other operand's registry.
     Results whose invariants hold by construction (sums, negations, the
-    polynomial product and derivative, and the operator product and
-    bracket) are built with `_make`, which skips that validation; every
-    other result passes through the constructor.
+    polynomial product, derivative and `div_symbol` shift, and the operator
+    product and bracket) are built with `_make`, which skips that
+    validation; every other result passes through the constructor.
     """
 
     __slots__ = ("registry", "_terms")
@@ -504,7 +509,7 @@ class TermMap:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, type(self))
-            and self.registry == other.registry
+            and (self.registry is other.registry or self.registry == other.registry)
             and self._terms == other._terms
         )
 
@@ -521,24 +526,34 @@ class TermMap:
         exponent e of its key (name for e = 1), joined by `*`; a unit
         coefficient before factors prints as its sign alone, and a
         coefficient text for which `wrap` holds is parenthesized.  Terms
-        are joined by " + ", and "+ -" prints as "- ".
+        are joined by " + ", and "+ -" prints as "- ".  One term needs no
+        sort.
         """
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         chunks = []
-        for key, coeff in self.items():
-            factors = []
-            for name, e in zip(names, key):
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
+        for key, coeff in self.items() if len(terms) > 1 else terms.items():
             ctext = str(coeff)
-            if factors and ctext in ("1", "-1"):
-                chunks.append(ctext[:-1] + "*".join(factors))  # "" or "-" before the factors
+            if not any(key):
+                chunks.append(f"({ctext})" if wrap(ctext) else ctext)
                 continue
-            if wrap(ctext):
-                ctext = f"({ctext})"
-            chunks.append("*".join([ctext, *factors]))
+            factors = "*".join([name if e == 1 else f"{name}^{e}"
+                                for name, e in zip(names, key) if e])
+            if ctext == "1" or ctext == "-1":
+                chunks.append(ctext[:-1] + factors)  # "" or "-" before the factors
+            else:
+                chunks.append((f"({ctext})*" if wrap(ctext) else ctext + "*") + factors)
         return " + ".join(chunks).replace("+ -", "- ")
+
+
+def _has_two_parts(text: str) -> bool:
+    """Whether a Gaussian rational's text, such as 1-i, has a real and an imaginary part.
+
+    A polynomial parenthesizes such a coefficient.  Only the sign of a
+    negative real part, or of a lone imaginary part, comes first.
+    """
+    return "+" in text or "-" in text[1:]
 
 
 class PolyExpr(TermMap):
@@ -578,7 +593,11 @@ class PolyExpr(TermMap):
 
     def uses_symbols(self, names: Iterable[str]) -> bool:
         idxs = self.registry.positions(names)
-        return any(any(key[i] != 0 for i in idxs) for key in self._terms)
+        for key in self._terms:
+            for i in idxs:
+                if key[i]:
+                    return True
+        return False
 
     def max_degree(self, names: Iterable[str]) -> int:
         """Largest total degree over the given symbols (0 for the zero poly)."""
@@ -603,6 +622,9 @@ class PolyExpr(TermMap):
         return None
 
     def __mul__(self, other) -> "PolyExpr":
+        if type(other) is Scalar:
+            # a constant multiplies each coefficient, as a one-term operand would
+            return self._make({k: c * other for k, c in self._terms.items()} if other else {})
         other = self._operand(other)
         if other is None:
             return NotImplemented
@@ -636,17 +658,19 @@ class PolyExpr(TermMap):
         return out
 
     def div_symbol(self, name: str, k: int = 1) -> "PolyExpr":
-        """Exact division by name**k (Laurent shift); requires invertibility."""
+        """Exact division by name**k (Laurent shift); requires invertibility.
+
+        Lowering one exponent of an invertible symbol keeps every key valid
+        and distinct keys distinct, and leaves the coefficients nonzero, so
+        the result is built without the constructor's checks.
+        """
         if k <= 0:
             raise ValueError("division power must be positive")
         if not self.registry.is_invertible(name):
             raise NotInvertible(f"symbol {name!r} is not invertible")
         idx = self.registry.index(name)
-        terms = {
-            tuple(e - k if j == idx else e for j, e in enumerate(key)): coeff
-            for key, coeff in self._terms.items()
-        }
-        return PolyExpr(self.registry, terms)
+        return self._make({key[:idx] + (key[idx] - k,) + key[idx + 1:]: coeff
+                           for key, coeff in self._terms.items()})
 
     def diff(self, name: str) -> "PolyExpr":
         """Formal partial derivative with respect to one symbol."""
@@ -677,6 +701,4 @@ class PolyExpr(TermMap):
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        # a Gaussian rational with two parts, such as 1-i, is parenthesized
-        return self._render_terms(self.registry.names,
-                                  lambda text: "+" in text[1:] or "-" in text[1:])
+        return self._render_terms(self.registry.names, _has_two_parts)

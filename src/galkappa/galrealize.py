@@ -12,11 +12,17 @@ shared for the rest of the process: the one symbol registry, the seven
 spinless generators (a `realize` call adds only its spin constant to J)
 and each bracket table's stated rows.  Every bracket is still computed on
 every call; callers only read the shared objects.
+
+The generator updates build trusted results: J's spin constant and
+lambda enter as a coordinate-free multiple of the identity, which needs
+none of the constructors' checks, and `kappa_shift` scales P2 by c/2m and
+P1 by its negation, one `scale` per boost, after `_parameter`'s mass and
+coordinate-free checks.  `verify_structure` forms, for a passing row, its
+bracket and that bracket's text only (see there).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -114,11 +120,10 @@ def realize(model: str, s: int, N: int) -> GeneratorSet:
         raise BadParameter(f"unknown model {model!r}; choose from {MODELS}")
     check_spin(s)
     check_rank(N)
-    spin = {"schrodinger": 0, "levyleblond": Fraction(s, 2), "multispinor": Fraction(N * s, 2)}
+    spin = HALF * {"schrodinger": 0, "levyleblond": s, "multispinor": N * s}[model]
     base = spinless_generators()
-    orbital = base["J"].entry(0, 0)
-    J = orbital + ScalarDiffOp.coeff(base.registry.const(spin[model]))
-    return base.replaced({"J": DiffOp.scalar(J)})
+    J = base["J"]
+    return base.replaced({"J": J + _times_identity(J, base.registry.const(spin))})
 
 
 def _parameter(g: GeneratorSet, value, what: str) -> PolyExpr:
@@ -131,31 +136,45 @@ def _parameter(g: GeneratorSet, value, what: str) -> PolyExpr:
 def extend_lambda(g: GeneratorSet, lam) -> GeneratorSet:
     """Shift the rotation generator by a constant: J -> J + lam * Id."""
     lam = _parameter(g, lam, "lambda")
-    return g.replaced({"J": g["J"] + DiffOp.identity(g.registry, g.dim, factor=lam)})
+    J = g["J"]
+    return g.replaced({"J": J + _times_identity(J, lam)})
 
 
 def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
     """Redefine the boosts: K1 += (c/2m) P2, K2 -= (c/2m) P1."""
     factor = (_parameter(g, c, "shift parameter") * HALF).div_symbol("m")
     return g.replaced({"K1": g["K1"] + g["P2"].scale(factor),
-                       "K2": g["K2"] - g["P1"].scale(factor)})
+                       "K2": g["K2"] + g["P1"].scale(-factor)})
+
+
+def _times_identity(like: DiffOp, q: PolyExpr) -> DiffOp:
+    """q * Id in like's registry and dimension, for a coordinate-free q over that registry.
+
+    Such a q is within every guard, so the entries and the matrix are built
+    without the constructors' checks.
+    """
+    corner, n = like.entry(0, 0), like.dim
+    diag, zero = corner._make({ZERO_IDX: q} if q._terms else {}), corner._make({})
+    return like._make(tuple([tuple([diag if r == c else zero for c in range(n)])
+                             for r in range(n)]))
 
 
 def central_scalar(op: DiffOp) -> Optional[PolyExpr]:
     """If op == q*Id with q coordinate-free, return q; otherwise None.
 
     q is the constant term of the corner entry; op equals q*Id exactly
-    when every entry equals q on the diagonal and zero off it.
+    when every entry's term map is {0: q} on the diagonal (empty for q = 0)
+    and empty off it.
     """
-    corner = op.entry(0, 0)
-    q = corner.coefficient(ZERO_IDX)
+    q = op.entry(0, 0).coefficient(ZERO_IDX)
     if q.uses_symbols(COORDS):
         return None
-    diag, zero = corner._make({} if q.is_zero else {ZERO_IDX: q}), corner._make({})
-    if all(e == (diag if r == c else zero)
-           for r, row in enumerate(op.rows) for c, e in enumerate(row)):
-        return q
-    return None
+    diag = {ZERO_IDX: q} if q._terms else {}
+    for r, row in enumerate(op.rows):
+        for c, e in enumerate(row):
+            if (e._terms != diag) if r == c else e._terms:
+                return None
+    return q
 
 
 def _central_over_i(op: DiffOp) -> Optional[PolyExpr]:
@@ -210,6 +229,8 @@ def stated_rows(name: str) -> Tuple[Tuple[str, str, Tuple[Tuple[str, Scalar], ..
 
 
 class RowResult:
+    __slots__ = ("lhs", "rhs", "computed", "expected", "residual", "passed", "note")
+
     def __init__(self, lhs: str, rhs: str, computed: str, expected: str, residual: str,
                  passed: bool, note: Optional[str] = None):
         self.lhs = lhs
@@ -234,12 +255,20 @@ class RowResult:
 
 
 class StructureReport:
+    """The rows of one table check, and the kappa and mass read off them.
+
+    `kappa_text` and `mass_text` are the two values as printed (None for no
+    value), rendered once here for the report, its checks and stdout.
+    """
+
     def __init__(self, table: str, rows: Optional[List[RowResult]] = None,
                  kappa: Optional[PolyExpr] = None, mass: Optional[PolyExpr] = None):
         self.table = table
         self.rows = [] if rows is None else rows
         self.kappa = kappa
         self.mass = mass
+        self.kappa_text = None if kappa is None else str(kappa)
+        self.mass_text = None if mass is None else str(mass)
 
     @property
     def overall(self) -> bool:
@@ -252,10 +281,22 @@ class StructureReport:
         return {
             "table": self.table,
             "overall": self.overall,
-            "kappa": None if self.kappa is None else str(self.kappa),
-            "mass": None if self.mass is None else str(self.mass),
+            "kappa": self.kappa_text,
+            "mass": self.mass_text,
             "rows": [r.to_dict() for r in self.rows],
         }
+
+
+def _right_hand_side(gens: Dict[str, DiffOp], row_expected, kappa: Optional[PolyExpr],
+                     like: DiffOp) -> DiffOp:
+    """A stated row's right-hand side: its generators scaled by their coefficients, and
+    kappa times the identity, summed in table order without the constructors' checks."""
+    expected = None
+    for name, coeff in row_expected:
+        term = (_times_identity(like, kappa * coeff) if name == CENTRAL_NAME
+                else gens[name].scale(coeff))
+        expected = term if expected is None else expected + term
+    return expected
 
 
 def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> StructureReport:
@@ -267,45 +308,54 @@ def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> Structure
     about the table variant), never a silently skipped check.  Both tables
     are bundled algebra files, Jacobi-checked by the test suite, and both
     state the [K1,K2] and [K1,P1] rows that kappa and the mass are read from.
+
+    One pass over the rows forms, for a passing row, only its bracket's
+    text: a row stated zero passes exactly when its bracket is zero, whose
+    text, like the zero residual's, follows from the dimension alone.  A
+    row stating one generator times a coefficient is decided on the term
+    maps (`DiffOp.equals_scaled`), forming no right-hand side.  Any other
+    right-hand side is a sum of generators scaled by table coefficients and
+    of kappa times the identity, built without the constructors' checks;
+    the expected text and the residual are formed only for a failing row.
     """
     rows = stated_rows(table)
-    reg = g.registry
-    report = StructureReport(table=table)
-
+    gens, n = g.gens, g.dim
     # each row's bracket is computed once; kappa and the mass are read off
     # the [K1,K2] and [K1,P1] rows, which both tables state
-    computed_by_pair = {(lhs, rhs): g[lhs].commutator(g[rhs]) for lhs, rhs, _ in rows}
-    report.kappa = _central_over_i(computed_by_pair[("K1", "K2")])
-    report.mass = _central_over_i(computed_by_pair[("K1", "P1")])
+    computed_by_pair = {(lhs, rhs): gens[lhs].commutator(gens[rhs]) for lhs, rhs, _ in rows}
+    kappa = _central_over_i(computed_by_pair[("K1", "K2")])
+    mass = _central_over_i(computed_by_pair[("K1", "P1")])
 
-    # a row passes when the computed and expected term maps are equal; then
-    # both print alike and the residual is the zero matrix, so the residual
-    # is formed and printed only for a failing row
-    zero_text = str(DiffOp.zeros(reg, g.dim))
+    zero_text = "[" + "; ".join([", ".join(["0"] * n)] * n) + "]"
+    results = []
     for lhs, rhs, row_expected in rows:
         computed = computed_by_pair[(lhs, rhs)]
-        text = str(computed)
         note = _ROW_NOTES.get((table, lhs, rhs))
-        if report.kappa is None and any(name == CENTRAL_NAME for name, _ in row_expected):
-            report.rows.append(
-                RowResult(lhs, rhs, text, "central multiple of Id", text, False,
-                          "bracket is not central; no kappa value exists")
-            )
-            continue
         expected = None
-        for name, coeff in row_expected:
-            if name == CENTRAL_NAME:
-                term = DiffOp.identity(reg, g.dim, factor=reg.const(coeff) * report.kappa)
-            else:
-                term = g[name].scale(coeff)
-            expected = term if expected is None else expected + term
-        passed = computed.is_zero if expected is None else computed == expected
-        if passed:
-            report.rows.append(RowResult(lhs, rhs, text, text, zero_text, True, note))
+        if not row_expected:
+            passed = computed.is_zero
+        elif kappa is None and any(name == CENTRAL_NAME for name, _ in row_expected):
+            text = str(computed)
+            results.append(RowResult(lhs, rhs, text, "central multiple of Id", text, False,
+                                     "bracket is not central; no kappa value exists"))
+            continue
+        elif len(row_expected) == 1 and row_expected[0][0] != CENTRAL_NAME:
+            # one generator times a coefficient: decided on the term maps
+            (name, coeff), = row_expected
+            passed = computed.equals_scaled(gens[name], coeff)
         else:
-            residual = computed if expected is None else computed - expected
-            report.rows.append(RowResult(
-                lhs, rhs, text, zero_text if expected is None else str(expected),
-                str(residual), False, note,
-            ))
-    return report
+            expected = _right_hand_side(gens, row_expected, kappa, computed)
+            passed = computed == expected
+        if passed:
+            text = str(computed) if row_expected else zero_text
+            results.append(RowResult(lhs, rhs, text, text, zero_text, True, note))
+            continue
+        if row_expected:
+            if expected is None:
+                expected = _right_hand_side(gens, row_expected, kappa, computed)
+            residual, expected_text = computed - expected, str(expected)
+        else:
+            residual, expected_text = computed, zero_text
+        results.append(RowResult(lhs, rhs, str(computed), expected_text, str(residual),
+                                 False, note))
+    return StructureReport(table, results, kappa, mass)

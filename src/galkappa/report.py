@@ -11,9 +11,11 @@ would write an int, float, bool or None key as a string.
 
 The module does not import the json package: strings go through the C
 escaper `_json.encode_basestring_ascii` that `json.encoder` re-exports, and
-numbers follow json's own rule, so importing the CLI loads no json.  Writing
-is opt-in via the GALKAPPA_REPORT_DIR environment variable; without it the
-CLI only prints.
+numbers follow json's own rule, so importing the CLI loads no json.  The
+pieces of the text go onto one list, joined once.  Writing is opt-in via
+the GALKAPPA_REPORT_DIR environment variable; without it the CLI only
+prints.  A report is written as its ASCII bytes with one `os.open`,
+`os.write` and `os.close`, truncating any older file of the name.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ except ImportError:  # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii
 
 REPORT_DIR_ENV = "GALKAPPA_REPORT_DIR"
+# a report replaces any older file of its name
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 
 
 def check_record(anchor: str, passed: bool, detail: dict) -> dict:
@@ -54,45 +58,62 @@ _CONSTANTS = {True: "true", False: "false", None: "null"}
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _encode(value, newline: str) -> str:
-    """value as json.dumps writes it with sorted keys and indent 2, nested at newline.
+def _encode(value, newline: str, out: list, escape=encode_basestring_ascii,
+            constants=_CONSTANTS) -> None:
+    """Append value as json.dumps writes it with sorted keys and indent 2, nested at newline.
 
-    A string, true, false or null item of a list or dict is written in the
-    container's own loop; only a number or a nested container takes a call.
+    Every piece goes onto `out`, which `render` joins once.  A string, true,
+    false or null item of a list or dict is written in the container's own
+    loop, together with the separator and key before it; only a number or
+    a nested container takes a call.  The defaults bind the escaper and the
+    constants as locals.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        parts = []
-        for item in value:
-            kind = type(item)
-            parts.append(encode_basestring_ascii(item) if kind is str
-                         else _CONSTANTS[item] if kind is bool or item is None
-                         else _encode(item, inner))
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
     if isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         inner = newline + "  "
-        parts = []
-        for key, item in sorted(value.items()):
+        head = "{" + inner
+        for key in sorted(value):
+            item = value[key]
             kind = type(item)
-            parts.append(encode_basestring_ascii(key) + ": " + (
-                encode_basestring_ascii(item) if kind is str
-                else _CONSTANTS[item] if kind is bool or item is None
-                else _encode(item, inner)))
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if type(value) is bool or value is None:
-        return _CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
+            if kind is str:
+                out.append(f"{head}{escape(key)}: {escape(item)}")
+            elif kind is bool or item is None:
+                out.append(f"{head}{escape(key)}: {constants[item]}")
+            else:
+                out.append(f"{head}{escape(key)}: ")
+                _encode(item, inner, out)
+            head = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out.append(head + escape(item))
+            elif kind is bool or item is None:
+                out.append(head + constants[item])
+            else:
+                out.append(head)
+                _encode(item, inner, out)
+            head = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, str):
+        out.append(escape(value))
+    elif type(value) is bool or value is None:
+        out.append(constants[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
         text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out.append(_NON_FINITE.get(text, text))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render(payload: dict) -> str:
@@ -103,29 +124,41 @@ def render(payload: dict) -> str:
     by `int.__repr__`, a float by `float.__repr__`, or as NaN, Infinity or
     -Infinity, subclasses included.  Any other leaf raises TypeError.
     """
-    return _encode(payload, "\n") + "\n"
+    out: List[str] = []
+    _encode(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write(name: str, payload: dict) -> Optional[Path]:
     """Write payload under $GALKAPPA_REPORT_DIR/name.json if the var is set.
 
-    The directory is made only when the file cannot be opened for lack of
-    it, so a report into an existing directory costs one open.  A directory
-    that cannot be made or a file that cannot be written is a BadParameter,
-    so the CLI reports an input error.
+    The rendered text is ASCII, so its bytes go to the file in one
+    `os.write` through `os.open(O_WRONLY | O_CREAT | O_TRUNC)`, which
+    replaces any older file of the name.  The directory is made only when
+    the file cannot be opened for lack of it, so a report into an existing
+    directory costs one open.  A directory that cannot be made or a file
+    that cannot be written is a BadParameter, so the CLI reports an input
+    error.
     """
     directory = os.environ.get(REPORT_DIR_ENV)
     if not directory:
         return None
-    root = Path(directory)
-    out = root / f"{name}.json"
-    text = render(payload)
+    out = Path(directory, f"{name}.json")
+    data = render(payload).encode("ascii")
     try:
         try:
-            out.write_text(text)
+            fd = os.open(out, _WRITE_FLAGS, 0o666)
         except FileNotFoundError:
-            root.mkdir(parents=True, exist_ok=True)
-            out.write_text(text)
+            os.makedirs(directory, exist_ok=True)
+            fd = os.open(out, _WRITE_FLAGS, 0o666)
+        try:
+            written = os.write(fd, data)
+            if written != len(data):  # a short write, as on a full disk
+                raise OSError(f"wrote {written} of {len(data)} bytes")
+        finally:
+            os.close(fd)
     except OSError as exc:  # a file in the way, or no permission: the setting is at fault
         raise BadParameter(f"cannot write report {out}: {exc}") from None
     return out
+

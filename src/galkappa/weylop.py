@@ -26,13 +26,24 @@ guards, and it is built without running the guards again.
 Work done once per operand: an operator keeps, filled on first use, the
 monomials of its coefficients that the kernel reads (derivative
 multi-index, coordinate exponents, exponent key and integer triple of
-each) and the order and degree its guard check reads.  Neither changes its
-value.
+each), the order and degree its guard check reads, the axes on which its
+terms differentiate and on which its coefficients reach, and the weighted
+derivatives of its coefficients that the kernel has formed with it as the
+right operand, keyed by term, left multi-index and sign (which fix every
+gamma and binomial weight).  None changes its value, and equality, hashing
+and pickling ignore them all.  A generator that is the right operand of
+several brackets forms each derivative list once, and a bracket in which
+no derivative of one operand meets a coordinate of the other is zero
+without entering the kernel.
 
 `DiffOp` is the one square-matrix class.  Mixing two registries raises
 RegistryMismatch, through `TermMap._coerce`; mismatched dimensions raise
 ShapeError; an operand of a foreign type raises TypeError.  The finite
 boost is the series exp(ad X) of brackets (`fieldcheck.boost_transform`).
+
+Operands of one registry and dimension, the case of nearly every call,
+are recognized before any other check, and the sum, `scale` and
+commutator of 1 x 1 operators are formed on their one entry.
 
 Trusted results: `compose` and the bracket (checked on their operands'
 extents, above), `ScalarDiffOp.scale` by a nonzero factor free of the
@@ -89,19 +100,54 @@ def _add_triples(terms: dict, items) -> None:
         terms[key] = (a, b, d)
 
 
-def _leibniz(left: list, right: list, positions: Tuple[int, int, int], out: dict,
-             sign: int, start: int) -> None:
+def _cross_derivatives(pairs: list, alpha: MultiIndex, reach: MultiIndex, sign: int,
+                       positions: Tuple[int, int, int]) -> list:
+    """[(g1, g2, gt, w * d^gamma g), ...] for each gamma != 0 with gamma <= alpha and d^gamma g != 0.
+
+    g is the coefficient with terms `pairs` and largest exponents `reach`,
+    w = sign * C(alpha, gamma), and each derivative is listed as (key,
+    unreduced triple) pairs.  d^gamma of a monomial x^q is the falling
+    factorial q!/(q - gamma)! times x^(q - gamma), and zero unless
+    gamma <= q, so gamma stops at the reach of g on each axis; lowering the
+    exponents keeps distinct keys distinct, so no two terms meet.  The
+    gammas are listed in lexicographic order.
+    """
+    i1, i2, it = positions
+    (a1, a2, at), (r1, r2, rt) = alpha, reach
+    steps = []
+    for g1, g2, gt in itertools.product(range(min(a1, r1) + 1), range(min(a2, r2) + 1),
+                                        range(min(at, rt) + 1)):
+        if not (g1 or g2 or gt):
+            continue
+        w = sign * math.comb(a1, g1) * math.comb(a2, g2) * math.comb(at, gt)
+        dg = []
+        for key, (c, e, f) in pairs:
+            q1, q2, qt = key[i1], key[i2], key[it]
+            if q1 >= g1 and q2 >= g2 and qt >= gt:
+                k = list(key)
+                k[i1], k[i2], k[it] = q1 - g1, q2 - g2, qt - gt
+                v = w * math.perm(q1, g1) * math.perm(q2, g2) * math.perm(qt, gt)
+                dg.append((tuple(k), (c * v, e * v, f)))
+        if dg:
+            steps.append((g1, g2, gt, dg))
+    return steps
+
+
+def _leibniz(left: list, right: list, derivs: dict, positions: Tuple[int, int, int],
+             out: dict, sign: int, start: int) -> None:
     """Add sign * C(alpha, gamma) f * (d^gamma g) d^(alpha - gamma + beta) into out.
 
-    left and right are the `_monomials` of two operators A and B, and
-    positions the places of x1, x2, t in their registry's keys.  One term
-    for every f d^alpha of A, g d^beta of B and gamma <= alpha with |gamma|
-    >= start and d^gamma g nonzero: start 0, with sign 1, gives the whole
-    product A o B, start 1 only its derivative cross terms.  d^gamma of a
-    monomial x^q is the falling factorial q!/(q - gamma)! times
-    x^(q - gamma), and zero unless gamma <= q, so a pair of terms with no
-    axis where both alpha and the reach of g are positive has no cross term
-    and is skipped before any arithmetic.
+    left and right are the `_monomials` of two operators A and B, derivs
+    B's derivative memo and positions the places of x1, x2, t in their
+    registry's keys.  One term for every f d^alpha of A, g d^beta of B and
+    gamma <= alpha with |gamma| >= start and d^gamma g nonzero: start 0,
+    with sign 1, gives the whole product A o B, start 1 only its derivative
+    cross terms.  d^gamma g is zero past the reach of g on an axis, so a
+    pair of terms with no axis where both alpha and the reach of g are
+    positive has no cross term and is skipped before any arithmetic.  The
+    weighted derivatives of the j-th term g of B that a term d^alpha of A
+    reads depend only on (j, alpha, sign); `_cross_derivatives` forms them
+    once per such key, and derivs keeps them.
 
     out maps each multi-index to {key: (a, b, d)}, unreduced integer
     triples that `_finish` reduces once.  Terms are met in the order
@@ -109,36 +155,23 @@ def _leibniz(left: list, right: list, positions: Tuple[int, int, int], out: dict
     product f * d^gamma g is added as a whole, pruning zeros, so out
     holds its keys in the order of the sum `old + f * d^gamma g`.
     """
-    i1, i2, it = positions
-    for (a1, a2, at), alpha_axes, _, _, fm in left:
+    for alpha, alpha_axes, _, _, fm in left:
+        a1, a2, at = alpha
         single = len(fm) == 1
-        for (b1, b2, bt), _, (r1, r2, rt), reach_axes, gm in right:
+        for j, ((b1, b2, bt), _, reach, reach_axes, gm) in enumerate(right):
             if alpha_axes & reach_axes:
-                # past the reach of g on an axis, d^gamma g is zero
-                gammas = itertools.product(range((a1 if a1 < r1 else r1) + 1),
-                                           range((a2 if a2 < r2 else r2) + 1),
-                                           range((at if at < rt else rt) + 1))
-                if start:
-                    next(gammas)
+                memo_key = (j, alpha, sign)
+                steps = derivs.get(memo_key)
+                if steps is None:
+                    steps = derivs[memo_key] = _cross_derivatives(gm, alpha, reach, sign,
+                                                                  positions)
+                if not start:
+                    steps = [(0, 0, 0, gm), *steps]
             elif start:
                 continue
             else:
-                gammas = (ZERO_IDX,)
-            for g1, g2, gt in gammas:
-                if g1 or g2 or gt:
-                    w = sign * math.comb(a1, g1) * math.comb(a2, g2) * math.comb(at, gt)
-                    dg = []
-                    for key, (c, e, f) in gm:
-                        q1, q2, qt = key[i1], key[i2], key[it]
-                        if q1 >= g1 and q2 >= g2 and qt >= gt:
-                            k = list(key)
-                            k[i1], k[i2], k[it] = q1 - g1, q2 - g2, qt - gt
-                            v = w * math.perm(q1, g1) * math.perm(q2, g2) * math.perm(qt, gt)
-                            dg.append((tuple(k), (c * v, e * v, f)))
-                    if not dg:
-                        continue
-                else:
-                    dg = gm  # gamma 0 is met only in the whole product, at sign 1
+                steps = ((0, 0, 0, gm),)  # gamma 0 is met only in the whole product, at sign 1
+            for g1, g2, gt, dg in steps:
                 midx = (a1 - g1 + b1, a2 - g2 + b2, at - gt + bt)
                 terms = out.get(midx)
                 if terms is None:
@@ -157,17 +190,25 @@ def _leibniz(left: list, right: list, positions: Tuple[int, int, int], out: dict
                     del out[midx]
 
 
+def _has_two_terms(text: str) -> bool:
+    """Whether a coefficient polynomial's text has more than one term; an operator parenthesizes it."""
+    return " " in text
+
+
 class ScalarDiffOp(TermMap):
     """One scalar operator: sum of coefficient * d1^a1 d2^a2 dt^at terms.
 
-    Two slots are filled on first use and never change the operator's value,
-    so equality, hashing, printing and pickling ignore them: `_mono`, the
-    monomials of every coefficient that the Leibniz kernel reads (see
-    `_monomials`), and `_ext`, the (order, degree) pair of the guard check
-    of `compose` and `bracket`.
+    Four slots are filled on first use and never change the operator's
+    value, so equality, hashing, printing and pickling ignore them: `_mono`,
+    the monomials of every coefficient that the Leibniz kernel reads (see
+    `_monomials`), `_ext`, the (order, degree) pair of the guard check of
+    `compose` and `bracket`, `_axes`, the union of the axis masks of its
+    terms' derivatives and of their reach, which `bracket` reads, and
+    `_deriv`, the weighted derivatives of its terms that the kernel has
+    formed with this operator on the right (see `_leibniz`).
     """
 
-    __slots__ = ("_mono", "_ext")
+    __slots__ = ("_mono", "_ext", "_axes", "_deriv")
 
     def __init__(self, registry: SymbolRegistry, terms: Mapping[MultiIndex, PolyExpr]):
         for c in COORDS:
@@ -191,7 +232,7 @@ class ScalarDiffOp(TermMap):
         self._terms = clean
 
     def __getstate__(self):
-        # the memo slots are left out: a copy lists its monomials anew
+        # the memo slots are left out: a copy lists its monomials and derivatives anew
         return None, {"registry": self.registry, "_terms": self._terms}
 
     # -- constructors --------------------------------------------------------
@@ -228,8 +269,8 @@ class ScalarDiffOp(TermMap):
         RegistryMismatch in its first product with a coefficient.
         """
         if not isinstance(factor, PolyExpr):
-            s = Scalar.of(factor)
-            if s.is_zero:
+            s = factor if type(factor) is Scalar else Scalar.of(factor)
+            if not s:
                 return self._make({})
             return self._make({m: c._make({k: s * v for k, v in c._terms.items()})
                                for m, c in self._terms.items()})
@@ -246,32 +287,42 @@ class ScalarDiffOp(TermMap):
         exponent of each of x1, x2, t in f.  The axis masks have bit 1, 2 or
         4 set where alpha or reach is positive on x1, x2 or t.  Built on
         first use and kept in the `_mono` slot, together with the operand's
-        (derivative order, coefficient coordinate degree) in `_ext`.
+        (derivative order, coefficient coordinate degree) in `_ext`, the
+        unions of the two axis masks in `_axes` and an empty derivative memo
+        in `_deriv`, which the kernel fills.
         """
-        mono = getattr(self, "_mono", None)
-        if mono is None:
+        try:
+            return self._mono
+        except AttributeError:
             i1, i2, it = self.registry.positions(COORDS)
             mono = []
-            order = degree = 0
+            order = degree = axes = reach_axes = 0
             for alpha, coeff in self._terms.items():
-                keys = coeff._terms
-                if len(keys) == 1:
-                    (key,) = keys
-                    reach = (key[i1], key[i2], key[it])
-                    top = sum(reach)
-                else:
-                    most = tuple(map(max, zip(*keys)))
-                    reach = (most[i1], most[i2], most[it])
-                    top = max(key[i1] + key[i2] + key[it] for key in keys)
+                r1 = r2 = rt = 0
+                pairs = []
+                for key, c in coeff._terms.items():
+                    q1, q2, qt = key[i1], key[i2], key[it]
+                    if q1 > r1:
+                        r1 = q1
+                    if q2 > r2:
+                        r2 = q2
+                    if qt > rt:
+                        rt = qt
+                    if q1 + q2 + qt > degree:
+                        degree = q1 + q2 + qt
+                    pairs.append((key, c._abd))
                 a1, a2, at = alpha
-                r1, r2, rt = reach
-                order = max(order, a1 + a2 + at)
-                degree = max(degree, top)
-                mono.append((alpha, (a1 > 0) | (a2 > 0) << 1 | (at > 0) << 2,
-                             reach, (r1 > 0) | (r2 > 0) << 1 | (rt > 0) << 2,
-                             [(key, c._abd) for key, c in keys.items()]))
+                if a1 + a2 + at > order:
+                    order = a1 + a2 + at
+                alpha_axes = (a1 > 0) | (a2 > 0) << 1 | (at > 0) << 2
+                term_reach = (r1 > 0) | (r2 > 0) << 1 | (rt > 0) << 2
+                axes |= alpha_axes
+                reach_axes |= term_reach
+                mono.append((alpha, alpha_axes, (r1, r2, rt), term_reach, pairs))
             self._mono = mono
             self._ext = (order, degree)
+            self._axes = (axes, reach_axes)
+            self._deriv = {}
         return mono
 
     def _guarded(self, other: "ScalarDiffOp") -> Tuple[list, list]:
@@ -307,7 +358,7 @@ class ScalarDiffOp(TermMap):
             return self._make({})
         left, right = self._guarded(other)
         out: Dict[MultiIndex, dict] = {}
-        _leibniz(left, right, self.registry.positions(COORDS), out, 1, 0)
+        _leibniz(left, right, other._deriv, self.registry.positions(COORDS), out, 1, 0)
         return self._finish(out)
 
     def bracket(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
@@ -317,21 +368,27 @@ class ScalarDiffOp(TermMap):
         are equal, since coefficients commute, so they are never formed.
         A o B and B o A each raise DegreeOverflow exactly when the order sum
         or the coordinate-degree sum of the operands is over its guard (see
-        the module docstring), and so does the bracket.
+        the module docstring), and so does the bracket.  When no axis on
+        which one operand differentiates is an axis on which the other's
+        coefficients reach, there is no cross term, and the bracket is zero
+        without entering the kernel.
         """
-        self._coerce(other)
+        if other.registry is not self.registry:  # one registry is the case of nearly every call
+            self._coerce(other)
         if not (self._terms and other._terms):
             return self._make({})
         left, right = self._guarded(other)
+        (axes, reach), (other_axes, other_reach) = self._axes, other._axes
+        if not (axes & other_reach or other_axes & reach):
+            return self._make({})
         positions = self.registry.positions(COORDS)
         out: Dict[MultiIndex, dict] = {}
-        _leibniz(left, right, positions, out, 1, 1)
-        _leibniz(right, left, positions, out, -1, 1)
-        return self._finish(out)
+        _leibniz(left, right, other._deriv, positions, out, 1, 1)
+        _leibniz(right, left, self._deriv, positions, out, -1, 1)
+        return self._finish(out) if out else self._make({})
 
     def __str__(self) -> str:
-        # a coefficient of more than one term is parenthesized
-        return self._render_terms(("d1", "d2", "dt"), lambda text: " " in text)
+        return self._render_terms(("d1", "d2", "dt"), _has_two_terms)
 
 
 class DiffOp:
@@ -344,7 +401,8 @@ class DiffOp:
     bracket.  Sums, differences, negations, the product, the commutator and
     `scale` combine the entries of checked operands of one registry and
     dimension into operators of that registry, so they build their results
-    with `_make`, without checking each entry again.
+    with `_make`, without checking each entry again.  `equals_scaled`
+    compares with a scalar multiple without forming it.
     """
 
     __slots__ = ("registry", "rows")
@@ -379,10 +437,13 @@ class DiffOp:
         return DiffOp(op.registry, [[op]])
 
     def _make(self, rows) -> "DiffOp":
-        """A result over this registry, taking square rows of its operators as they are."""
+        """A result over this registry, taking square rows of its operators as they are.
+
+        A tuple of row tuples is kept as it is; any other rows are copied into one.
+        """
         out = object.__new__(type(self))
         out.registry = self.registry
-        out.rows = tuple(map(tuple, rows))
+        out.rows = rows if type(rows) is tuple else tuple(map(tuple, rows))
         return out
 
     @property
@@ -394,10 +455,13 @@ class DiffOp:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.rows for e in row)
+        return not any([e._terms for row in self.rows for e in row])
 
     def _check(self, other: "DiffOp") -> bool:
         """False for an operand of a foreign type; ShapeError or RegistryMismatch if unfit."""
+        if type(other) is type(self) and other.registry is self.registry \
+                and len(other.rows) == len(self.rows):
+            return True  # the case of nearly every call: one registry, one dimension
         if not isinstance(other, type(self)):
             return False
         if self.dim != other.dim:
@@ -408,11 +472,13 @@ class DiffOp:
     def __add__(self, other: "DiffOp") -> "DiffOp":
         if not self._check(other):
             return NotImplemented
-        return self._make([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
+        A, B = self.rows, other.rows
+        if len(A) == 1:
+            return self._make(((A[0][0] + B[0][0],),))
+        return self._make(tuple([tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(A, B)]))
 
     def __neg__(self) -> "DiffOp":
-        return self._make([[-e for e in row] for row in self.rows])
+        return self._make(tuple([tuple([-e for e in row]) for row in self.rows]))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + -other if self._check(other) else NotImplemented
@@ -441,6 +507,8 @@ class DiffOp:
         if not self._check(other):
             raise TypeError(f"expected a {type(self).__name__}")
         A, B, n = self.rows, other.rows, self.dim
+        if n == 1:  # a scalar operator: the entry bracket alone
+            return self._make(((A[0][0].bracket(B[0][0]),),))
         out = []
         for r in range(n):
             row = []
@@ -456,12 +524,41 @@ class DiffOp:
         return self._make(out)
 
     def scale(self, factor) -> "DiffOp":
-        return self._make([[e.scale(factor) for e in row] for row in self.rows])
+        rows = self.rows
+        if len(rows) == 1:
+            return self._make(((rows[0][0].scale(factor),),))
+        return self._make(tuple([tuple([e.scale(factor) for e in row]) for row in rows]))
+
+    def equals_scaled(self, other: "DiffOp", factor: Scalar) -> bool:
+        """Whether self == other.scale(factor), for a Scalar factor, forming no product.
+
+        A nonzero scalar keeps every key of other at both levels and
+        multiplies each coefficient, so the two are equal exactly when their
+        keys agree and each coefficient of self is factor times other's.
+        Unfit operands raise as in the sum.
+        """
+        if not self._check(other):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if not factor:
+            return self.is_zero
+        for row, other_row in zip(self.rows, other.rows):
+            for e, o in zip(row, other_row):
+                terms, other_terms = e._terms, o._terms
+                if terms.keys() != other_terms.keys():
+                    return False
+                for midx, poly in terms.items():
+                    coeffs, other_coeffs = poly._terms, other_terms[midx]._terms
+                    if coeffs.keys() != other_coeffs.keys():
+                        return False
+                    for key, c in other_coeffs.items():
+                        if coeffs[key] != factor * c:
+                            return False
+        return True
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, type(self))
-            and self.registry == other.registry
+            and (self.registry is other.registry or self.registry == other.registry)
             and self.rows == other.rows
         )
 
@@ -469,7 +566,10 @@ class DiffOp:
         return hash((self.registry, self.rows))
 
     def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
+        rows = self.rows
+        if len(rows) == 1:
+            return f"[{rows[0][0]}]"
+        return "[" + "; ".join([", ".join([str(e) for e in row]) for row in rows]) + "]"
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

@@ -248,6 +248,8 @@ PARSER_CASES = [
     ["realize", "schrodinger", "--rank", "x"],
     ["realize", "schrodinger", "--frobnicate"],
     ["realize", "-h"],
+    ["realize", "schrodinger", "--shift", "-i"],
+    ["realize", "levyleblond", "--lambda", "-1/2", "--shift", "-3/4*i"],
     ["fieldcheck", "conservation", "--index", "1", "--variant", "literal"],
     ["fieldcheck", "multispinor-eqs", "--rank", "2", "--spin-s", "1"],
     ["fieldcheck", "boost", "--index", "3"],
@@ -258,6 +260,8 @@ PARSER_CASES = [
     ["numcheck", "--m", "abc"],
     ["numcheck", "extra"],
     ["numcheck", "--help"],
+    ["numcheck", "--nmax", "6", "--low", "3", "--t", "-1e-3"],
+    ["numcheck", "--nmax", "6", "--low", "3", "--m", "-inf"],
 ]
 
 
@@ -286,10 +290,30 @@ def test_subcommand_parser_parses_like_the_full_parser(argv, capsys, monkeypatch
     ["-", "numcheck"],
     ["realize", "schrodinger", "--frobnicate"],
     ["fieldcheck", "rotation", "--spin-s", "-1"],
+    ["realize", "schrodinger", "--shift", "-i"],
+    ["realize", "schrodinger", "--lambda", "-1/2"],
+    ["realize", "schrodinger", "--shift", "-3/4*i"],
+    ["numcheck", "--t", "-1e-3", "--nmax", "6", "--low", "3"],
 ], ids=" ".join)
 def test_cli_behaves_as_with_the_full_parser(argv, capsys, monkeypatch):
     monkeypatch.delenv(report.REPORT_DIR_ENV, raising=False)
     assert run(capsys, *argv) == run_with_argparse_only(capsys, monkeypatch, argv)
+
+
+# A negative value after a space is read as it is after `=`, by both parsers.
+@pytest.mark.parametrize("head, flags", [
+    (["realize", "schrodinger"], [("--shift", "-i")]),
+    (["realize", "schrodinger"], [("--lambda", "-1/2")]),
+    (["realize", "levyleblond"], [("--lambda", "-1/2"), ("--shift", "-3/4*i")]),
+    (["numcheck"], [("--nmax", "6"), ("--low", "3"), ("--t", "-1e-3")]),
+], ids=["shift -i", "lambda -1/2", "lambda -1/2 shift -3/4*i", "t -1e-3"])
+def test_a_negative_value_after_a_space_reads_as_after_equals(head, flags, capsys, monkeypatch):
+    monkeypatch.delenv(report.REPORT_DIR_ENV, raising=False)
+    spaced = head + [word for pair in flags for word in pair]
+    joined = head + [f"{flag}={value}" for flag, value in flags]
+    result = run(capsys, *spaced)
+    assert result[0] == 0
+    assert result == run(capsys, *joined) == run_with_argparse_only(capsys, monkeypatch, spaced)
 
 
 def _same(a, b):
@@ -401,9 +425,43 @@ def test_report_directory_is_made_only_when_missing(tmp_path, monkeypatch, capsy
             def refuse(*args, **kwargs):
                 raise AssertionError("an existing report directory was made again")
             monkeypatch.setattr(Path, "mkdir", refuse)
+            monkeypatch.setattr(os, "makedirs", refuse)
+            monkeypatch.setattr(os, "mkdir", refuse)
         code, out, _ = run(capsys, "realize", "schrodinger")
         assert code == 0 and f"report written: {path}" in out
         assert json.loads(path.read_text())["passed"] is True
+
+
+def test_a_report_over_a_longer_stale_file_leaves_exactly_the_new_bytes(tmp_path, monkeypatch):
+    monkeypatch.setenv(report.REPORT_DIR_ENV, str(tmp_path))
+    stale = tmp_path / "realize-schrodinger.json"
+    stale.write_bytes(b"{" + b" " * 20000 + b"}\n")
+    payload = {"command": "realize schrodinger", "passed": True}
+    assert report.write("realize-schrodinger", payload) == stale
+    assert stale.read_bytes() == report.render(payload).encode("ascii")
+
+
+def test_a_realize_command_renders_its_report_once_and_kappa_and_mass_once(
+        tmp_path, monkeypatch, capsys):
+    from galkappa.exactscalar import PolyExpr
+    from galkappa.galrealize import make_registry
+
+    renders, texts = [], []
+    real_render, real_str = report.render, PolyExpr.__str__
+    monkeypatch.setattr(report, "render", lambda payload: renders.append(payload)
+                        or real_render(payload))
+    monkeypatch.setattr(PolyExpr, "__str__", lambda p: texts.append(p) or real_str(p))
+    monkeypatch.setenv(report.REPORT_DIR_ENV, str(tmp_path))
+    code, out, _ = run(capsys, "realize", "multispinor", "--rank=3", "--shift=c", "--lambda=lam")
+    assert code == 0 and "extracted second extension parameter: -c" in out
+    assert len(renders) == 1
+    path = tmp_path / "realize-multispinor.json"
+    assert path.read_bytes() == real_render(renders[0]).encode("ascii")
+    # the report, its checks and stdout all read one text of each
+    reg = make_registry()
+    kappa, mass = -reg.symbol("c"), reg.symbol("m")
+    assert sum(p == kappa for p in texts) == 1
+    assert sum(p == mass for p in texts) == 1
 
 
 def test_report_bytes_are_deterministic(tmp_path, monkeypatch, capsys):

@@ -105,7 +105,8 @@ _FLAGS = ["--spin-s", "--rank", "--lambda", "--shift", "--strict-literal-table",
 # no integer in 9..63 appears, so every --low here is small or refused.
 _VALUES = ["0", "1", "-1", "2", "3", "4", "5", "6", "7", "8", "-3", "1689", "4000", "100000",
            "nan", "inf", "-inf", "1e308", "-1e308", "1e200", "5e-324", "1e-6", "0.5",
-           "1/2", "-3/4*i", "2*i", "1/0", "abc", "x1", "0x10", "1e", "\u00e9"]
+           "1/2", "-3/4*i", "2*i", "1/0", "abc", "x1", "0x10", "1e", "\u00e9", "-i", "-1/2",
+           "-1e-3"]
 
 _tokens = st.one_of(
     st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)).map(list),

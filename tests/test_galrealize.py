@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galkappa import algfile, galrealize
+from galkappa import algfile, galrealize, weylop
 from galkappa.algfile import load_bundled, loads
 from galkappa.cli import main
 from galkappa.cocycle import jacobi_check
@@ -19,6 +19,7 @@ from galkappa.exactscalar import I, PolyExpr, Scalar
 from galkappa.galrealize import (
     CENTRAL_NAME,
     GENERATOR_NAMES,
+    TABLE_CORRECTED,
     GeneratorSet,
     central_scalar,
     extend_lambda,
@@ -27,6 +28,7 @@ from galkappa.galrealize import (
     make_registry,
     realization_table,
     realize,
+    stated_rows,
     verify_structure,
 )
 from galkappa.weylop import COORDS, ZERO_IDX, DiffOp, ScalarDiffOp
@@ -453,3 +455,36 @@ def test_central_scalar_rejects_a_derivative_on_the_diagonal():
     for op in (DiffOp(REG, [[entry]]), DiffOp(REG, [[entry, zero], [zero, entry]])):
         assert central_scalar(op) is None
         assert _central_scalar_reference(op) is None
+
+
+def _shifted_multispinor():
+    reg = make_registry()
+    g = realize("multispinor", 1, 3)
+    return kappa_shift(extend_lambda(g, reg.symbol("lam")), reg.symbol("c"))
+
+
+def test_a_realize_command_computes_each_of_the_21_brackets_once(monkeypatch):
+    calls = []
+    real = DiffOp.commutator
+    monkeypatch.setattr(DiffOp, "commutator", lambda A, B: calls.append((A, B)) or real(A, B))
+    monkeypatch.delenv("GALKAPPA_REPORT_DIR", raising=False)
+    with redirect_stdout(io.StringIO()):
+        assert main(["realize", "multispinor", "--rank=3", "--shift=c", "--lambda=lam"]) == 0
+    assert len(calls) == len(stated_rows(TABLE_CORRECTED)) == 21
+
+
+def test_derivative_lists_are_formed_once_per_operand(monkeypatch):
+    g = _shifted_multispinor()
+    formed = []
+    real = weylop._cross_derivatives
+    monkeypatch.setattr(weylop, "_cross_derivatives",
+                        lambda pairs, alpha, *rest: formed.append((id(pairs), alpha, rest[1]))
+                        or real(pairs, alpha, *rest))
+    first = verify_structure(g)
+    # each (term of a right operand, left multi-index, sign) at most once
+    assert len(formed) == len(set(formed))
+    count = len(formed)
+    second = verify_structure(g)
+    assert len(formed) == count  # every list is read from its operand
+    assert [r.to_dict() for r in second.rows] == [r.to_dict() for r in first.rows]
+    assert second.overall and second.kappa == -g.registry.symbol("c")
