@@ -258,17 +258,36 @@ class StructureReport:
     """The rows of one table check, and the kappa and mass read off them.
 
     `kappa_text` and `mass_text` are the two values as printed (None for no
-    value), rendered once here for the report, its checks and stdout.
+    value), rendered once here for the report, its checks and stdout.  The
+    values and their texts are read-only, so they cannot disagree.
     """
+
+    __slots__ = ("table", "rows", "_kappa", "_mass", "_kappa_text", "_mass_text")
 
     def __init__(self, table: str, rows: Optional[List[RowResult]] = None,
                  kappa: Optional[PolyExpr] = None, mass: Optional[PolyExpr] = None):
         self.table = table
         self.rows = [] if rows is None else rows
-        self.kappa = kappa
-        self.mass = mass
-        self.kappa_text = None if kappa is None else str(kappa)
-        self.mass_text = None if mass is None else str(mass)
+        self._kappa = kappa
+        self._mass = mass
+        self._kappa_text = None if kappa is None else str(kappa)
+        self._mass_text = None if mass is None else str(mass)
+
+    @property
+    def kappa(self) -> Optional[PolyExpr]:
+        return self._kappa
+
+    @property
+    def mass(self) -> Optional[PolyExpr]:
+        return self._mass
+
+    @property
+    def kappa_text(self) -> Optional[str]:
+        return self._kappa_text
+
+    @property
+    def mass_text(self) -> Optional[str]:
+        return self._mass_text
 
     @property
     def overall(self) -> bool:
@@ -311,51 +330,43 @@ def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> Structure
 
     One pass over the rows forms, for a passing row, only its bracket's
     text: a row stated zero passes exactly when its bracket is zero, whose
-    text, like the zero residual's, follows from the dimension alone.  A
-    row stating one generator times a coefficient is decided on the term
-    maps (`DiffOp.equals_scaled`), forming no right-hand side.  Any other
-    right-hand side is a sum of generators scaled by table coefficients and
+    text, like the zero residual's, follows from the dimension alone
+    (`DiffOp.zero_text`).  Every other row is decided by `==` against its
+    right-hand side, a sum of generators scaled by table coefficients and
     of kappa times the identity, built without the constructors' checks;
     the expected text and the residual are formed only for a failing row.
     """
     rows = stated_rows(table)
-    gens, n = g.gens, g.dim
+    gens = g.gens
     # each row's bracket is computed once; kappa and the mass are read off
     # the [K1,K2] and [K1,P1] rows, which both tables state
     computed_by_pair = {(lhs, rhs): gens[lhs].commutator(gens[rhs]) for lhs, rhs, _ in rows}
     kappa = _central_over_i(computed_by_pair[("K1", "K2")])
     mass = _central_over_i(computed_by_pair[("K1", "P1")])
 
-    zero_text = "[" + "; ".join([", ".join(["0"] * n)] * n) + "]"
+    zero_text = DiffOp.zero_text(g.dim)
     results = []
     for lhs, rhs, row_expected in rows:
         computed = computed_by_pair[(lhs, rhs)]
         note = _ROW_NOTES.get((table, lhs, rhs))
-        expected = None
         if not row_expected:
+            expected = None
             passed = computed.is_zero
         elif kappa is None and any(name == CENTRAL_NAME for name, _ in row_expected):
             text = str(computed)
             results.append(RowResult(lhs, rhs, text, "central multiple of Id", text, False,
                                      "bracket is not central; no kappa value exists"))
             continue
-        elif len(row_expected) == 1 and row_expected[0][0] != CENTRAL_NAME:
-            # one generator times a coefficient: decided on the term maps
-            (name, coeff), = row_expected
-            passed = computed.equals_scaled(gens[name], coeff)
         else:
             expected = _right_hand_side(gens, row_expected, kappa, computed)
             passed = computed == expected
         if passed:
             text = str(computed) if row_expected else zero_text
             results.append(RowResult(lhs, rhs, text, text, zero_text, True, note))
-            continue
-        if row_expected:
-            if expected is None:
-                expected = _right_hand_side(gens, row_expected, kappa, computed)
-            residual, expected_text = computed - expected, str(expected)
+        elif expected is None:
+            text = str(computed)
+            results.append(RowResult(lhs, rhs, text, zero_text, text, False, note))
         else:
-            residual, expected_text = computed, zero_text
-        results.append(RowResult(lhs, rhs, str(computed), expected_text, str(residual),
-                                 False, note))
+            results.append(RowResult(lhs, rhs, str(computed), str(expected),
+                                     str(computed - expected), False, note))
     return StructureReport(table, results, kappa, mass)

@@ -15,7 +15,8 @@ numbers follow json's own rule, so importing the CLI loads no json.  The
 pieces of the text go onto one list, joined once.  Writing is opt-in via
 the GALKAPPA_REPORT_DIR environment variable; without it the CLI only
 prints.  A report is written as its ASCII bytes with one `os.open`,
-`os.write` and `os.close`, truncating any older file of the name.
+`os.write` and `os.close`, truncating any older file of the name; a write
+that takes fewer bytes than it is given is followed by one for the rest.
 """
 
 from __future__ import annotations
@@ -133,11 +134,12 @@ def render(payload: dict) -> str:
 def write(name: str, payload: dict) -> Optional[Path]:
     """Write payload under $GALKAPPA_REPORT_DIR/name.json if the var is set.
 
-    The rendered text is ASCII, so its bytes go to the file in one
-    `os.write` through `os.open(O_WRONLY | O_CREAT | O_TRUNC)`, which
-    replaces any older file of the name.  The directory is made only when
-    the file cannot be opened for lack of it, so a report into an existing
-    directory costs one open.  A directory that cannot be made or a file
+    The rendered text is ASCII, so its bytes go to the file through
+    `os.open(O_WRONLY | O_CREAT | O_TRUNC)`, which replaces any older file
+    of the name, in one `os.write` unless the system takes fewer bytes, in
+    which case the rest follows in further writes.  The directory is made
+    only when the file cannot be opened for lack of it, so a report into an
+    existing directory costs one open.  A directory that cannot be made or a file
     that cannot be written is a BadParameter, so the CLI reports an input
     error.
     """
@@ -153,9 +155,9 @@ def write(name: str, payload: dict) -> Optional[Path]:
             os.makedirs(directory, exist_ok=True)
             fd = os.open(out, _WRITE_FLAGS, 0o666)
         try:
-            written = os.write(fd, data)
-            if written != len(data):  # a short write, as on a full disk
-                raise OSError(f"wrote {written} of {len(data)} bytes")
+            view = memoryview(data)
+            while view:  # a write may take fewer bytes than it was given
+                view = view[os.write(fd, view):]
         finally:
             os.close(fd)
     except OSError as exc:  # a file in the way, or no permission: the setting is at fault

@@ -42,8 +42,10 @@ ShapeError; an operand of a foreign type raises TypeError.  The finite
 boost is the series exp(ad X) of brackets (`fieldcheck.boost_transform`).
 
 Operands of one registry and dimension, the case of nearly every call,
-are recognized before any other check, and the sum, `scale` and
-commutator of 1 x 1 operators are formed on their one entry.
+are recognized before any other check, and the sum, `scale`, commutator
+and text of 1 x 1 operators, the size of every realized generator, are
+formed on their one entry.  `DiffOp.zero_text` gives the zero operator's
+text from its dimension alone.
 
 Trusted results: `compose` and the bracket (checked on their operands'
 extents, above), `ScalarDiffOp.scale` by a nonzero factor free of the
@@ -401,8 +403,7 @@ class DiffOp:
     bracket.  Sums, differences, negations, the product, the commutator and
     `scale` combine the entries of checked operands of one registry and
     dimension into operators of that registry, so they build their results
-    with `_make`, without checking each entry again.  `equals_scaled`
-    compares with a scalar multiple without forming it.
+    with `_make`, without checking each entry again.
     """
 
     __slots__ = ("registry", "rows")
@@ -529,32 +530,6 @@ class DiffOp:
             return self._make(((rows[0][0].scale(factor),),))
         return self._make(tuple([tuple([e.scale(factor) for e in row]) for row in rows]))
 
-    def equals_scaled(self, other: "DiffOp", factor: Scalar) -> bool:
-        """Whether self == other.scale(factor), for a Scalar factor, forming no product.
-
-        A nonzero scalar keeps every key of other at both levels and
-        multiplies each coefficient, so the two are equal exactly when their
-        keys agree and each coefficient of self is factor times other's.
-        Unfit operands raise as in the sum.
-        """
-        if not self._check(other):
-            raise TypeError(f"expected a {type(self).__name__}")
-        if not factor:
-            return self.is_zero
-        for row, other_row in zip(self.rows, other.rows):
-            for e, o in zip(row, other_row):
-                terms, other_terms = e._terms, o._terms
-                if terms.keys() != other_terms.keys():
-                    return False
-                for midx, poly in terms.items():
-                    coeffs, other_coeffs = poly._terms, other_terms[midx]._terms
-                    if coeffs.keys() != other_coeffs.keys():
-                        return False
-                    for key, c in other_coeffs.items():
-                        if coeffs[key] != factor * c:
-                            return False
-        return True
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, type(self))
@@ -570,6 +545,11 @@ class DiffOp:
         if len(rows) == 1:
             return f"[{rows[0][0]}]"
         return "[" + "; ".join([", ".join([str(e) for e in row]) for row in rows]) + "]"
+
+    @staticmethod
+    def zero_text(dim: int) -> str:
+        """The text of the zero operator of a dimension, formed from the dimension alone."""
+        return "[" + "; ".join([", ".join(["0"] * dim)] * dim) + "]"
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

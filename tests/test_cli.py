@@ -441,6 +441,20 @@ def test_a_report_over_a_longer_stale_file_leaves_exactly_the_new_bytes(tmp_path
     assert stale.read_bytes() == report.render(payload).encode("ascii")
 
 
+def test_a_report_is_written_whole_when_the_system_takes_a_few_bytes_a_write(
+        tmp_path, monkeypatch):
+    # POSIX lets a write take fewer bytes than it is given without an error
+    real_write, calls = os.write, []
+    monkeypatch.setattr(os, "write", lambda fd, data: calls.append(len(data))
+                        or real_write(fd, bytes(data[:7])))
+    monkeypatch.setenv(report.REPORT_DIR_ENV, str(tmp_path))
+    payload = {"command": "realize schrodinger", "passed": True}
+    path = report.write("realize-schrodinger", payload)
+    assert path == tmp_path / "realize-schrodinger.json"
+    assert path.read_bytes() == report.render(payload).encode("ascii")
+    assert len(calls) > 1
+
+
 def test_a_realize_command_renders_its_report_once_and_kappa_and_mass_once(
         tmp_path, monkeypatch, capsys):
     from galkappa.exactscalar import PolyExpr

@@ -488,3 +488,14 @@ def test_derivative_lists_are_formed_once_per_operand(monkeypatch):
     assert len(formed) == count  # every list is read from its operand
     assert [r.to_dict() for r in second.rows] == [r.to_dict() for r in first.rows]
     assert second.overall and second.kappa == -g.registry.symbol("c")
+
+
+def test_a_structure_report_keeps_its_values_and_texts_together():
+    g = _shifted_multispinor()
+    rep = verify_structure(g)
+    c, m = g.registry.symbol("c"), g.registry.symbol("m")
+    assert (rep.kappa, rep.kappa_text, rep.mass, rep.mass_text) == (-c, "-c", m, "m")
+    for name in ("kappa", "mass", "kappa_text", "mass_text"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
+    assert rep.to_dict()["kappa"] == "-c" and rep.to_dict()["mass"] == "m"

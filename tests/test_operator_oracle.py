@@ -352,14 +352,9 @@ def test_matrix_results_equal_the_constructed_ones(pair, factor):
         assert str(result) == str(public)
 
 
-@settings(max_examples=60, deadline=None)
-@given(operator_matrices(), st.one_of(gaussian, st.just(Scalar(0))))
-def test_equals_scaled_is_equality_with_the_scaled_operand(pair, factor):
-    A, B = pair
-    scaled = B.scale(factor)
-    for C in (A, scaled, scaled + A, scaled.scale(2), B):
-        assert C.equals_scaled(B, factor) is (C == scaled)
-    assert scaled.equals_scaled(B, factor)
+def test_the_zero_text_is_the_zero_operator_printed():
+    for n in range(1, 5):
+        assert DiffOp.zero_text(n) == str(DiffOp.zeros(REG, n))
 
 
 @settings(max_examples=40, deadline=None)
