@@ -420,7 +420,7 @@ def boost_transform(G: DiffOp, s: int, v: Tuple[PolyExpr, PolyExpr]) -> DiffOp:
             entry = entry + term
         return entry
 
-    core = G._make([[boosted(e) for e in row] for row in G.rows])
+    core = DiffOp(reg, [[boosted(e) for e in row] for row in G.rows])
     half_vp = (vx + reg.const(I * Scalar.of(s)) * vy) * HALF
     one, zero = reg.const(ONE), reg.zero()
     S = DiffOp(reg, [[one, zero], [-half_vp, one]])

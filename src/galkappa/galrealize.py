@@ -14,11 +14,11 @@ and each bracket table's stated rows.  Every bracket is still computed on
 every call; callers only read the shared objects.
 
 The generator updates build trusted results: J's spin constant and
-lambda enter as a coordinate-free multiple of the identity, which needs
-none of the constructors' checks, and `kappa_shift` scales P2 by c/2m and
-P1 by its negation, one `scale` per boost, after `_parameter`'s mass and
-coordinate-free checks.  `verify_structure` forms, for a passing row, its
-bracket and that bracket's text only (see there).
+lambda enter as `DiffOp.identity`, one checked entry on the diagonal, and
+`kappa_shift` scales P2 by c/2m and P1 by its negation, one `scale` per
+boost, after `_parameter`'s mass and coordinate-free checks.
+`verify_structure` forms, for a passing row, its bracket and that
+bracket's text only (see there).
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def realize(model: str, s: int, N: int) -> GeneratorSet:
     spin = HALF * {"schrodinger": 0, "levyleblond": s, "multispinor": N * s}[model]
     base = spinless_generators()
     J = base["J"]
-    return base.replaced({"J": J + _times_identity(J, base.registry.const(spin))})
+    return base.replaced({"J": J + DiffOp.identity(J.registry, J.dim, J.registry.const(spin))})
 
 
 def _parameter(g: GeneratorSet, value, what: str) -> PolyExpr:
@@ -137,7 +137,7 @@ def extend_lambda(g: GeneratorSet, lam) -> GeneratorSet:
     """Shift the rotation generator by a constant: J -> J + lam * Id."""
     lam = _parameter(g, lam, "lambda")
     J = g["J"]
-    return g.replaced({"J": J + _times_identity(J, lam)})
+    return g.replaced({"J": J + DiffOp.identity(J.registry, J.dim, lam)})
 
 
 def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
@@ -147,34 +147,18 @@ def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
                        "K2": g["K2"] + g["P1"].scale(-factor)})
 
 
-def _times_identity(like: DiffOp, q: PolyExpr) -> DiffOp:
-    """q * Id in like's registry and dimension, for a coordinate-free q over that registry.
-
-    Such a q is within every guard, so the entries and the matrix are built
-    without the constructors' checks.
-    """
-    corner, n = like.entry(0, 0), like.dim
-    diag, zero = corner._make({ZERO_IDX: q} if q._terms else {}), corner._make({})
-    return like._make(tuple([tuple([diag if r == c else zero for c in range(n)])
-                             for r in range(n)]))
-
-
 def central_scalar(op: DiffOp) -> Optional[PolyExpr]:
     """If op == q*Id with q coordinate-free, return q; otherwise None.
 
-    q is the constant term of the corner entry; op equals q*Id exactly
-    when every entry's term map is {0: q} on the diagonal (empty for q = 0)
-    and empty off it.
+    Such an op is its corner entry times the identity, and that entry has
+    no term but the constant q.
     """
-    q = op.entry(0, 0).coefficient(ZERO_IDX)
-    if q.uses_symbols(COORDS):
-        return None
-    diag = {ZERO_IDX: q} if q._terms else {}
-    for r, row in enumerate(op.rows):
-        for c, e in enumerate(row):
-            if (e._terms != diag) if r == c else e._terms:
-                return None
-    return q
+    corner = op.entry(0, 0)
+    q = corner.coefficient(ZERO_IDX)
+    if corner._terms.keys() <= {ZERO_IDX} and not q.uses_symbols(COORDS) \
+            and op == DiffOp.identity(op.registry, op.dim, corner):
+        return q
+    return None
 
 
 def _central_over_i(op: DiffOp) -> Optional[PolyExpr]:
@@ -309,10 +293,10 @@ class StructureReport:
 def _right_hand_side(gens: Dict[str, DiffOp], row_expected, kappa: Optional[PolyExpr],
                      like: DiffOp) -> DiffOp:
     """A stated row's right-hand side: its generators scaled by their coefficients, and
-    kappa times the identity, summed in table order without the constructors' checks."""
+    kappa times the identity, summed in table order."""
     expected = None
     for name, coeff in row_expected:
-        term = (_times_identity(like, kappa * coeff) if name == CENTRAL_NAME
+        term = (DiffOp.identity(like.registry, like.dim, kappa * coeff) if name == CENTRAL_NAME
                 else gens[name].scale(coeff))
         expected = term if expected is None else expected + term
     return expected
@@ -328,13 +312,12 @@ def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> Structure
     are bundled algebra files, Jacobi-checked by the test suite, and both
     state the [K1,K2] and [K1,P1] rows that kappa and the mass are read from.
 
-    One pass over the rows forms, for a passing row, only its bracket's
-    text: a row stated zero passes exactly when its bracket is zero, whose
-    text, like the zero residual's, follows from the dimension alone
-    (`DiffOp.zero_text`).  Every other row is decided by `==` against its
-    right-hand side, a sum of generators scaled by table coefficients and
-    of kappa times the identity, built without the constructors' checks;
-    the expected text and the residual are formed only for a failing row.
+    One pass over the rows decides each by `==` against its right-hand
+    side: `DiffOp.zeros` for a row stated zero, else a sum of generators
+    scaled by table coefficients and of kappa times the identity.  A
+    passing row forms only its bracket's text (the zero text, once, for a
+    zero row); the expected text and the residual are formed only for a
+    failing row.
     """
     rows = stated_rows(table)
     gens = g.gens
@@ -344,29 +327,25 @@ def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> Structure
     kappa = _central_over_i(computed_by_pair[("K1", "K2")])
     mass = _central_over_i(computed_by_pair[("K1", "P1")])
 
-    zero_text = DiffOp.zero_text(g.dim)
+    zero = DiffOp.zeros(g.registry, g.dim)
+    zero_text = str(zero)
     results = []
     for lhs, rhs, row_expected in rows:
         computed = computed_by_pair[(lhs, rhs)]
         note = _ROW_NOTES.get((table, lhs, rhs))
-        if not row_expected:
-            expected = None
-            passed = computed.is_zero
-        elif kappa is None and any(name == CENTRAL_NAME for name, _ in row_expected):
+        if kappa is None and any(name == CENTRAL_NAME for name, _ in row_expected):
             text = str(computed)
             results.append(RowResult(lhs, rhs, text, "central multiple of Id", text, False,
                                      "bracket is not central; no kappa value exists"))
             continue
-        else:
-            expected = _right_hand_side(gens, row_expected, kappa, computed)
-            passed = computed == expected
-        if passed:
+        expected = _right_hand_side(gens, row_expected, kappa, computed) if row_expected else zero
+        if computed == expected:
             text = str(computed) if row_expected else zero_text
             results.append(RowResult(lhs, rhs, text, text, zero_text, True, note))
-        elif expected is None:
-            text = str(computed)
-            results.append(RowResult(lhs, rhs, text, zero_text, text, False, note))
-        else:
+        elif row_expected:
             results.append(RowResult(lhs, rhs, str(computed), str(expected),
                                      str(computed - expected), False, note))
+        else:  # a nonzero bracket of a row stated zero is its own residual
+            text = str(computed)
+            results.append(RowResult(lhs, rhs, text, zero_text, text, False, note))
     return StructureReport(table, results, kappa, mass)

@@ -36,16 +36,13 @@ several brackets forms each derivative list once, and a bracket in which
 no derivative of one operand meets a coordinate of the other is zero
 without entering the kernel.
 
-`DiffOp` is the one square-matrix class.  Mixing two registries raises
-RegistryMismatch, through `TermMap._coerce`; mismatched dimensions raise
-ShapeError; an operand of a foreign type raises TypeError.  The finite
-boost is the series exp(ad X) of brackets (`fieldcheck.boost_transform`).
-
-Operands of one registry and dimension, the case of nearly every call,
-are recognized before any other check, and the sum, `scale`, commutator
-and text of 1 x 1 operators, the size of every realized generator, are
-formed on their one entry.  `DiffOp.zero_text` gives the zero operator's
-text from its dimension alone.
+`DiffOp` is the one square-matrix class.  It stores each row as a map
+from column to its nonzero entries, so every operation visits only the
+stored entries, in one loop for every dimension.  Mixing two registries
+raises RegistryMismatch, through `TermMap._coerce`; mismatched dimensions
+raise ShapeError; an operand or an entry of a foreign type raises
+TypeError.  The finite boost is the series exp(ad X) of brackets
+(`fieldcheck.boost_transform`).
 
 Trusted results: `compose` and the bracket (checked on their operands'
 extents, above), `ScalarDiffOp.scale` by a nonzero factor free of the
@@ -53,7 +50,8 @@ coordinates (a product of nonzero polynomials is nonzero, and the
 coordinate degree cannot grow), and the sum, difference, negation,
 product, commutator and `scale` of `DiffOp` (square, one registry, entries
 already checked) build their results without the constructors' checks.
-Any other factor goes through the constructor, with its guards and errors.
+`DiffOp.identity` and `zeros` check their one entry once.  Any other
+factor goes through the constructor, with its guards and errors.
 """
 
 from __future__ import annotations
@@ -190,6 +188,16 @@ def _leibniz(left: list, right: list, derivs: dict, positions: Tuple[int, int, i
                 _add_triples(terms, product)
                 if not terms:
                     del out[midx]
+
+
+def _accumulate(row: dict, c: int, term: "ScalarDiffOp") -> None:
+    """Add term into the entry at column c of a sparse row, which keeps no zero."""
+    acc = row.get(c)
+    total = term if acc is None else acc + term
+    if total._terms:
+        row[c] = total
+    else:
+        row.pop(c, None)
 
 
 def _has_two_terms(text: str) -> bool:
@@ -396,160 +404,169 @@ class ScalarDiffOp(TermMap):
 class DiffOp:
     """Square matrix of scalar operators; the home of every generator.
 
-    The constructor lifts PolyExpr entries to multiplication operators and
-    checks that the rows are square (ShapeError) and that every entry is
-    over `registry` (RegistryMismatch).  The matrix product composes
-    entries, and the commutator takes its diagonal summands from the entry
-    bracket.  Sums, differences, negations, the product, the commutator and
-    `scale` combine the entries of checked operands of one registry and
-    dimension into operators of that registry, so they build their results
-    with `_make`, without checking each entry again.
+    Each row maps a column to its entry, and only nonzero entries are
+    stored, so a missing entry is the zero operator.  The constructor takes
+    dense rows, lifts PolyExpr entries to multiplication operators and
+    checks that the rows are square (ShapeError) and that every entry is a
+    PolyExpr or ScalarDiffOp (TypeError) over `registry` (RegistryMismatch).
+    The product composes entries, and the commutator takes its diagonal
+    summands from the entry bracket.  `entry`, `rows`, `dim` and the text
+    read as for dense rows.
     """
 
-    __slots__ = ("registry", "rows")
+    __slots__ = ("registry", "_rows")
 
     def __init__(self, registry: SymbolRegistry, rows: Sequence[Sequence]):
         self.registry = registry
-        dim = len(rows)
-        checked = []
+        sparse = []
         for row in rows:
-            if len(row) != dim:
+            if len(row) != len(rows):
                 raise ShapeError("matrix must be square")
-            for e in row:
-                TermMap._coerce(self, e)
-            checked.append(tuple(ScalarDiffOp.coeff(e) if isinstance(e, PolyExpr) else e
-                                 for e in row))
-        self.rows: Tuple[Tuple[ScalarDiffOp, ...], ...] = tuple(checked)
+            sparse.append({c: e for c, e in enumerate(map(self._entry, row)) if e._terms})
+        self._rows: Tuple[Dict[int, ScalarDiffOp], ...] = tuple(sparse)
 
     @classmethod
     def identity(cls, registry: SymbolRegistry, dim: int, factor=None) -> "DiffOp":
-        one = factor if factor is not None else registry.const(ONE)
-        zero = registry.zero()
-        return cls(
-            registry, [[one if r == c else zero for c in range(dim)] for r in range(dim)]
-        )
+        """factor (1 by default) times the identity; the factor is checked once, as one entry."""
+        out = object.__new__(cls)
+        out.registry = registry
+        e = out._entry(registry.const(ONE) if factor is None else factor)
+        out._rows = tuple([{r: e} if e._terms else {} for r in range(dim)])
+        return out
 
     @classmethod
     def zeros(cls, registry: SymbolRegistry, dim: int) -> "DiffOp":
-        return cls(registry, [[registry.zero()] * dim for _ in range(dim)])
+        return cls.identity(registry, dim, registry.zero())
+
+    def _entry(self, e) -> ScalarDiffOp:
+        """e as an entry over this registry: a ScalarDiffOp as it is, a PolyExpr lifted to one."""
+        if not isinstance(e, (PolyExpr, ScalarDiffOp)):
+            raise TypeError(f"a DiffOp entry must be a PolyExpr or a ScalarDiffOp, "
+                            f"not {type(e).__name__}")
+        if e.registry is not self.registry:
+            TermMap._coerce(self, e)
+        return ScalarDiffOp.coeff(e) if isinstance(e, PolyExpr) else e
 
     @staticmethod
     def scalar(op: ScalarDiffOp) -> "DiffOp":
         return DiffOp(op.registry, [[op]])
 
-    def _make(self, rows) -> "DiffOp":
-        """A result over this registry, taking square rows of its operators as they are.
-
-        A tuple of row tuples is kept as it is; any other rows are copied into one.
-        """
-        out = object.__new__(type(self))
+    def _make(self, rows: tuple) -> "DiffOp":
+        """A result over this registry, taking a tuple of sparse rows of its nonzero operators."""
+        out = object.__new__(DiffOp)
         out.registry = self.registry
-        out.rows = rows if type(rows) is tuple else tuple(map(tuple, rows))
+        out._rows = rows
         return out
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> Tuple[Tuple[ScalarDiffOp, ...], ...]:
+        """Every entry, row by row, the missing ones as the zero operator."""
+        zero, cols = ScalarDiffOp.zero(self.registry), range(len(self._rows))
+        return tuple([tuple([row.get(c, zero) for c in cols]) for row in self._rows])
 
     def entry(self, r: int, c: int) -> ScalarDiffOp:
-        return self.rows[r][c]
+        row, c = self._rows[r], range(len(self._rows))[c]  # IndexError out of range
+        return row[c] if c in row else ScalarDiffOp.zero(self.registry)
 
     @property
     def is_zero(self) -> bool:
-        return not any([e._terms for row in self.rows for e in row])
+        return not any(self._rows)
 
     def _check(self, other: "DiffOp") -> bool:
         """False for an operand of a foreign type; ShapeError or RegistryMismatch if unfit."""
-        if type(other) is type(self) and other.registry is self.registry \
-                and len(other.rows) == len(self.rows):
-            return True  # the case of nearly every call: one registry, one dimension
-        if not isinstance(other, type(self)):
+        if not isinstance(other, DiffOp):
             return False
-        if self.dim != other.dim:
+        if len(other._rows) != len(self._rows):
             raise ShapeError("matrix dimensions do not match")
-        TermMap._coerce(self, other)
+        if other.registry is not self.registry:  # one registry is the case of nearly every call
+            TermMap._coerce(self, other)
         return True
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         if not self._check(other):
             return NotImplemented
-        A, B = self.rows, other.rows
-        if len(A) == 1:
-            return self._make(((A[0][0] + B[0][0],),))
-        return self._make(tuple([tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(A, B)]))
+        out = []
+        for a_row, b_row in zip(self._rows, other._rows):
+            row = dict(a_row)
+            for c, b in b_row.items():
+                _accumulate(row, c, b)
+            out.append(row)
+        return self._make(tuple(out))
 
     def __neg__(self) -> "DiffOp":
-        return self._make(tuple([tuple([-e for e in row]) for row in self.rows]))
+        return self._make(tuple([{c: -e for c, e in row.items()} for row in self._rows]))
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + -other if self._check(other) else NotImplemented
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
+        """Entry (r, c) sums A_rk B_kc over the stored A_rk and B_kc, in the order of A's row."""
         if not self._check(other):
             return NotImplemented
-        n = self.dim
+        B = other._rows
         out = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = self.rows[r][0].compose(other.rows[0][c])
-                for k in range(1, n):
-                    acc = acc + self.rows[r][k].compose(other.rows[k][c])
-                row.append(acc)
+        for a_row in self._rows:
+            row = {}
+            for k, a in a_row.items():
+                for c, b in B[k].items():
+                    _accumulate(row, c, a.compose(b))
             out.append(row)
-        return self._make(out)
+        return self._make(tuple(out))
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        """self @ other - other @ self, entry by entry.
+        """self @ other - other @ self, over the stored entries.
 
         Entry (r, c) sums A_rk B_kc - B_rk A_kc over k; the summand with
         r = k = c is the entry bracket [A_rr, B_rr].
         """
         if not self._check(other):
             raise TypeError(f"expected a {type(self).__name__}")
-        A, B, n = self.rows, other.rows, self.dim
-        if n == 1:  # a scalar operator: the entry bracket alone
-            return self._make(((A[0][0].bracket(B[0][0]),),))
+        A, B = self._rows, other._rows
+        if len(A) == 1:  # every realized generator; a paired timing keeps this (CHANGES.md)
+            a, b = A[0].get(0), B[0].get(0)
+            e = None if a is None or b is None else a.bracket(b)
+            return self._make(({0: e} if e is not None and e._terms else {},))
         out = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = A[r][r].bracket(B[r][r]) if r == c else None
-                for k in range(n):
-                    if k == r == c:
-                        continue
-                    term = A[r][k].compose(B[k][c]) - B[r][k].compose(A[k][c])
-                    acc = term if acc is None else acc + term
-                row.append(acc)
+        for r, a_row in enumerate(A):
+            row = {}
+            for k, a in a_row.items():
+                for c, b in B[k].items():
+                    _accumulate(row, c, a.bracket(b) if k == c == r else a.compose(b))
+            for k, b in B[r].items():
+                for c, a in A[k].items():
+                    if k != r or c != r:
+                        _accumulate(row, c, -b.compose(a))
             out.append(row)
-        return self._make(out)
+        return self._make(tuple(out))
 
     def scale(self, factor) -> "DiffOp":
-        rows = self.rows
-        if len(rows) == 1:
-            return self._make(((rows[0][0].scale(factor),),))
-        return self._make(tuple([tuple([e.scale(factor) for e in row]) for row in rows]))
+        return self._make(tuple([{c: s for c, e in row.items() if (s := e.scale(factor))._terms}
+                                 for row in self._rows]))
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, type(self))
+            isinstance(other, DiffOp)
             and (self.registry is other.registry or self.registry == other.registry)
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.registry, self.rows))
+        return hash((self.registry, tuple([frozenset(row.items()) for row in self._rows])))
 
     def __str__(self) -> str:
-        rows = self.rows
-        if len(rows) == 1:
-            return f"[{rows[0][0]}]"
-        return "[" + "; ".join([", ".join([str(e) for e in row]) for row in rows]) + "]"
-
-    @staticmethod
-    def zero_text(dim: int) -> str:
-        """The text of the zero operator of a dimension, formed from the dimension alone."""
-        return "[" + "; ".join([", ".join(["0"] * dim)] * dim) + "]"
+        n, text = len(self._rows), "["
+        for r, row in enumerate(self._rows):
+            if r:
+                text += "; "
+            for c in range(n):
+                if c:
+                    text += ", "
+                text += str(row[c]) if c in row else "0"
+        return text + "]"
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

@@ -146,10 +146,15 @@ operators = st.dictionaries(
 ).map(lambda t: ScalarDiffOp(REG, t))
 
 
+# An entry is the zero operator about half the time, so the matrices have
+# missing entries, zero rows and zero diagonal entries.
+entries = st.one_of(st.just(ScalarDiffOp.zero(REG)), operators)
+
+
 @st.composite
 def operator_matrices(draw):
-    dim = draw(st.integers(1, 3))
-    return tuple(DiffOp(REG, [[draw(operators) for _ in range(dim)] for _ in range(dim)])
+    dim = draw(st.integers(1, 4))
+    return tuple(DiffOp(REG, [[draw(entries) for _ in range(dim)] for _ in range(dim)])
                  for _ in range(2))
 
 
@@ -352,9 +357,32 @@ def test_matrix_results_equal_the_constructed_ones(pair, factor):
         assert str(result) == str(public)
 
 
-def test_the_zero_text_is_the_zero_operator_printed():
-    for n in range(1, 5):
-        assert DiffOp.zero_text(n) == str(DiffOp.zeros(REG, n))
+ZERO_TEXTS = {1: "[0]", 2: "[0, 0; 0, 0]", 3: "[0, 0, 0; 0, 0, 0; 0, 0, 0]",
+              4: "[0, 0, 0, 0; 0, 0, 0, 0; 0, 0, 0, 0; 0, 0, 0, 0]"}
+
+
+def test_the_zero_operator_prints_every_entry():
+    for n, text in ZERO_TEXTS.items():
+        assert str(DiffOp.zeros(REG, n)) == text
+
+
+@settings(max_examples=30, deadline=None)
+@given(operator_matrices())
+def test_every_zero_matrix_is_the_zero_operator(pair):
+    A, _ = pair
+    n, zero = A.dim, ScalarDiffOp.zero(REG)
+    want = DiffOp.zeros(REG, n)
+    for got in (DiffOp(REG, [[zero] * n] * n), DiffOp(REG, [[REG.zero()] * n] * n), A - A,
+                A.scale(0), A.scale(REG.zero())):
+        assert got == want and hash(got) == hash(want) and str(got) == ZERO_TEXTS[n]
+        assert got.is_zero and got.dim == n
+    for r, row in enumerate(A.rows):
+        for c, entry in enumerate(row):
+            assert A.entry(r, c) == entry and want.entry(r, c) == zero
+    assert A.entry(-1, -1) == A.rows[-1][-1]  # negative indices count from the end, as in rows
+    for r, c in ((n, 0), (0, n), (n, n), (-n - 1, 0), (0, -n - 1)):
+        with pytest.raises(IndexError):
+            A.entry(r, c)
 
 
 @settings(max_examples=40, deadline=None)

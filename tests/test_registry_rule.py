@@ -3,7 +3,8 @@
 `TermMap._coerce` states the rule once; polynomials, scalar and matrix
 operators, field bilinears, the boost velocity and the realize parameters
 all check their operands through it.  A matrix of the wrong dimension is a
-ShapeError instead, and an operand of a foreign type a TypeError.
+ShapeError instead, and an operand or matrix entry of a foreign type a
+TypeError that names its type.
 """
 
 from fractions import Fraction
@@ -72,6 +73,9 @@ FOREIGN = {
     "1 - DiffOp": lambda: 1 - DiffOp.identity(REG, 2),
     "DiffOp @ ScalarDiffOp": lambda: DiffOp.identity(REG, 1) @ D1,
     "DiffOp.commutator(1)": lambda: DiffOp.identity(REG, 2).commutator(1),
+    "DiffOp entry int": lambda: DiffOp(REG, [[1]]),
+    "DiffOp entry Scalar": lambda: DiffOp(REG, [[Scalar(1)]]),
+    "DiffOp.identity factor Scalar": lambda: DiffOp.identity(REG, 2, factor=Scalar(1)),
 }
 
 
@@ -79,6 +83,15 @@ FOREIGN = {
 def test_an_operand_of_a_foreign_type_raises_type_error(mix):
     with pytest.raises(TypeError):
         FOREIGN[mix]()
+
+
+@pytest.mark.parametrize("entry", [1, Fraction(1, 2), Scalar(1), "x1"])
+def test_a_matrix_entry_of_a_foreign_type_is_named(entry):
+    name = type(entry).__name__
+    with pytest.raises(TypeError, match=f"not {name}$"):
+        DiffOp(REG, [[REG.zero(), REG.zero()], [REG.zero(), entry]])
+    with pytest.raises(TypeError, match=f"not {name}$"):
+        DiffOp.identity(REG, 3, factor=entry)
 
 
 @pytest.mark.parametrize("number", [2, Fraction(1, 2), Scalar(0, 1)])
