@@ -14,9 +14,9 @@ and each bracket table's stated rows.  Every bracket is still computed on
 every call; callers only read the shared objects.
 
 The generator updates build trusted results: J's spin constant and
-lambda enter as `DiffOp.identity`, one checked entry on the diagonal, and
-`kappa_shift` scales P2 by c/2m and P1 by its negation, one `scale` per
-boost, after `_parameter`'s mass and coordinate-free checks.
+lambda enter as `DiffOp.identity`, one constant entry on the diagonal,
+and `kappa_shift` scales P2 by c/2m and P1 by its negation, one `scale`
+per boost, after `_parameter`'s mass and coordinate-free checks.
 `verify_structure` forms, for a passing row, its bracket and that
 bracket's text only (see there).
 """
@@ -148,17 +148,8 @@ def kappa_shift(g: GeneratorSet, c) -> GeneratorSet:
 
 
 def central_scalar(op: DiffOp) -> Optional[PolyExpr]:
-    """If op == q*Id with q coordinate-free, return q; otherwise None.
-
-    Such an op is its corner entry times the identity, and that entry has
-    no term but the constant q.
-    """
-    corner = op.entry(0, 0)
-    q = corner.coefficient(ZERO_IDX)
-    if corner._terms.keys() <= {ZERO_IDX} and not q.uses_symbols(COORDS) \
-            and op == DiffOp.identity(op.registry, op.dim, corner):
-        return q
-    return None
+    """If op == q*Id with q coordinate-free, return q; otherwise None (read on op's rows)."""
+    return op.identity_factor()
 
 
 def _central_over_i(op: DiffOp) -> Optional[PolyExpr]:

@@ -24,17 +24,14 @@ product or bracket that passes this check on its operands is within both
 guards, and it is built without running the guards again.
 
 Work done once per operand: an operator keeps, filled on first use, the
-monomials of its coefficients that the kernel reads (derivative
-multi-index, coordinate exponents, exponent key and integer triple of
-each), the order and degree its guard check reads, the axes on which its
-terms differentiate and on which its coefficients reach, and the weighted
-derivatives of its coefficients that the kernel has formed with it as the
-right operand, keyed by term, left multi-index and sign (which fix every
-gamma and binomial weight).  None changes its value, and equality, hashing
-and pickling ignore them all.  A generator that is the right operand of
-several brackets forms each derivative list once, and a bracket in which
-no derivative of one operand meets a coordinate of the other is zero
-without entering the kernel.
+monomials of its coefficients that the kernel reads, the order and degree
+its guard check reads, the axes on which it differentiates and on which
+its coefficients reach, and the weighted derivatives of its coefficients
+formed with it as the right operand (see `_leibniz`).  None changes its
+value, and equality, hashing and pickling ignore them all.  A generator
+that is the right operand of several brackets forms each derivative list
+once, and a bracket in which no derivative of one operand meets a
+coordinate of the other is zero without entering the kernel.
 
 `DiffOp` is the one square-matrix class.  It stores each row as a map
 from column to its nonzero entries, so every operation visits only the
@@ -47,11 +44,14 @@ TypeError.  The finite boost is the series exp(ad X) of brackets
 Trusted results: `compose` and the bracket (checked on their operands'
 extents, above), `ScalarDiffOp.scale` by a nonzero factor free of the
 coordinates (a product of nonzero polynomials is nonzero, and the
-coordinate degree cannot grow), and the sum, difference, negation,
-product, commutator and `scale` of `DiffOp` (square, one registry, entries
-already checked) build their results without the constructors' checks.
-`DiffOp.identity` and `zeros` check their one entry once.  Any other
-factor goes through the constructor, with its guards and errors.
+coordinate degree cannot grow), `ScalarDiffOp.coeff` of a polynomial free
+of the coordinates (one constant term, on a registry checked as the
+constructor checks it), and the sum, difference, negation, product,
+commutator and `scale` of `DiffOp` (square, one registry, entries already
+checked) build their results without the constructors' checks.  So
+`DiffOp.identity` puts such a factor on the diagonal unchecked, and
+`DiffOp.identity_factor` reads q * Id back off the rows.  Any other factor
+goes through the constructor, with its guards and errors.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import DegreeOverflow, ShapeError
 from .exactscalar import (
@@ -69,6 +69,7 @@ from .exactscalar import (
     SymbolRegistry,
     TermMap,
     _reduced,
+    accumulate,
 )
 
 COORDS = ("x1", "x2", "t")
@@ -190,14 +191,13 @@ def _leibniz(left: list, right: list, derivs: dict, positions: Tuple[int, int, i
                     del out[midx]
 
 
-def _accumulate(row: dict, c: int, term: "ScalarDiffOp") -> None:
-    """Add term into the entry at column c of a sparse row, which keeps no zero."""
-    acc = row.get(c)
-    total = term if acc is None else acc + term
-    if total._terms:
-        row[c] = total
-    else:
-        row.pop(c, None)
+def _check_coordinates(registry: SymbolRegistry) -> None:
+    """ValueError unless registry holds x1, x2 and t, none of them invertible."""
+    for c in COORDS:
+        if c not in registry:
+            raise ValueError(f"registry lacks coordinate symbol {c!r}")
+        if registry.is_invertible(c):
+            raise ValueError(f"coordinate symbol {c!r} must not be invertible")
 
 
 def _has_two_terms(text: str) -> bool:
@@ -208,24 +208,15 @@ def _has_two_terms(text: str) -> bool:
 class ScalarDiffOp(TermMap):
     """One scalar operator: sum of coefficient * d1^a1 d2^a2 dt^at terms.
 
-    Four slots are filled on first use and never change the operator's
-    value, so equality, hashing, printing and pickling ignore them: `_mono`,
-    the monomials of every coefficient that the Leibniz kernel reads (see
-    `_monomials`), `_ext`, the (order, degree) pair of the guard check of
-    `compose` and `bracket`, `_axes`, the union of the axis masks of its
-    terms' derivatives and of their reach, which `bracket` reads, and
-    `_deriv`, the weighted derivatives of its terms that the kernel has
-    formed with this operator on the right (see `_leibniz`).
+    The four slots hold the work done once per operand (module docstring);
+    `_monomials` fills them on first use, and equality, hashing, printing
+    and pickling ignore them.
     """
 
     __slots__ = ("_mono", "_ext", "_axes", "_deriv")
 
     def __init__(self, registry: SymbolRegistry, terms: Mapping[MultiIndex, PolyExpr]):
-        for c in COORDS:
-            if c not in registry:
-                raise ValueError(f"registry lacks coordinate symbol {c!r}")
-            if registry.is_invertible(c):
-                raise ValueError(f"coordinate symbol {c!r} must not be invertible")
+        _check_coordinates(registry)
         self.registry = registry
         clean: Dict[MultiIndex, PolyExpr] = {}
         for midx, coeff in terms.items():
@@ -249,7 +240,15 @@ class ScalarDiffOp(TermMap):
 
     @staticmethod
     def coeff(poly: PolyExpr) -> "ScalarDiffOp":
-        return ScalarDiffOp(poly.registry, {ZERO_IDX: poly})
+        """Multiplication by poly, unchecked when poly is coordinate-free (one constant term)."""
+        registry = poly.registry
+        _check_coordinates(registry)
+        if poly.uses_symbols(COORDS):
+            return ScalarDiffOp(registry, {ZERO_IDX: poly})
+        out = object.__new__(ScalarDiffOp)
+        out.registry = registry
+        out._terms = {ZERO_IDX: poly} if poly._terms else {}
+        return out
 
     @staticmethod
     def deriv(registry: SymbolRegistry, midx: MultiIndex, coeff=None) -> "ScalarDiffOp":
@@ -270,13 +269,10 @@ class ScalarDiffOp(TermMap):
     def scale(self, factor) -> "ScalarDiffOp":
         """Left-multiply by a polynomial or scalar (commutes as a coefficient).
 
-        A nonzero factor free of the coordinates keeps every coefficient
-        nonzero (Gaussian rationals form a field, and the polynomials an
-        integral domain) and its coordinate degree unchanged, so that result
-        is built without the constructor's checks; a scalar multiplies each
-        coefficient's terms directly.  Any other factor goes through the
-        constructor's checks.  A factor over another registry raises
-        RegistryMismatch in its first product with a coefficient.
+        A polynomial over another registry raises RegistryMismatch before
+        any term is read; a nonzero factor free of the coordinates and a
+        scalar build unchecked (module docstring), any other factor through
+        the constructor.
         """
         if not isinstance(factor, PolyExpr):
             s = factor if type(factor) is Scalar else Scalar.of(factor)
@@ -284,6 +280,8 @@ class ScalarDiffOp(TermMap):
                 return self._make({})
             return self._make({m: c._make({k: s * v for k, v in c._terms.items()})
                                for m, c in self._terms.items()})
+        if factor.registry is not self.registry:
+            self._coerce(factor)
         terms = {m: factor * c for m, c in self._terms.items()}
         if factor.is_zero or factor.uses_symbols(COORDS):
             return ScalarDiffOp(self.registry, terms)
@@ -409,9 +407,10 @@ class DiffOp:
     dense rows, lifts PolyExpr entries to multiplication operators and
     checks that the rows are square (ShapeError) and that every entry is a
     PolyExpr or ScalarDiffOp (TypeError) over `registry` (RegistryMismatch).
-    The product composes entries, and the commutator takes its diagonal
-    summands from the entry bracket.  `entry`, `rows`, `dim` and the text
-    read as for dense rows.
+    Sums, the product and the commutator (its diagonal summands from the
+    entry bracket) run one loop for every dimension; `identity_factor`
+    reads q * Id off the rows.  `entry`, `rows`, `dim` and the text read
+    as for dense rows.
     """
 
     __slots__ = ("registry", "_rows")
@@ -433,6 +432,18 @@ class DiffOp:
         e = out._entry(registry.const(ONE) if factor is None else factor)
         out._rows = tuple([{r: e} if e._terms else {} for r in range(dim)])
         return out
+
+    def identity_factor(self) -> Optional[PolyExpr]:
+        """q if every row r is {r: e}, e the one constant term q, coordinate-free; 0 if zero; else None."""
+        rows = self._rows
+        e = rows[0].get(0)
+        if e is None:
+            return None if any(rows) else self.registry.zero()
+        q = e._terms.get(ZERO_IDX)
+        if q is None or len(e._terms) != 1 or q.uses_symbols(COORDS) \
+                or any(row != {r: e} for r, row in enumerate(rows)):
+            return None
+        return q
 
     @classmethod
     def zeros(cls, registry: SymbolRegistry, dim: int) -> "DiffOp":
@@ -493,7 +504,7 @@ class DiffOp:
         for a_row, b_row in zip(self._rows, other._rows):
             row = dict(a_row)
             for c, b in b_row.items():
-                _accumulate(row, c, b)
+                accumulate(row, c, b)
             out.append(row)
         return self._make(tuple(out))
 
@@ -513,7 +524,7 @@ class DiffOp:
             row = {}
             for k, a in a_row.items():
                 for c, b in B[k].items():
-                    _accumulate(row, c, a.compose(b))
+                    accumulate(row, c, a.compose(b))
             out.append(row)
         return self._make(tuple(out))
 
@@ -526,24 +537,22 @@ class DiffOp:
         if not self._check(other):
             raise TypeError(f"expected a {type(self).__name__}")
         A, B = self._rows, other._rows
-        if len(A) == 1:  # every realized generator; a paired timing keeps this (CHANGES.md)
-            a, b = A[0].get(0), B[0].get(0)
-            e = None if a is None or b is None else a.bracket(b)
-            return self._make(({0: e} if e is not None and e._terms else {},))
         out = []
         for r, a_row in enumerate(A):
             row = {}
             for k, a in a_row.items():
                 for c, b in B[k].items():
-                    _accumulate(row, c, a.bracket(b) if k == c == r else a.compose(b))
+                    accumulate(row, c, a.bracket(b) if k == c == r else a.compose(b))
             for k, b in B[r].items():
                 for c, a in A[k].items():
                     if k != r or c != r:
-                        _accumulate(row, c, -b.compose(a))
+                        accumulate(row, c, -b.compose(a))
             out.append(row)
         return self._make(tuple(out))
 
     def scale(self, factor) -> "DiffOp":
+        if isinstance(factor, PolyExpr) and factor.registry is not self.registry:
+            TermMap._coerce(self, factor)
         return self._make(tuple([{c: s for c, e in row.items() if (s := e.scale(factor))._terms}
                                  for row in self._rows]))
 

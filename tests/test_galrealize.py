@@ -14,11 +14,12 @@ from galkappa import algfile, galrealize, weylop
 from galkappa.algfile import load_bundled, loads
 from galkappa.cli import main
 from galkappa.cocycle import jacobi_check
-from galkappa.errors import BadMass, BadParameter, BadRank, BadSpin, NotCentral
-from galkappa.exactscalar import I, PolyExpr, Scalar
+from galkappa.errors import BadMass, BadParameter, BadRank, BadSpin, NotCentral, RegistryMismatch
+from galkappa.exactscalar import I, PolyExpr, Scalar, SymbolRegistry
 from galkappa.galrealize import (
     CENTRAL_NAME,
     GENERATOR_NAMES,
+    REALIZE_SYMBOLS,
     TABLE_CORRECTED,
     GeneratorSet,
     central_scalar,
@@ -430,8 +431,15 @@ _entries = st.one_of(
 )
 
 
+# factors of DiffOp.identity: zero, Gaussian constants, symbols, 1/m, and factors with coordinates
+_FACTORS = _CONSTANTS + [REG.symbol("c"), REG.symbol("lam"), REG.symbol("m", -1),
+                         REG.const(Scalar(Fraction(-3, 4), 2))] + _MONOMIALS + [_t * _m]
+
+
 @st.composite
 def _square_ops(draw):
+    if draw(st.integers(0, 2)) == 0:  # q * Id as DiffOp.identity builds it
+        return DiffOp.identity(REG, draw(st.integers(1, 4)), draw(st.sampled_from(_FACTORS)))
     n = draw(st.sampled_from([1, 2]))
     if draw(st.booleans()):  # an entry times Id, perhaps with one entry replaced
         q, zero = draw(_entries), ScalarDiffOp.zero(REG)
@@ -457,6 +465,32 @@ def test_central_scalar_rejects_a_derivative_on_the_diagonal():
         assert _central_scalar_reference(op) is None
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("factor", _FACTORS, ids=str)
+def test_the_identity_is_the_diagonal_the_constructor_builds(factor, n):
+    op = DiffOp.identity(REG, n, factor)
+    checked = DiffOp(REG, [[factor if r == c else REG.zero() for c in range(n)] for r in range(n)])
+    assert op == checked and hash(op) == hash(checked) and str(op) == str(checked)
+    if factor.uses_symbols(COORDS):
+        assert central_scalar(op) is None
+    else:
+        assert central_scalar(op) == factor
+
+
+def test_the_identity_raises_what_the_constructor_raises():
+    with pytest.raises(TypeError):
+        DiffOp.identity(REG, 2, Scalar(1))
+    with pytest.raises(RegistryMismatch):
+        DiffOp.identity(REG, 2, SymbolRegistry(REALIZE_SYMBOLS).symbol("c"))
+    invertible_t = SymbolRegistry(REALIZE_SYMBOLS, invertible={"m", "t"})
+    for factor in (None, invertible_t.symbol("c"), invertible_t.zero()):
+        with pytest.raises(ValueError, match="must not be invertible"):
+            DiffOp.identity(invertible_t, 2, factor)
+    no_t = SymbolRegistry(("c", "x1", "x2"))
+    with pytest.raises(ValueError, match="lacks coordinate symbol 't'"):
+        DiffOp.identity(no_t, 2, no_t.symbol("c"))
+
+
 def _shifted_multispinor():
     reg = make_registry()
     g = realize("multispinor", 1, 3)
@@ -471,6 +505,24 @@ def test_a_realize_command_computes_each_of_the_21_brackets_once(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert main(["realize", "multispinor", "--rank=3", "--shift=c", "--lambda=lam"]) == 0
     assert len(calls) == len(stated_rows(TABLE_CORRECTED)) == 21
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "multispinor", "--rank=3", "--shift=c", "--lambda=lam"],
+    ["realize", "schrodinger"],
+    ["realize", "levyleblond", "--spin-s=-1", "--strict-literal-table", "--shift=1/2"],
+])
+def test_a_realize_command_runs_no_checking_operator_constructor(monkeypatch, argv):
+    monkeypatch.delenv("GALKAPPA_REPORT_DIR", raising=False)
+    with redirect_stdout(io.StringIO()):
+        status = main(argv)  # the warm-up builds the objects a process shares
+    calls = []
+    real = ScalarDiffOp.__init__
+    monkeypatch.setattr(ScalarDiffOp, "__init__",
+                        lambda op, *args: calls.append(args) or real(op, *args))
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == status
+    assert calls == []
 
 
 def test_derivative_lists_are_formed_once_per_operand(monkeypatch):

@@ -37,6 +37,8 @@ MIXES = {
     "DiffOp entry": lambda: DiffOp(REG, [[OTHER_D1]]),
     "DiffOp +": lambda: DiffOp.identity(REG, 2) + DiffOp.identity(OTHER, 2),
     "DiffOp @": lambda: DiffOp.identity(REG, 2) @ DiffOp.identity(OTHER, 2),
+    "zero ScalarDiffOp.scale": lambda: ScalarDiffOp.zero(REG).scale(OTHER.symbol("c")),
+    "zero DiffOp.scale": lambda: DiffOp.zeros(REG, 2).scale(OTHER.symbol("c")),
     "boost_transform": lambda: boost_transform(build_wave_operator(REG, 1), 1,
                                                (OTHER.symbol("v1"), REG.symbol("v2"))),
     "extend_lambda": lambda: extend_lambda(realize("schrodinger", 1, 1), OTHER.symbol("lam")),
