@@ -10,13 +10,19 @@ forward elimination, inserting the rows one by one, then back-substitution
 from the last pivot.  Both steps update a row only through `_clear`, which
 subtracts a multiple of a pivot row that is 1 at its pivot.  Every
 dimension is re-derived by forward elimination alone under the reversed
-order, as a self-check.  Each exact update (a row entry minus a multiple, a
-Jacobi sum of products) is formed over one denominator and reduced once.
+order, as a self-check.
 
 Every system is sparse end to end: the structure constants are read from
 the antisymmetric tensor each `LieAlgebraSpec` builds once, holding only the
-nonzero brackets, and each row is a ``{column: nonzero Scalar}`` dict built
+nonzero brackets, and each row is a ``{column: (a, b, d)}`` dict built
 straight from them.  Columns are the pairs i < j in lexicographic order.
+An entry is the canonical triple a `Scalar` stores for (a + b*i)/d: d > 0,
+gcd(a, b, d) == 1, and never zero.  Each exact update is one of the integer
+kernels `exactscalar` keeps next to `Scalar`: `_plus` for a sum of colliding
+terms, `_clear` for a row entry minus a multiple, `_scale_to_one` for a new
+pivot row and `_sum_products` for a Jacobi sum.  A `Scalar` is built only
+for a value that leaves the solver: a representative's entry, or the
+residual of a failing Jacobi triple.
 """
 
 from __future__ import annotations
@@ -24,12 +30,23 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GalkappaError
-from .exactscalar import ONE, Scalar, _sub_mul, _sum_products, accumulate
+from .exactscalar import (
+    ONE,
+    Scalar,
+    _canonical,
+    _clear,
+    _plus,
+    _reduced,
+    _scale_to_one,
+    _sum_products,
+    accumulate,
+)
 
-Row = Dict[int, Scalar]
+Entry = Tuple[int, int, int]
+Row = Dict[int, Entry]
 Cochain = Dict[Tuple[str, str], Scalar]
 Triple = Tuple[int, int, int]
-Structure = List[Dict[int, Row]]
+Structure = List[Dict[int, Dict[int, Scalar]]]
 
 
 class LieAlgebraSpec:
@@ -124,11 +141,11 @@ def _cocycle_rows(f: Structure, off: List[int]) -> Iterator[Tuple[Triple, Row]]:
                                     continue
                                 old = row.get(s)
                                 if old is None:
-                                    row[s] = coeff
-                                elif (coeff := old + coeff).is_zero:
+                                    row[s] = coeff._abd
+                                elif (new := _plus(old, coeff._abd)) is None:
                                     del row[s]
                                 else:
-                                    row[s] = coeff
+                                    row[s] = new
                     if row:
                         yield (i, j, k), row
 
@@ -147,7 +164,8 @@ class JacobiResult:
 def _jacobi(spec: LieAlgebraSpec, rows: Iterable[Tuple[Triple, Row]]) -> JacobiResult:
     """The first of the (triple, cocycle row) pairs with a nonzero Jacobi sum:
     the row with each column s = (a, b) replaced by [X_a, X_b], summed per
-    target and reduced once.  A triple without a row has a zero sum."""
+    target over one denominator; only a nonzero sum is reduced, to the
+    residual's Scalar.  A triple without a row has a zero sum."""
     column_bracket = [spec.brackets.get(pair) for pair in spec.pairs()]
     for triple, row in rows:
         products: Dict[int, list] = {}
@@ -155,12 +173,12 @@ def _jacobi(spec: LieAlgebraSpec, rows: Iterable[Tuple[Triple, Row]]) -> JacobiR
             fab = column_bracket[s]
             if fab:
                 for l, coeff in fab.items():
-                    products.setdefault(l, []).append((v, coeff))
+                    products.setdefault(l, []).append((v, coeff._abd))
         residual = {}
         for l, pairs in products.items():
-            v = _sum_products(pairs)
-            if not v.is_zero:
-                residual[spec.names[l]] = v
+            a, b, d = _sum_products(pairs)
+            if a or b:
+                residual[spec.names[l]] = _reduced(a, b, d)
         if residual:
             return JacobiResult(ok=False, triple=tuple(spec.names[x] for x in triple),
                                 residual=residual)
@@ -175,60 +193,42 @@ def jacobi_check(spec: LieAlgebraSpec) -> JacobiResult:
 # -- exact elimination -------------------------------------------------------
 
 
-def _clear(v: Row, p: int, row: Row) -> None:
-    """v -= v[p] * row, in place, for a row that is 1 at column p.
-
-    Column p leaves v; every other entry of the row updates v with one
-    reduction, and entries that cancel are dropped.
-    """
-    factor = v.pop(p)
-    for c, e in row.items():
-        if c != p:
-            old = v.get(c)
-            if old is None:
-                v[c] = -(factor * e)
-            else:
-                new = _sub_mul(old, factor, e)
-                if new.is_zero:
-                    del v[c]
-                else:
-                    v[c] = new
-
-
 def _forward(rows: List[Row]) -> List[Tuple[int, Row]]:
-    """Forward elimination of sparse rows ({column: Scalar}), row by row.
+    """Forward elimination of sparse rows ({column: (a, b, d)}), row by row.
 
     The rows are taken in order of increasing nonzero count.  Each is cleared
     with `_clear` on the pivots found so far, lowest column first, until its
     first column is not yet a pivot column or nothing is left; a remainder is
-    scaled to 1 at that column and kept as its pivot.  A pivot row is zero
-    left of its pivot and is not updated again.
+    scaled to 1 at that column with `_scale_to_one` and kept as its pivot.
+    A pivot row is zero left of its pivot and is not updated again.
 
     Returns the pivot columns with their rows, in increasing column order;
-    their number is the rank.  The input rows are left as they are.
+    their number is the rank.  The input rows, which hold no zero entry, are
+    left as they are.
     """
     pivots: Dict[int, Row] = {}
     for row in sorted(rows, key=len):
-        v = {c: e for c, e in row.items() if not e.is_zero}
+        v = dict(row)
         while v:
             col = min(v)
             pivot = pivots.get(col)
             if pivot is None:
-                inv = ONE / v[col]
-                pivots[col] = {c: e * inv for c, e in v.items()}
+                _scale_to_one(v, col)
+                pivots[col] = v
                 break
             _clear(v, col, pivot)
     return sorted(pivots.items())
 
 
 def _rref(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row]]:
-    """Reduced row echelon form of sparse rows ({column: Scalar}).
+    """Reduced row echelon form of sparse rows ({column: (a, b, d)}).
 
     `_forward` brings the rows to echelon form, each pivot already 1;
     back-substitution then runs from the last pivot up, clearing each pivot
     row with `_clear` on the later pivot columns, whose rows are already
     reduced.  The reduced row echelon form of a row space is unique, so the
-    order in which rows are taken changes the work done, never the result.
+    order in which rows are taken changes the work done, never the result,
+    and every entry is canonical.
 
     Returns the rank, the pivot columns in increasing order and the reduced
     rows in the same order.  The input rows are left as they are.  `ncols`
@@ -258,14 +258,16 @@ def _rref_checked(rows: List[Row], ncols: int) -> Tuple[int, List[int], List[Row
 
 
 def _nullspace(pivots: List[int], red: List[Row], ncols: int) -> List[Row]:
-    """Nullspace basis read off an `_rref` result, one vector per free column."""
+    """Nullspace basis read off an `_rref` result, one vector per free column:
+    1 at its free column and minus that column's entry of each reduced row at
+    the row's pivot, all canonical triples."""
     pivot_set = set(pivots)
-    basis = {free: {free: ONE} for free in range(ncols) if free not in pivot_set}
+    basis = {free: {free: ONE._abd} for free in range(ncols) if free not in pivot_set}
     # a reduced row is zero on every other pivot column: the rest are free
     for row, p in zip(red, pivots):
-        for c, e in row.items():
+        for c, (a, b, d) in row.items():
             if c != p:
-                basis[c][p] = -e
+                basis[c][p] = (-a, -b, d)
     return list(basis.values())
 
 
@@ -291,7 +293,7 @@ def _coboundary_rows(f: Structure, off: List[int]) -> List[Row]:
         for j, rhs in fi.items():
             if i < j:
                 for k, coeff in rhs.items():
-                    by_target.setdefault(k, {})[off[i] + j] = coeff
+                    by_target.setdefault(k, {})[off[i] + j] = coeff._abd
     return [by_target[k] for k in sorted(by_target)]
 
 
@@ -334,26 +336,30 @@ def central_extensions(spec: LieAlgebraSpec) -> ExtensionSpace:
         )
 
     pair_names = [(spec.names[i], spec.names[j]) for i, j in spec.pairs()]
-    reps = [{pair_names[s]: vec[s] for s in sorted(vec)} for vec in rep_rows]
+    # the solver's entries are canonical, so each leaves it as a Scalar as it is
+    reps = [{pair_names[s]: _canonical(*vec[s]) for s in sorted(vec)} for vec in rep_rows]
     return ExtensionSpace(spec.names, z, b, h2, reps)
 
 
 def _beta_vector(spec: LieAlgebraSpec, beta: Mapping, off: List[int]) -> Row:
     """beta, given by name pairs, as {column: entry}."""
-    vec: Row = {}
+    vec: Dict[int, Scalar] = {}
     for (a, b), coeff in beta.items():
         i, j = spec.index(a), spec.index(b)
         if i == j:
             raise ValueError("beta entry on a diagonal pair")
         coeff = Scalar.of(coeff)
         accumulate(vec, off[min(i, j)] + max(i, j), coeff if i < j else -coeff)
-    return vec
+    return {c: e._abd for c, e in vec.items()}
 
 
 def _satisfies(walk: Iterable[Tuple[Triple, Row]], vec: Row) -> bool:
     """Does the vector vanish on every cocycle row?"""
-    return all(_sum_products((e, vec[c]) for c, e in row.items() if c in vec).is_zero
-               for _, row in walk)
+    for _, row in walk:
+        a, b, _ = _sum_products((e, vec[c]) for c, e in row.items() if c in vec)
+        if a or b:
+            return False
+    return True
 
 
 def is_cocycle(spec: LieAlgebraSpec, beta: Mapping) -> bool:

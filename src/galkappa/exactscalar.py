@@ -8,6 +8,9 @@ A `Scalar` is one reduced integer triple (a, b, d) for (a + b*i)/d, so its
 arithmetic is integer arithmetic plus one gcd per result; Fractions appear
 only at the public edges (the constructor and the `re`/`im` parts).  The one
 grammar of an exact literal is here, read by `parse_scalar` and `algfile`.
+The same triples are the entries of `cocycle`'s elimination rows, and the
+private kernels that update them live here too, so the reduction rule is
+stated in this module alone.
 
 Polynomials are multivariate over a fixed registry of named symbols.  A
 symbol registered as invertible may carry negative exponents (Laurent terms);
@@ -246,31 +249,47 @@ def _quotient(x: Scalar, y: Scalar) -> Scalar:
     return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * norm)
 
 
-# Fused kernels for exact updates: each forms its integer result over one
-# denominator and takes one gcd at the end, where the operator chain would
-# build and reduce a Scalar per step.  The result is the same canonical triple.
+# Kernels over canonical triples (a, b, d), the value a Scalar stores for
+# (a + b*i)/d: d > 0, gcd(a, b, d) == 1.  Each forms its integer result over
+# one denominator and takes at most one gcd per entry, where the operator chain
+# would build and reduce a Scalar per step; the triple it gives is the one the
+# chain's Scalar would store.  A row is a sparse {column: triple} map holding
+# no zero; the row kernels update one in place and build no object per entry
+# beyond the stored triple.  cocycle eliminates on such rows.
+
+_Abd = Tuple[int, int, int]
 
 
-def _sub_mul(x: Scalar, y: Scalar, z: Scalar) -> Scalar:
-    """x - y*z, reduced once."""
-    a, b, d = x._abd
-    c, e, f = y._abd
-    g, h, k = z._abd
-    p = c * g - e * h
-    q = c * h + e * g
-    m = f * k
-    if m == d:
-        return _reduced(a - p, b - q, d)
-    return _reduced(a * m - p * d, b * m - q * d, d * m)
+def _plus(x: _Abd, y: _Abd) -> Optional[_Abd]:
+    """x + y as a canonical triple; None when the sum is zero."""
+    a, b, d = x
+    c, e, f = y
+    if d == f:
+        a += c
+        b += e
+    else:
+        a = a * f + c * d
+        b = b * f + e * d
+        d *= f
+    if not (a or b):
+        return None
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return a // g, b // g, d // g
+    return a, b, d
 
 
-def _sum_products(pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
-    """The sum of y*z over (y, z) pairs, reduced once (ZERO for no pairs)."""
+def _sum_products(pairs: Iterable[Tuple[_Abd, _Abd]]) -> _Abd:
+    """The sum of y*z over pairs of canonical triples, formed over one denominator.
+
+    The result (a, b, d), with d > 0, is not reduced ((0, 0, 1) for no pairs):
+    a or b tells whether the sum is nonzero, and `_reduced(a, b, d)` is its
+    Scalar, the one an operator chain of Scalars would give, with one gcd.
+    """
     a = b = 0
     d = 1
-    for y, z in pairs:
-        c, e, f = y._abd
-        g, h, k = z._abd
+    for (c, e, f), (g, h, k) in pairs:
         p = c * g - e * h
         q = c * h + e * g
         m = f * k
@@ -281,7 +300,61 @@ def _sum_products(pairs: Iterable[Tuple[Scalar, Scalar]]) -> Scalar:
             a = a * m + p * d
             b = b * m + q * d
             d *= m
-    return _reduced(a, b, d)
+    return a, b, d
+
+
+def _clear(v: Dict[int, _Abd], p: int, row: Dict[int, _Abd]) -> None:
+    """v -= v[p] * row, in place, for a row that is 1 at column p.
+
+    Column p leaves v.  Every other entry of the row updates v by x - y*z
+    over one denominator, reduced with one gcd (none over d == 1); entries
+    that cancel are dropped.
+    """
+    c, e, f = v.pop(p)
+    for col, (g, h, k) in row.items():
+        if col != p:
+            x = c * g - e * h
+            y = c * h + e * g
+            m = f * k
+            old = v.get(col)
+            if old is None:
+                x, y = -x, -y
+            else:
+                a, b, d = old
+                if m == d:
+                    x, y = a - x, b - y
+                else:
+                    x, y, m = a * m - x * d, b * m - y * d, d * m
+                if not (x or y):
+                    del v[col]
+                    continue
+            if m != 1:
+                r = gcd(x, y, m)
+                if r != 1:
+                    x //= r
+                    y //= r
+                    m //= r
+            v[col] = (x, y, m)
+
+
+def _scale_to_one(v: Dict[int, _Abd], p: int) -> None:
+    """v /= v[p], in place, in one pass: every entry times the reduced inverse
+    d*(a - b*i)/(a^2 + b^2) of v[p] = (a + b*i)/d, reduced with one gcd."""
+    a, b, d = v[p]
+    m = a * a + b * b
+    a, b = d * a, -d * b
+    r = gcd(a, b, m)
+    if r != 1:
+        a, b, m = a // r, b // r, m // r
+    for c, (g, h, k) in v.items():
+        x = g * a - h * b
+        y = g * b + h * a
+        k *= m
+        if k != 1:
+            r = gcd(x, y, k)
+            if r != 1:
+                x, y, k = x // r, y // r, k // r
+        v[c] = (x, y, k)
 
 
 def _ratio(n: int, d: int) -> str:

@@ -36,6 +36,7 @@ from .exactscalar import (
     Scalar,
     SymbolRegistry,
     TermMap,
+    _reduced,
     _sum_products,
     parse_scalar,
 )
@@ -162,16 +163,17 @@ def _side_image(rules: EomRules, comp: str, midx) -> tuple:
 def _collect(sums: dict) -> list:
     """[(key, {exponent key: Scalar})] for each key whose monomials do not all cancel.
 
-    sums maps each key to {exponent key: [(y, z), ...]}; each monomial's
-    coefficient is the sum of its products y*z, reduced once.
+    sums maps each key to {exponent key: [(y, z), ...]} of Scalars; each
+    monomial's coefficient is the sum of its products y*z over their
+    triples, reduced once.
     """
     out = []
     for key, monomials in sums.items():
         terms = {}
         for k, pairs in monomials.items():
-            c = _sum_products(pairs)
-            if c:
-                terms[k] = c
+            a, b, d = _sum_products((y._abd, z._abd) for y, z in pairs)
+            if a or b:
+                terms[k] = _reduced(a, b, d)
         if terms:
             out.append((key, terms))
     return out

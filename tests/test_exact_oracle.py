@@ -2,8 +2,9 @@
 
 `dense_rref` is the dense elimination the package used before row updates
 were restricted to the pivot row's support; the sparse `_rref`, which takes
-and returns `{column: Scalar}` rows, must return the identical
-`(rank, pivots, rows)` once its rows are written out densely.  Scalar
+and returns `{column: (a, b, d)}` rows of canonical Scalar triples, must
+return the identical `(rank, pivots, rows)` once its rows are written out
+densely as Scalars.  Scalar
 arithmetic is compared with the same formulas evaluated on plain
 `(Fraction, Fraction)` pairs.
 """
@@ -13,6 +14,7 @@ import dataclasses
 import math
 import operator
 import pickle
+import random
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -20,11 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galkappa import algfile, cocycle
+from galkappa import algfile, cocycle, exactscalar
 from galkappa.cli import main
 from galkappa.cocycle import _rref, central_extensions
 from galkappa.errors import GalkappaError
-from galkappa.exactscalar import ONE, ZERO, Scalar, _sub_mul, _sum_products
+from galkappa.exactscalar import ONE, ZERO, Scalar, _reduced, _sum_products
 from galkappa.galrealize import kappa_shift, realize
 
 
@@ -88,15 +90,22 @@ def sparse_matrices(draw):
     return [rows[k] for k in order], ncols
 
 
-def to_sparse(rows: List[List[Scalar]]) -> List[Dict[int, Scalar]]:
-    return [{c: e for c, e in enumerate(row) if not e.is_zero} for row in rows]
+def to_sparse(rows: List[List[Scalar]]) -> List[Dict[int, Tuple[int, int, int]]]:
+    return [{c: e._abd for c, e in enumerate(row) if not e.is_zero} for row in rows]
+
+
+def to_scalar(entry: Tuple[int, int, int]) -> Scalar:
+    """A solver entry (a, b, d) as the Scalar (a + b*i)/d, through the public constructor."""
+    a, b, d = entry
+    return Scalar(Fraction(a, d), Fraction(b, d))
 
 
 def sparse_rref(rows: List[List[Scalar]], ncols: int):
     """`_rref` on dense rows, its reduced rows written out densely again."""
     rank, pivots, red = _rref(to_sparse(rows), ncols)
-    assert all(not e.is_zero for row in red for e in row.values())
-    return rank, pivots, [[row.get(c, ZERO) for c in range(ncols)] for row in red]
+    assert all(e[0] or e[1] for row in red for e in row.values())
+    return rank, pivots, [[to_scalar(row[c]) if c in row else ZERO for c in range(ncols)]
+                          for row in red]
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,11 +199,93 @@ def test_forward_rows_are_normalised_echelon_rows(matrix, rnd):
     assert all(a < b for a, b in zip(pivots, pivots[1:]))
     for col, row in echelon:
         # 1 at the pivot, zero (absent) left of it, no stored zeros
-        assert row[col] == ONE
+        assert row[col] == (1, 0, 1)
         assert min(row) == col
-        assert all(not e.is_zero for e in row.values())
+        assert all(e[0] or e[1] for e in row.values())
     rnd.shuffle(sparse)
     assert len(cocycle._forward(sparse)) == len(echelon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_every_entry_the_solver_returns_is_canonical(matrix):
+    rows, ncols = matrix
+    sparse = to_sparse(rows)
+    _, pivots, red = _rref(sparse, ncols)
+    echelon = [row for _, row in cocycle._forward(sparse)]
+    for row in red + echelon + cocycle._nullspace(pivots, red, ncols):
+        for a, b, d in row.values():
+            assert type(a) is int and type(b) is int and type(d) is int
+            assert d > 0 and math.gcd(a, b, d) == 1 and (a or b)
+
+
+def changed_basis(name: str, steps: int, seed: int) -> str:
+    """A bundled algebra as `.alg` text in a dense basis: `steps` seeded steps
+    y_a += r*y_b, with every structure constant transformed over Fractions."""
+    spec = algfile.load_bundled(name)
+    n = spec.dim
+    rnd = random.Random(seed)
+    A = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]  # y = A x
+    for _ in range(steps):
+        a, b = rnd.sample(range(n), 2)
+        r = Fraction(rnd.choice((1, 2, 3)) * rnd.choice((1, -1)), rnd.choice((1, 2, 3)))
+        A[a] = [A[a][c] + r * A[b][c] for c in range(n)]
+    # the inverse, by Gauss-Jordan on [A | 1]; A is invertible by construction
+    work = [A[r] + [Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if work[r][col])
+        work[col], work[piv] = work[piv], work[col]
+        work[col] = [e / work[col][col] for e in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                work[r] = [e - work[r][col] * p for e, p in zip(work[r], work[col])]
+    inv = [row[n:] for row in work]  # x = inv y
+
+    def bracket(i, j):  # [x_i, x_j] as {k: (re, im)}
+        return {k: (c.re, c.im) for k, c in spec.bracket(i, j).items()}
+
+    lines = ["generators: " + " ".join(f"Y{a}" for a in range(n))]
+    for a in range(n):
+        for b in range(a + 1, n):
+            on_x = {}
+            for i in range(n):
+                for j in range(n):
+                    w = A[a][i] * A[b][j]
+                    if w:
+                        for k, (re, im) in bracket(i, j).items():
+                            acc = on_x.setdefault(k, [Fraction(0), Fraction(0)])
+                            acc[0] += w * re
+                            acc[1] += w * im
+            terms = []
+            for c in range(n):
+                for part, unit in ((0, ""), (1, "i*")):
+                    q = sum((acc[part] * inv[k][c] for k, acc in on_x.items()), Fraction(0))
+                    if q:
+                        terms.append(("-" if q < 0 else "+", f"{abs(q)}*{unit}Y{c}"))
+            if terms:
+                text = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+                text += "".join(f" {sign} {term}" for sign, term in terms[1:])
+                lines.append(f"[Y{a}, Y{b}] = {text}")
+    return "\n".join(lines) + "\n"
+
+
+def test_central_extensions_builds_a_scalar_only_per_representative_entry(monkeypatch):
+    # elimination runs on integer triples: the only Scalars made are the
+    # representatives' entries, however many updates the dense basis costs
+    spec = algfile.loads(changed_basis("planar_galilei", 8, 7))
+    made = []
+    for module in (exactscalar, cocycle):
+        for name in ("_reduced", "_canonical"):
+            if hasattr(module, name):
+                def counting(*abd, _make=getattr(module, name)):
+                    made.append(abd)
+                    return _make(*abd)
+                monkeypatch.setattr(module, name, counting)
+    ext = central_extensions(spec)
+    monkeypatch.undo()
+    assert ext.h2 == 3 and len(ext.representatives) == 3
+    entries = sum(len(rep) for rep in ext.representatives)
+    assert entries and len(made) == entries
 
 
 def _short_reversed_pass(monkeypatch):
@@ -374,12 +465,45 @@ def _same(x: Scalar, y: Scalar) -> None:
     assert x._abd == y._abd and hash(x) == hash(y) and x == y
 
 
+def _cleared(x: Scalar, y: Scalar, z: Scalar) -> Scalar:
+    """x - y*z through `_clear`: the row {0: y, 1: x} cleared at column 0 by the
+    pivot row {0: 1, 1: z}, zeros held as absent entries, column 1 read back."""
+    v = {c: e._abd for c, e in ((0, y), (1, x)) if e}
+    row = {c: e._abd for c, e in ((0, ONE), (1, z)) if e}
+    if 0 in v:
+        cocycle._clear(v, 0, row)
+    assert set(v) <= {1} and all(e[0] or e[1] for e in v.values())
+    return ZERO if 1 not in v else exactscalar._canonical(*v[1])
+
+
 @settings(max_examples=300)
 @given(scalars, scalars, scalars)
-def test_fused_sub_mul_is_the_operator_chain(x, y, z):
-    _same(_sub_mul(x, y, z), x - y * z)
-    _same(_sub_mul(y * z, y, z), ZERO)
-    _same(_sub_mul(x, y, ZERO), x)
+def test_clear_is_the_operator_chain(x, y, z):
+    _same(_cleared(x, y, z), x - y * z)
+    _same(_cleared(y * z, y, z), ZERO)
+    _same(_cleared(x, y, ZERO), x)
+
+
+@settings(max_examples=300)
+@given(scalars, scalars)
+def test_plus_is_the_operator_chain(x, y):
+    if x and y:
+        total = exactscalar._plus(x._abd, y._abd)
+        _same(ZERO if total is None else exactscalar._canonical(*total), x + y)
+        assert exactscalar._plus(x._abd, (-x)._abd) is None
+
+
+@settings(max_examples=300)
+@given(st.lists(scalars, min_size=1, max_size=6), st.integers(0, 5))
+def test_scale_to_one_is_division_by_the_pivot_entry(entries, pick):
+    row = {c: e for c, e in enumerate(entries) if e}
+    if row:
+        p = sorted(row)[pick % len(row)]
+        v = {c: e._abd for c, e in row.items()}
+        exactscalar._scale_to_one(v, p)
+        assert v.keys() == row.keys() and v[p] == ONE._abd
+        for c, e in row.items():
+            _same(exactscalar._canonical(*v[c]), e / row[p])
 
 
 @settings(max_examples=300)
@@ -388,9 +512,11 @@ def test_fused_sum_of_products_is_the_operator_chain(products):
     chain = ZERO
     for y, z in products:
         chain = chain + y * z
-    _same(_sum_products(products), chain)
+    triples = [(y._abd, z._abd) for y, z in products]
+    _same(_reduced(*_sum_products(triples)), chain)
     # each product cancelled by its negative sums to zero
-    _same(_sum_products(products + [(-y, z) for y, z in products]), ZERO)
+    _same(_reduced(*_sum_products(triples + [((-y)._abd, z._abd) for y, z in products])),
+          ZERO)
 
 
 def round_trips(obj):
