@@ -333,10 +333,7 @@ def verify_structure(g: GeneratorSet, table: str = TABLE_CORRECTED) -> Structure
         if computed == expected:
             text = str(computed) if row_expected else zero_text
             results.append(RowResult(lhs, rhs, text, text, zero_text, True, note))
-        elif row_expected:
+        else:
             results.append(RowResult(lhs, rhs, str(computed), str(expected),
                                      str(computed - expected), False, note))
-        else:  # a nonzero bracket of a row stated zero is its own residual
-            text = str(computed)
-            results.append(RowResult(lhs, rhs, text, zero_text, text, False, note))
     return StructureReport(table, results, kappa, mass)

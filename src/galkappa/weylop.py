@@ -24,22 +24,19 @@ product or bracket that passes this check on its operands is within both
 guards, and it is built without running the guards again.
 
 Work done once per operand: an operator keeps, filled on first use, the
-monomials of its coefficients that the kernel reads, the order and degree
-its guard check reads, the axes on which it differentiates and on which
-its coefficients reach, and the weighted derivatives of its coefficients
-formed with it as the right operand (see `_leibniz`).  None changes its
-value, and equality, hashing and pickling ignore them all.  A generator
-that is the right operand of several brackets forms each derivative list
-once, and a bracket in which no derivative of one operand meets a
-coordinate of the other is zero without entering the kernel.
+monomials of its coefficients, with the axes each term differentiates on
+and its coefficient reaches, and the order and degree its guard check
+reads.  Neither changes its value, and equality, hashing and pickling
+ignore both.  The weighted derivatives of a coefficient are formed in the
+kernel call that reads them (see `_leibniz`).
 
 `DiffOp` is the one square-matrix class.  It stores each row as a map
 from column to its nonzero entries, so every operation visits only the
 stored entries, in one loop for every dimension.  Mixing two registries
 raises RegistryMismatch, through `TermMap._coerce`; mismatched dimensions
-raise ShapeError; an operand or an entry of a foreign type raises
-TypeError.  The finite boost is the series exp(ad X) of brackets
-(`fieldcheck.boost_transform`).
+and a dimension below 1 raise ShapeError; an operand or an entry of a
+foreign type raises TypeError.  The finite boost is the series exp(ad X)
+of brackets (`fieldcheck.boost_transform`).
 
 Trusted results: `compose` and the bracket (checked on their operands'
 extents, above), `ScalarDiffOp.scale` by a nonzero factor free of the
@@ -134,21 +131,19 @@ def _cross_derivatives(pairs: list, alpha: MultiIndex, reach: MultiIndex, sign: 
     return steps
 
 
-def _leibniz(left: list, right: list, derivs: dict, positions: Tuple[int, int, int],
-             out: dict, sign: int, start: int) -> None:
+def _leibniz(left: list, right: list, positions: Tuple[int, int, int], out: dict,
+             sign: int, start: int) -> None:
     """Add sign * C(alpha, gamma) f * (d^gamma g) d^(alpha - gamma + beta) into out.
 
-    left and right are the `_monomials` of two operators A and B, derivs
-    B's derivative memo and positions the places of x1, x2, t in their
-    registry's keys.  One term for every f d^alpha of A, g d^beta of B and
-    gamma <= alpha with |gamma| >= start and d^gamma g nonzero: start 0,
-    with sign 1, gives the whole product A o B, start 1 only its derivative
-    cross terms.  d^gamma g is zero past the reach of g on an axis, so a
-    pair of terms with no axis where both alpha and the reach of g are
-    positive has no cross term and is skipped before any arithmetic.  The
-    weighted derivatives of the j-th term g of B that a term d^alpha of A
-    reads depend only on (j, alpha, sign); `_cross_derivatives` forms them
-    once per such key, and derivs keeps them.
+    left and right are the `_monomials` of two operators A and B and
+    positions the places of x1, x2, t in their registry's keys.  One term
+    for every f d^alpha of A, g d^beta of B and gamma <= alpha with
+    |gamma| >= start and d^gamma g nonzero: start 0, with sign 1, gives the
+    whole product A o B, start 1 only its derivative cross terms.  d^gamma g
+    is zero past the reach of g on an axis, so a pair of terms with no axis
+    where both alpha and the reach of g are positive has no cross term and
+    is skipped before any arithmetic; any other pair forms its
+    `_cross_derivatives` in the call.
 
     out maps each multi-index to {key: (a, b, d)}, unreduced integer
     triples that `_finish` reduces once.  Terms are met in the order
@@ -159,13 +154,9 @@ def _leibniz(left: list, right: list, derivs: dict, positions: Tuple[int, int, i
     for alpha, alpha_axes, _, _, fm in left:
         a1, a2, at = alpha
         single = len(fm) == 1
-        for j, ((b1, b2, bt), _, reach, reach_axes, gm) in enumerate(right):
+        for (b1, b2, bt), _, reach, reach_axes, gm in right:
             if alpha_axes & reach_axes:
-                memo_key = (j, alpha, sign)
-                steps = derivs.get(memo_key)
-                if steps is None:
-                    steps = derivs[memo_key] = _cross_derivatives(gm, alpha, reach, sign,
-                                                                  positions)
+                steps = _cross_derivatives(gm, alpha, reach, sign, positions)
                 if not start:
                     steps = [(0, 0, 0, gm), *steps]
             elif start:
@@ -208,12 +199,12 @@ def _has_two_terms(text: str) -> bool:
 class ScalarDiffOp(TermMap):
     """One scalar operator: sum of coefficient * d1^a1 d2^a2 dt^at terms.
 
-    The four slots hold the work done once per operand (module docstring);
+    The two slots hold the work done once per operand (module docstring);
     `_monomials` fills them on first use, and equality, hashing, printing
     and pickling ignore them.
     """
 
-    __slots__ = ("_mono", "_ext", "_axes", "_deriv")
+    __slots__ = ("_mono", "_ext")
 
     def __init__(self, registry: SymbolRegistry, terms: Mapping[MultiIndex, PolyExpr]):
         _check_coordinates(registry)
@@ -233,7 +224,7 @@ class ScalarDiffOp(TermMap):
         self._terms = clean
 
     def __getstate__(self):
-        # the memo slots are left out: a copy lists its monomials and derivatives anew
+        # the memo slots are left out: a copy lists its monomials anew
         return None, {"registry": self.registry, "_terms": self._terms}
 
     # -- constructors --------------------------------------------------------
@@ -295,16 +286,14 @@ class ScalarDiffOp(TermMap):
         exponent of each of x1, x2, t in f.  The axis masks have bit 1, 2 or
         4 set where alpha or reach is positive on x1, x2 or t.  Built on
         first use and kept in the `_mono` slot, together with the operand's
-        (derivative order, coefficient coordinate degree) in `_ext`, the
-        unions of the two axis masks in `_axes` and an empty derivative memo
-        in `_deriv`, which the kernel fills.
+        (derivative order, coefficient coordinate degree) in `_ext`.
         """
         try:
             return self._mono
         except AttributeError:
             i1, i2, it = self.registry.positions(COORDS)
             mono = []
-            order = degree = axes = reach_axes = 0
+            order = degree = 0
             for alpha, coeff in self._terms.items():
                 r1 = r2 = rt = 0
                 pairs = []
@@ -323,18 +312,14 @@ class ScalarDiffOp(TermMap):
                 if a1 + a2 + at > order:
                     order = a1 + a2 + at
                 alpha_axes = (a1 > 0) | (a2 > 0) << 1 | (at > 0) << 2
-                term_reach = (r1 > 0) | (r2 > 0) << 1 | (rt > 0) << 2
-                axes |= alpha_axes
-                reach_axes |= term_reach
-                mono.append((alpha, alpha_axes, (r1, r2, rt), term_reach, pairs))
+                reach_axes = (r1 > 0) | (r2 > 0) << 1 | (rt > 0) << 2
+                mono.append((alpha, alpha_axes, (r1, r2, rt), reach_axes, pairs))
             self._mono = mono
             self._ext = (order, degree)
-            self._axes = (axes, reach_axes)
-            self._deriv = {}
         return mono
 
     def _guarded(self, other: "ScalarDiffOp") -> Tuple[list, list]:
-        """The monomials of two nonzero operands, checked against the guards.
+        """The monomials of two operands, checked against the guards.
 
         Raises DegreeOverflow exactly when self o other is over a guard: by
         the module docstring's top-part argument, when the order sum or the
@@ -353,7 +338,7 @@ class ScalarDiffOp(TermMap):
 
         `_leibniz` keeps no zero, and `_guarded` has bounded every term.
         """
-        poly = next(iter(self._terms.values()))  # makes polynomials over this registry
+        poly = self.registry.zero()  # makes polynomials over this registry
         return self._make({
             midx: poly._make({key: _reduced(a, b, d) for key, (a, b, d) in terms.items()})
             for midx, terms in out.items()
@@ -362,11 +347,9 @@ class ScalarDiffOp(TermMap):
     def compose(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
         """Normal-form product: derivatives act through coefficients (Leibniz)."""
         self._coerce(other)
-        if not (self._terms and other._terms):
-            return self._make({})
         left, right = self._guarded(other)
         out: Dict[MultiIndex, dict] = {}
-        _leibniz(left, right, other._deriv, self.registry.positions(COORDS), out, 1, 0)
+        _leibniz(left, right, self.registry.positions(COORDS), out, 1, 0)
         return self._finish(out)
 
     def bracket(self, other: "ScalarDiffOp") -> "ScalarDiffOp":
@@ -376,24 +359,16 @@ class ScalarDiffOp(TermMap):
         are equal, since coefficients commute, so they are never formed.
         A o B and B o A each raise DegreeOverflow exactly when the order sum
         or the coordinate-degree sum of the operands is over its guard (see
-        the module docstring), and so does the bracket.  When no axis on
-        which one operand differentiates is an axis on which the other's
-        coefficients reach, there is no cross term, and the bracket is zero
-        without entering the kernel.
+        the module docstring), and so does the bracket.
         """
         if other.registry is not self.registry:  # one registry is the case of nearly every call
             self._coerce(other)
-        if not (self._terms and other._terms):
-            return self._make({})
         left, right = self._guarded(other)
-        (axes, reach), (other_axes, other_reach) = self._axes, other._axes
-        if not (axes & other_reach or other_axes & reach):
-            return self._make({})
         positions = self.registry.positions(COORDS)
         out: Dict[MultiIndex, dict] = {}
-        _leibniz(left, right, other._deriv, positions, out, 1, 1)
-        _leibniz(right, left, self._deriv, positions, out, -1, 1)
-        return self._finish(out) if out else self._make({})
+        _leibniz(left, right, positions, out, 1, 1)
+        _leibniz(right, left, positions, out, -1, 1)
+        return self._finish(out)
 
     def __str__(self) -> str:
         return self._render_terms(("d1", "d2", "dt"), _has_two_terms)
@@ -417,6 +392,8 @@ class DiffOp:
 
     def __init__(self, registry: SymbolRegistry, rows: Sequence[Sequence]):
         self.registry = registry
+        if not rows:
+            raise ShapeError("matrix dimension must be at least 1")
         sparse = []
         for row in rows:
             if len(row) != len(rows):
@@ -427,6 +404,8 @@ class DiffOp:
     @classmethod
     def identity(cls, registry: SymbolRegistry, dim: int, factor=None) -> "DiffOp":
         """factor (1 by default) times the identity; the factor is checked once, as one entry."""
+        if dim < 1:
+            raise ShapeError("matrix dimension must be at least 1")
         out = object.__new__(cls)
         out.registry = registry
         e = out._entry(registry.const(ONE) if factor is None else factor)

@@ -238,6 +238,10 @@ def test_square_matrix_shape_checks():
     reg = SymbolRegistry(("x1", "x2", "t"))  # DiffOp entries are operators in x1, x2, t
     with pytest.raises(ShapeError):
         DiffOp(reg, [[reg.const(1), reg.const(2)]])
+    for empty in (lambda: DiffOp(reg, []), lambda: DiffOp.identity(reg, 0),
+                  lambda: DiffOp.zeros(reg, 0), lambda: DiffOp.identity(reg, -2)):
+        with pytest.raises(ShapeError):
+            empty()
     m2 = DiffOp.identity(reg, 2)
     m3 = DiffOp.identity(reg, 3)
     with pytest.raises(ShapeError):

@@ -229,12 +229,16 @@ def test_compose_result_over_the_coefficient_guard_raises():
 
 
 def test_compose_result_over_the_order_guard_raises():
-    A = ScalarDiffOp.deriv(REG, (3, 1, 0), REG.symbol("x2"))
     B = ScalarDiffOp.deriv(REG, (0, MAX_DERIV_ORDER - 3, 0))
-    with pytest.raises(DegreeOverflow):
-        A.compose(B)
-    with pytest.raises(DegreeOverflow):
-        DiffOp.scalar(A).commutator(DiffOp.scalar(B))
+    # the second A shares no axis with B: their bracket is zero, and still over the guard
+    for A in (ScalarDiffOp.deriv(REG, (3, 1, 0), REG.symbol("x2")),
+              ScalarDiffOp.deriv(REG, (4, 0, 0))):
+        with pytest.raises(DegreeOverflow):
+            A.compose(B)
+        with pytest.raises(DegreeOverflow):
+            A.bracket(B)
+        with pytest.raises(DegreeOverflow):
+            DiffOp.scalar(A).commutator(DiffOp.scalar(B))
 
 
 def test_binomial_weights_of_a_higher_order_leibniz_term():
